@@ -20,25 +20,18 @@ import struct
 
 import numpy as np
 
-from .attention import AttentionParams
-from .errors import DataError
-from .lstm import LstmDirectionParams
-from .model import BaselineParams, ModelParams
-from .tensor import Tensor
+from .errors import ConfigError, DataError, NumericError
+from .model import BaselineParams, ModelParams, init_for_variant
 from .util import atomic_write_bytes
 
 MAGIC = b"FAGCNCKPT1\n"
 
-_LSTM_FIELDS = ("w_forget", "w_input", "w_cell", "w_output",
-                "b_forget", "b_input", "b_cell", "b_output")
-
 
 def save_checkpoint(path, config: dict, params: ModelParams | BaselineParams) -> None:
     """Serialize parameters plus the config that produced them."""
-    kind = "baseline" if isinstance(params, BaselineParams) else "model"
     named = params.named_parameters()
     header = {
-        "kind": kind,
+        "kind": params.kind,
         "config": config,
         "tensors": [{"name": name, "rows": t.rows, "cols": t.cols} for name, t in named],
     }
@@ -46,6 +39,26 @@ def save_checkpoint(path, config: dict, params: ModelParams | BaselineParams) ->
     parts = [MAGIC, struct.pack("<Q", len(blob)), blob]
     parts += [np.ascontiguousarray(t.data, dtype="<f8").tobytes() for _, t in named]
     atomic_write_bytes(path, b"".join(parts))
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_header(header, path) -> None:
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    for key in ("kind", "config", "tensors"):
+        if key not in header:
+            raise DataError(f"{path}: checkpoint header missing {key!r}")
+    if not isinstance(header["kind"], str) or not isinstance(header["config"], dict):
+        raise DataError(f"{path}: checkpoint kind must be a string and config an object")
+    entries = header["tensors"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and _is_count(e.get("rows")) and _is_count(e.get("cols")) for e in entries):
+        raise DataError(f"{path}: checkpoint tensors must be a list of "
+                        "{name: string, rows: int >= 0, cols: int >= 0}")
 
 
 def _read_arrays(raw: bytes, path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -63,65 +76,50 @@ def _read_arrays(raw: bytes, path) -> tuple[dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
     offset += header_len
-    for key in ("kind", "config", "tensors"):
-        if key not in header:
-            raise DataError(f"{path}: checkpoint header missing {key!r}")
+    _check_header(header, path)
     arrays: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        rows, cols = int(entry["rows"]), int(entry["cols"])
+        name, rows, cols = entry["name"], entry["rows"], entry["cols"]
+        if name in arrays:
+            raise DataError(f"{path}: checkpoint repeats tensor {name!r}")
         nbytes = rows * cols * 8
         if len(raw) < offset + nbytes:
-            raise DataError(f"{path}: checkpoint data truncated at tensor {entry['name']!r}")
+            raise DataError(f"{path}: checkpoint data truncated at tensor {name!r}")
         flat = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=offset)
-        arrays[entry["name"]] = flat.reshape(rows, cols).astype(np.float64)
+        if not np.isfinite(flat).all():
+            raise NumericError(f"{path}: tensor {name!r} holds non-finite values")
+        arrays[name] = flat.reshape(rows, cols).astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes after tensor data")
     return header, arrays
 
 
-def _take(arrays: dict[str, np.ndarray], name: str, path) -> Tensor:
-    try:
-        return Tensor(arrays.pop(name))
-    except KeyError:
-        raise DataError(f"{path}: checkpoint is missing tensor {name!r}") from None
-
-
-def _lstm_from(arrays: dict[str, np.ndarray], prefix: str, path) -> LstmDirectionParams:
-    return LstmDirectionParams(
-        **{field: _take(arrays, f"{prefix}.{field}", path) for field in _LSTM_FIELDS})
-
-
 def load_checkpoint(path) -> tuple[dict, ModelParams | BaselineParams]:
-    """Read a checkpoint back into parameters and its stored config."""
+    """Read a checkpoint back into parameters and its stored config.
+
+    The config's variant picks the parameter set, whose kind must be the
+    stored one. Its tensors are filled by name, and every stored tensor
+    must fill exactly one of them.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     header, arrays = _read_arrays(raw, path)
-    config = header["config"]
-    kind = header["kind"]
-    if kind == "baseline":
-        params: ModelParams | BaselineParams = BaselineParams(
-            conv1_weight=_take(arrays, "baseline.conv1_weight", path),
-            conv2_weight=_take(arrays, "baseline.conv2_weight", path))
-    elif kind == "model":
-        variant = config.get("variant")
-        if variant == "self":
-            att = AttentionParams("self", score_vector=_take(arrays, "attention.score_vector", path))
-        elif variant == "context":
-            att = AttentionParams("context", bilinear=_take(arrays, "attention.bilinear", path))
-        elif variant == "none":
-            att = AttentionParams("none")
-        else:
-            raise DataError(f"{path}: checkpoint config has invalid variant {variant!r}")
-        params = ModelParams(
-            embeddings=_take(arrays, "embeddings", path),
-            lstm_fwd=_lstm_from(arrays, "lstm_fwd", path),
-            lstm_bwd=_lstm_from(arrays, "lstm_bwd", path),
-            attention=att,
-            conv1_weight=_take(arrays, "conv1_weight", path),
-            conv2_weight=_take(arrays, "conv2_weight", path))
-    else:
-        raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
-    if arrays:
-        raise DataError(f"{path}: unexpected tensors in checkpoint: {sorted(arrays)}")
+    config, kind = header["config"], header["kind"]
+    variant = config.get("variant")
+    try:  # unit-sized placeholders, filled by name below
+        params = init_for_variant(variant, 1, 1, 1, 1, 1, np.random.default_rng(0))
+    except ConfigError:
+        raise DataError(f"{path}: checkpoint config has invalid variant {variant!r}") from None
+    if params.kind != kind:
+        raise DataError(f"{path}: checkpoint kind {kind!r} does not fit variant {variant!r}")
+    named = dict(params.named_parameters())
+    missing = sorted(set(named) - set(arrays))
+    if missing:
+        raise DataError(f"{path}: checkpoint is missing tensors {missing}")
+    unexpected = sorted(set(arrays) - set(named))
+    if unexpected:
+        raise DataError(f"{path}: unexpected tensors in checkpoint: {unexpected}")
+    for name, tensor in named.items():
+        tensor.data = arrays[name]
     return config, params

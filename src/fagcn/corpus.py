@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import round_half_up
+from .util import round_half_up, text_lines
 
 
 class Vocabulary:
@@ -97,30 +97,29 @@ def load_corpus(path, labels: Sequence[str] | None = None) -> tuple[ContentCorpu
         label_index = {}
         closed_labels = False
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            id_text, label, token_text = fields
-            try:
-                node_id = int(id_text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: node id must be an integer") from None
-            tokens = token_text.split()
-            if not tokens:
-                raise DataError(f"{path}:{lineno}: node {node_id} has no content tokens")
-            if label not in label_index:
-                if closed_labels:
-                    raise DataError(f"{path}:{lineno}: unknown label {label!r}")
-                label_index[label] = len(label_names)
-                label_names.append(label)
-            node_ids.append(node_id)
-            contents.append([vocab.add(tok.lower()) for tok in tokens])
-            label_ids.append(label_index[label])
+    for lineno, raw in text_lines(path, DataError):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        id_text, label, token_text = fields
+        try:
+            node_id = int(id_text)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: node id must be an integer") from None
+        tokens = token_text.split()
+        if not tokens:
+            raise DataError(f"{path}:{lineno}: node {node_id} has no content tokens")
+        if label not in label_index:
+            if closed_labels:
+                raise DataError(f"{path}:{lineno}: unknown label {label!r}")
+            label_index[label] = len(label_names)
+            label_names.append(label)
+        node_ids.append(node_id)
+        contents.append([vocab.add(tok.lower()) for tok in tokens])
+        label_ids.append(label_index[label])
 
     if not node_ids:
         raise DataError(f"{path}: no nodes found")

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
+from .util import text_lines
 
 
 class Graph:
@@ -74,18 +75,17 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
 def load_edge_list(path) -> list[tuple[int, int]]:
     """Parse an edge-list file: two integer node ids per line, '#' comments."""
     pairs: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise DataError(f"{path}:{lineno}: expected two node ids, got {line!r}")
-            try:
-                pairs.append((int(fields[0]), int(fields[1])))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: node ids must be integers") from None
+    for lineno, raw in text_lines(path, DataError):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise DataError(f"{path}:{lineno}: expected two node ids, got {line!r}")
+        try:
+            pairs.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: node ids must be integers") from None
     return pairs
 
 

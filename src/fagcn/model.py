@@ -6,7 +6,8 @@ loss. Also hosts the plain two-layer GCN baseline on bag-of-words input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ PairFeatures = list[list[tuple[int, Tensor]]]
 @dataclass
 class ModelParams:
     """All trainable weights of the feature-attention model."""
+
+    kind: ClassVar[str] = "model"
 
     embeddings: Tensor
     lstm_fwd: LstmDirectionParams
@@ -53,9 +56,18 @@ class ModelParams:
             conv2_weight=conv(hidden_dim, num_classes, fan_in=hidden_dim),
         )
 
+    def bind(self, graph: Graph, corpus: ContentCorpus,
+             operators: GraphOperators) -> Callable[..., Tensor]:
+        """``forward`` over this graph and corpus."""
+        return partial(forward, self, graph, corpus, operators=operators)
+
     @property
     def variant(self) -> str:
         return self.attention.variant
+
+    @property
+    def vocab_size(self) -> int:
+        return self.embeddings.rows
 
     @property
     def embed_dim(self) -> int:
@@ -95,6 +107,8 @@ class ModelParams:
 class BaselineParams:
     """Plain two-layer GCN weights over static bag-of-words features."""
 
+    kind: ClassVar[str] = "baseline"
+
     conv1_weight: Tensor  # vocab_size x hidden_dim
     conv2_weight: Tensor  # hidden_dim x num_classes
 
@@ -107,6 +121,22 @@ class BaselineParams:
 
         return cls(conv1_weight=conv(vocab_size, hidden_dim),
                    conv2_weight=conv(hidden_dim, num_classes))
+
+    def bind(self, graph: Graph, corpus: ContentCorpus,
+             operators: GraphOperators) -> Callable[..., Tensor]:
+        """The baseline has no dropout, so the training keywords are
+        ignored; the bag-of-words input is built once per binding."""
+        bow = T.constant(bag_of_words(corpus, corpus.vocab_size))
+
+        def run(**_training_keywords) -> Tensor:
+            return baseline_gcn_forward(operators.norm_adj, bow,
+                                        self.conv1_weight, self.conv2_weight)
+
+        return run
+
+    @property
+    def vocab_size(self) -> int:
+        return self.conv1_weight.rows
 
     @property
     def hidden_dim(self) -> int:
@@ -125,6 +155,16 @@ class BaselineParams:
 
     def node_reg_terms(self) -> list[Tensor]:
         return [self.conv1_weight, self.conv2_weight]
+
+
+def init_for_variant(variant: str, vocab_size: int, num_classes: int, embed_dim: int,
+                     feature_dim: int, hidden_dim: int,
+                     rng: np.random.Generator) -> ModelParams | BaselineParams:
+    """Fresh weights of the parameter set that ``variant`` trains."""
+    if variant == "baseline_gcn":
+        return BaselineParams.init(vocab_size, num_classes, hidden_dim, rng)
+    return ModelParams.init(vocab_size, num_classes, embed_dim, feature_dim,
+                            hidden_dim, variant, rng)
 
 
 @dataclass

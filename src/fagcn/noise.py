@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .corpus import ContentCorpus, split
+from .corpus import ContentCorpus
 from .errors import ConfigError
 from .graph import Graph
-from .training import ExperimentConfig, train
+from .training import ExperimentConfig, RepeatResult, run_cell
 from .util import derive_rng, round_half_up
 
 PROTOCOLS = ("inject", "replace")
@@ -102,15 +102,6 @@ class SweepRow:
     seeds: tuple[int, ...]
 
 
-def _run_cell(base_config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
-              protocol: str, ratio: float, variant: str, seed: int) -> float:
-    noisy = corrupt(corpus, protocol, ratio, derive_rng(seed, "noise"))
-    config = dc_replace(base_config, seed=seed, variant=variant)
-    cell_split = split(corpus.n, config.train_fraction, derive_rng(seed, "split"))
-    _, history = train(config, graph, noisy, cell_split)
-    return history.test_accuracy
-
-
 def noise_sweep(base_config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
                 protocol: str, ratios: list[float], variants: list[str],
                 seeds: list[int], max_workers: int = 1) -> list[SweepRow]:
@@ -133,7 +124,8 @@ def noise_sweep(base_config: ExperimentConfig, graph: Graph, corpus: ContentCorp
 
     def run(cell: tuple[float, str, int]) -> float:
         ratio, variant, seed = cell
-        return _run_cell(base_config, graph, corpus, protocol, ratio, variant, seed)
+        noisy = corrupt(corpus, protocol, ratio, derive_rng(seed, "noise"))
+        return run_cell(dc_replace(base_config, variant=variant), graph, noisy, seed)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -145,10 +137,9 @@ def noise_sweep(base_config: ExperimentConfig, graph: Graph, corpus: ContentCorp
     rows = []
     for ratio in ratios:
         for variant in variants:
-            acc = [by_cell[(ratio, variant, seed)] for seed in seeds]
+            result = RepeatResult.of([by_cell[(ratio, variant, seed)] for seed in seeds])
             rows.append(SweepRow(protocol=protocol, ratio=ratio, variant=variant,
-                                 mean_accuracy=float(np.mean(acc)),
-                                 std_accuracy=float(np.std(acc)),
+                                 mean_accuracy=result.mean, std_accuracy=result.std,
                                  seeds=tuple(seeds)))
     return rows
 

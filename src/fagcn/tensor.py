@@ -12,6 +12,7 @@ Vectors are represented as 1-row matrices throughout.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -93,7 +94,16 @@ def _accumulate_owned(t: Tensor, g: Array) -> None:
         t.grad += g
 
 
-_ACTIVE_TAPES: list["Tape"] = []
+class _TapeStack(threading.local):
+    """The tapes entered on the current thread, innermost last. Each
+    thread has its own stack, so concurrent forward passes (threaded
+    sweep cells) never record onto each other's tapes."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_ACTIVE = _TapeStack()
 
 
 class Tape:
@@ -110,11 +120,11 @@ class Tape:
         self._steps: list[Callable[[], None]] = []
 
     def __enter__(self) -> "Tape":
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE.tapes.append(self)
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        _ACTIVE_TAPES.pop()
+        _ACTIVE.tapes.pop()
         return False
 
     def __len__(self) -> int:
@@ -122,9 +132,6 @@ class Tape:
 
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
-
-    def clear(self) -> None:
-        self._steps.clear()
 
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss)=1 and replay all steps in reverse order."""
@@ -136,15 +143,17 @@ class Tape:
 
 
 def current_tape() -> Tape | None:
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+    tapes = _ACTIVE.tapes
+    return tapes[-1] if tapes else None
 
 
 def _wants_tape(*inputs: Tensor) -> Tape | None:
-    if not _ACTIVE_TAPES:
+    tapes = _ACTIVE.tapes
+    if not tapes:
         return None
     for t in inputs:
         if t.requires_grad:
-            return _ACTIVE_TAPES[-1]
+            return tapes[-1]
     return None
 
 
@@ -215,26 +224,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference a - b with broadcasting."""
-    _broadcastable(a, b)
-    out = _new(a.data - b.data, a.requires_grad or b.requires_grad)
-    tape = _wants_tape(a, b)
-    if tape is not None:
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(-g, b.data.shape))
-
-        tape.record(step)
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product with broadcasting."""
     _broadcastable(a, b)
@@ -277,23 +266,6 @@ def neg(x: Tensor) -> Tensor:
     return scale(x, -1.0)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, computed via tanh for overflow safety."""
-    y = np.tanh(0.5 * x.data)
-    y += 1.0
-    y *= 0.5
-    out = _new(y, x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                _accumulate_owned(x, out.grad * (y * (1.0 - y)))
-
-        tape.record(step)
-    return out
-
-
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = _new(y, x.requires_grad)
@@ -321,18 +293,6 @@ def relu(x: Tensor) -> Tensor:
 
         tape.record(step)
     return out
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    """Elementwise nonlinearity: one of sigmoid, tanh, relu."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation kind {kind!r}") from None
-    return fn(x)
 
 
 def rowwise_softmax(x: Tensor) -> Tensor:
@@ -415,52 +375,6 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Horizontal concatenation [a, b]; row counts must match."""
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
-    out = _new(np.hstack((a.data, b.data)), a.requires_grad or b.requires_grad)
-    tape = _wants_tape(a, b)
-    if tape is not None:
-        split = a.data.shape[1]
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(g[:, :split])
-            if b.requires_grad:
-                b.accumulate_grad(g[:, split:])
-
-        tape.record(step)
-    return out
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice x[start:stop] as a new tensor."""
-    if not (0 <= start < stop <= x.data.shape[0]):
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for {x.shape}")
-    out = _new(x.data[start:stop].copy(), x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[start:stop] += g
-
-        tape.record(step)
-    return out
-
-
-def row(x: Tensor, index: int) -> Tensor:
-    return slice_rows(x, index, index + 1)
-
-
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows by index (repeats allowed); backward scatter-adds."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -504,19 +418,6 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
                 if p.requires_grad:
                     p.accumulate_grad(g[lo:hi])
-
-        tape.record(step)
-    return out
-
-
-def reverse_rows(x: Tensor) -> Tensor:
-    out = _new(x.data[::-1].copy(), x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                x.accumulate_grad(out.grad[::-1])
 
         tape.record(step)
     return out

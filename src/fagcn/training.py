@@ -3,6 +3,7 @@ and repeated-trial statistics."""
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -12,14 +13,31 @@ from .corpus import ContentCorpus, DatasetSplit, split
 from .errors import ConfigError, DataError, NumericError
 from .graph import Graph
 from .model import (BaselineParams, GraphOperators, LabelMatrix, ModelParams,
-                    bag_of_words, baseline_gcn_forward, forward, loss)
-from .tensor import Tape, Tensor, constant
+                    init_for_variant, loss)
+from .tensor import Tape, Tensor
 from .util import derive_rng
 
 VARIANTS = ("none", "self", "context", "baseline_gcn")
 
 # Recommended first-layer output dims for the usual citation benchmarks.
 DATASET_HIDDEN_DIMS = {"citeseer": 6, "cora": 7, "dblp": 4}
+
+_TYPES = {"int": int, "str": str, "bool": bool}
+
+
+def check_type(name: str, value, kind: str) -> None:
+    """Raise ConfigError unless ``value`` is of ``kind``: "int", "float",
+    "str" or "bool". A bool is neither an int nor a float, and a float
+    (an int or a float) must be finite as a float."""
+    if isinstance(value, bool):
+        ok = kind == "bool"
+    elif kind == "float":
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, _TYPES[kind])
+    if not ok:
+        what = "a finite number" if kind == "float" else f"of type {kind}"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -48,6 +66,8 @@ class ExperimentConfig:
     layer1_normalize: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            check_type(f.name, getattr(self, f.name), f.type)
         if min(self.embed_dim, self.feature_dim, self.hidden_dim) < 1:
             raise ConfigError("all dimensions must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -62,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -130,12 +152,8 @@ def _check_inputs(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus)
 
 def init_params(config: ExperimentConfig, corpus: ContentCorpus,
                 rng: np.random.Generator) -> ModelParams | BaselineParams:
-    if config.variant == "baseline_gcn":
-        return BaselineParams.init(corpus.vocab_size, corpus.num_classes,
-                                   config.hidden_dim, rng)
-    return ModelParams.init(corpus.vocab_size, corpus.num_classes,
-                            config.embed_dim, config.feature_dim,
-                            config.hidden_dim, config.variant, rng)
+    return init_for_variant(config.variant, corpus.vocab_size, corpus.num_classes,
+                            config.embed_dim, config.feature_dim, config.hidden_dim, rng)
 
 
 def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentCorpus, *,
@@ -144,14 +162,8 @@ def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentC
     """Class-probability matrix in evaluation mode (dropout forced off)."""
     if operators is None:
         operators = GraphOperators.build(graph)
-    if isinstance(params, BaselineParams):
-        bow = constant(bag_of_words(corpus, corpus.vocab_size))
-        z = baseline_gcn_forward(operators.norm_adj, bow,
-                                 params.conv1_weight, params.conv2_weight)
-    else:
-        z = forward(params, graph, corpus, training=False,
-                    layer1_normalize=layer1_normalize, operators=operators)
-    return z.data
+    run = params.bind(graph, corpus, operators)
+    return run(training=False, layer1_normalize=layer1_normalize).data
 
 
 def evaluate(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentCorpus,
@@ -167,6 +179,8 @@ def evaluate(params: ModelParams | BaselineParams, graph: Graph, corpus: Content
         raise ConfigError("evaluate needs a non-empty test set")
     z = predict(params, graph, corpus, layer1_normalize=layer1_normalize,
                 operators=operators)
+    if not np.isfinite(z).all():
+        raise NumericError("class probabilities are not finite")
     predictions = np.argmax(z[test_idx], axis=1)
     actual = np.asarray(corpus.labels)[test_idx]
     return float(np.mean(predictions == actual))
@@ -188,24 +202,16 @@ def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
     named = params.named_parameters()
     operators = GraphOperators.build(graph)
     labels = LabelMatrix.build(corpus.labels, corpus.num_classes, dataset_split.train_idx)
-    baseline = isinstance(params, BaselineParams)
-    if baseline:
-        bow = constant(bag_of_words(corpus, corpus.vocab_size))
+    run = params.bind(graph, corpus, operators)
     state = AdamState()
     history = TrainHistory()
     for epoch in range(config.epochs):
         for _, p in named:
             p.zero_grad()
         with Tape() as tape:
-            if baseline:
-                z = baseline_gcn_forward(operators.norm_adj, bow,
-                                         params.conv1_weight, params.conv2_weight)
-            else:
-                z = forward(params, graph, corpus, training=True,
-                            dropout_lstm=config.dropout_lstm,
-                            dropout_gcn=config.dropout_gcn,
-                            layer1_normalize=config.layer1_normalize,
-                            rng=rng_dropout, operators=operators)
+            z = run(training=True, rng=rng_dropout,
+                    dropout_lstm=config.dropout_lstm, dropout_gcn=config.dropout_gcn,
+                    layer1_normalize=config.layer1_normalize)
             epoch_loss = loss(z, labels, params, config.l2_feature, config.l2_node)
             value = epoch_loss.item()
             if not np.isfinite(value):
@@ -220,6 +226,16 @@ def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
     return params, history
 
 
+def run_cell(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
+             seed: int) -> float:
+    """Test accuracy of one seeded run: the split and the training both
+    draw from ``seed``, which replaces the config's own."""
+    cell_config = replace(config, seed=seed)
+    cell_split = split(corpus.n, cell_config.train_fraction, derive_rng(seed, "split"))
+    _, history = train(cell_config, graph, corpus, cell_split)
+    return history.test_accuracy
+
+
 @dataclass
 class RepeatResult:
     """Aggregated accuracy over several independently seeded runs."""
@@ -227,6 +243,12 @@ class RepeatResult:
     mean: float
     std: float
     accuracies: list[float]
+
+    @classmethod
+    def of(cls, accuracies: list[float]) -> "RepeatResult":
+        """Sample mean and population standard deviation."""
+        return cls(mean=float(np.mean(accuracies)), std=float(np.std(accuracies)),
+                   accuracies=list(accuracies))
 
 
 def repeat_experiment(config: ExperimentConfig, seeds: list[int], graph: Graph,
@@ -239,15 +261,7 @@ def repeat_experiment(config: ExperimentConfig, seeds: list[int], graph: Graph,
     """
     if len(seeds) < 2:
         raise ConfigError("repeat_experiment needs at least two seeds")
-    accuracies = []
-    for seed in seeds:
-        run_config = replace(config, seed=seed)
-        run_split = split(corpus.n, run_config.train_fraction, derive_rng(seed, "split"))
-        _, history = train(run_config, graph, corpus, run_split)
-        accuracies.append(history.test_accuracy)
-    return RepeatResult(mean=float(np.mean(accuracies)),
-                        std=float(np.std(accuracies)),
-                        accuracies=accuracies)
+    return RepeatResult.of([run_cell(config, graph, corpus, seed) for seed in seeds])
 
 
 def format_mean_std(mean: float, std: float) -> str:

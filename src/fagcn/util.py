@@ -1,5 +1,5 @@
-"""Small shared helpers: rounding, seeded RNG streams, file digests,
-atomic writes."""
+"""Small shared helpers: rounding, seeded RNG streams, text-file lines,
+file digests, atomic writes."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import os
 import zlib
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def round_half_up(x: float) -> int:
@@ -23,8 +25,20 @@ def derive_rng(seed: int, stream: str) -> np.random.Generator:
     gets its own stream so changing how much randomness one concern uses
     cannot perturb the others.
     """
+    if seed < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seed}")
     tag = zlib.crc32(stream.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
+
+
+def text_lines(path, error: type[Exception]):
+    """Yield (line number, line) over a UTF-8 text file; bytes that are
+    not UTF-8 raise ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def sha256_file(path) -> str:

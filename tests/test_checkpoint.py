@@ -1,12 +1,15 @@
 """Checkpoint container: roundtrips, byte determinism, corruption
 detection."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from fagcn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from fagcn.datasets import four_node_fixture
-from fagcn.errors import DataError
+from fagcn.errors import DataError, NumericError
 from fagcn.model import BaselineParams, ModelParams
 from fagcn.training import ExperimentConfig
 
@@ -15,6 +18,17 @@ def model_params(variant: str = "context") -> ModelParams:
     _, corpus, _ = four_node_fixture()
     return ModelParams.init(corpus.vocab_size, corpus.num_classes, 4, 4, 3,
                             variant, np.random.default_rng(7))
+
+
+def edit_header(path, edit) -> None:
+    """Rewrite a saved checkpoint's JSON header in place."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    header = json.loads(raw[start:start + length])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + length:])
 
 
 class TestRoundtrip:
@@ -78,4 +92,40 @@ class TestCorruption:
         raw[len(MAGIC) + 8] ^= 0xFF  # first header byte
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["tensors"][0].pop("rows"),
+        lambda h: h.update(tensors="x"),
+        lambda h: h["tensors"][0].update(rows=-1),
+        lambda h: h["tensors"][0].update(rows=str(h["tensors"][0]["rows"])),
+        lambda h: h.update(config="x"),
+        lambda h: h["tensors"].append({"name": h["tensors"][0]["name"], "rows": 0, "cols": 0}),
+    ], ids=["no-rows", "tensors-not-list", "negative-rows", "string-rows",
+            "config-not-object", "repeated-name"])
+    def test_malformed_header_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, ExperimentConfig().to_dict(), model_params())
+        edit_header(path, edit)
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_tensors_must_fit_the_stored_kind_and_variant(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        cases = [(BaselineParams.init(6, 2, 4, np.random.default_rng(1)), "self", "fit"),
+                 (model_params("self"), "context", "missing"),
+                 (model_params("self"), "none", "unexpected")]
+        for params, variant, message in cases:
+            save_checkpoint(path, ExperimentConfig(variant=variant).to_dict(), params)
+            with pytest.raises(DataError, match=message):
+                load_checkpoint(path)
+
+    def test_non_finite_weights_are_numeric_error(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        params = model_params()
+        params.conv1_weight.data[0, 0] = np.nan
+        save_checkpoint(path, ExperimentConfig().to_dict(), params)
+        with pytest.raises(NumericError, match="conv1_weight"):
             load_checkpoint(path)

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import fagcn.cli
+from fagcn.checkpoint import load_checkpoint, save_checkpoint
 from fagcn.cli import (cmd_eval, cmd_export_attention, cmd_sweep, cmd_train,
                        main)
 from fagcn.datasets import two_cluster_fixture, write_dataset
@@ -182,6 +184,73 @@ class TestExportAttention:
                                     dataset["content"], 777, tmp_path / "x.json",
                                     quiet=True)
         assert code == 2
+
+
+class TestErrorBoundary:
+    """Bad inputs end in one error line and the documented exit code."""
+
+    @pytest.mark.parametrize("config_patch, spec_patch", [
+        ({"epochs": "2"}, {}), ({"epochs": 2.5}, {}), ({"lr": "0.1"}, {}),
+        ({"layer1_normalize": "no"}, {}), ({"seed": -1}, {}),
+        ({}, {"seeds": ["x"]}), ({}, {"seeds": [1.7]}), ({}, {"seeds": [-1]}),
+        ({}, {"values": [2.5]}), ({}, {"values": ["3"]}), ({}, {"values": [True]}),
+        ({}, {"axis": "noise-inject", "values": ["0.3"]}), ({}, {"axis": ["d_h"]}),
+        ({}, {"content": 5}),
+    ])
+    def test_mistyped_values_are_input_errors(self, dataset, config_path, tmp_path, capsys,
+                                              config_patch, spec_patch):
+        config = {**json.loads(config_path.read_text()), "epochs": 1, **config_patch}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        spec = {"axis": "d_h", "values": [3], "variants": ["none"], "seeds": [1],
+                "content": str(dataset["content"]), "edges": str(dataset["edges"]),
+                **spec_patch}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert cmd_sweep(config_path, spec_path, tmp_path / "out.csv", quiet=True) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_config_directory_is_input_error(self, dataset, tmp_path):
+        assert cmd_train(tmp_path, dataset["edges"], dataset["content"], tmp_path / "run",
+                         quiet=True) == 2
+
+    def test_out_path_is_checked_before_training(self, dataset, config_path, tmp_path,
+                                                 monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained although the output cannot be written")
+
+        monkeypatch.setattr(fagcn.cli, "train", no_training)
+        taken = tmp_path / "taken"
+        taken.write_text("keep", encoding="utf-8")
+        assert cmd_train(config_path, dataset["edges"], dataset["content"], taken,
+                         quiet=True) == 2
+        assert taken.read_text(encoding="utf-8") == "keep"
+
+    @pytest.mark.parametrize("which", ["content", "edges"])
+    def test_non_utf8_data_is_data_error(self, dataset, config_path, tmp_path, capsys, which):
+        with open(dataset[which], "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        assert cmd_train(config_path, dataset["edges"], dataset["content"], tmp_path / "run",
+                         quiet=True) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_and_spec_are_input_errors(self, dataset, config_path, tmp_path):
+        out = tmp_path / "run"
+        cmd_train(config_path, dataset["edges"], dataset["content"], out, quiet=True)
+        checkpoint = out / "model.ckpt"
+        assert cmd_train(checkpoint, dataset["edges"], dataset["content"], tmp_path / "again",
+                         quiet=True) == 2
+        assert cmd_sweep(config_path, checkpoint, tmp_path / "out.csv", quiet=True) == 2
+
+    def test_non_finite_checkpoint_is_numeric_error(self, dataset, config_path, tmp_path):
+        out = tmp_path / "run"
+        cmd_train(config_path, dataset["edges"], dataset["content"], out, quiet=True)
+        config, params = load_checkpoint(out / "model.ckpt")
+        for _, tensor in params.named_parameters():
+            tensor.data[:] = float("nan")
+        save_checkpoint(out / "model.ckpt", config, params)
+        assert cmd_eval(out / "model.ckpt", dataset["edges"], dataset["content"],
+                        split_seed=1, quiet=True) == 4
 
 
 class TestEntryPoint:

@@ -1,6 +1,9 @@
 """Training loop: Adam behavior, determinism, evaluation rules, and
 repeated-trial statistics."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,8 @@ from fagcn.model import BaselineParams
 from fagcn.corpus import ContentCorpus
 from fagcn.tensor import Tensor
 from fagcn.training import (DATASET_HIDDEN_DIMS, AdamState, ExperimentConfig,
-                            adam_step, evaluate, format_mean_std, init_params,
-                            repeat_experiment, train)
+                            RepeatResult, adam_step, evaluate, format_mean_std,
+                            init_params, repeat_experiment, run_cell, train)
 from fagcn.util import derive_rng
 
 
@@ -52,6 +55,10 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("bad", [
         {"epochs": -1}, {"lr": 0.0}, {"variant": "zigzag"},
         {"dropout_gcn": 1.0}, {"train_fraction": 1.5}, {"hidden_dim": 0},
+        {"seed": -1}, {"epochs": "2"}, {"epochs": 2.5}, {"epochs": True},
+        {"seed": None}, {"lr": "0.1"}, {"lr": float("nan")},
+        {"l2_node": float("inf")}, {"lr": 10 ** 400}, {"dropout_gcn": False},
+        {"layer1_normalize": "no"}, {"layer1_normalize": 0},
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
@@ -133,6 +140,26 @@ class TestTrain:
         assert isinstance(params, BaselineParams)
         assert history.losses[-1] < history.losses[0]
 
+    def test_threads_train_like_serial(self):
+        # every thread records onto its own tape, so cells running on a
+        # pool give the serial per-epoch losses
+        graph, corpus, _ = two_cluster_fixture()
+
+        def losses(seed):
+            config = small_config(seed=seed, variant="context", epochs=3,
+                                  dropout_lstm=0.2, dropout_gcn=0.3)
+            return train(config, graph, corpus, fixture_split(seed))[1].losses
+
+        serial = [losses(seed) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(losses, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
     def test_graph_corpus_size_mismatch(self):
         _, corpus, _ = two_cluster_fixture()
         with pytest.raises(Exception, match="nodes"):
@@ -173,6 +200,16 @@ class TestEvaluate:
         # predictions: 0, 1, 0, 1, 0(tie) vs labels 0, 1, 1, 1, 0 -> 4/5
         assert evaluate(params, graph, corpus, list(range(5))) == 0.8
 
+    def test_non_finite_probabilities_are_numeric_error(self):
+        graph = Graph(2, [(0, 1)])
+        corpus = ContentCorpus(node_ids=[0, 1], contents=[[0], [1]], labels=[0, 1],
+                               label_names=["a", "b"], vocab_size=2)
+        params = BaselineParams(conv1_weight=Tensor(np.full((2, 2), 1e300)),
+                                conv2_weight=Tensor(np.full((2, 2), 1e300)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="not finite"):
+                evaluate(params, graph, corpus, [0, 1])
+
     def test_empty_test_set(self):
         graph, corpus, _ = two_cluster_fixture()
         params = init_params(small_config(), corpus, derive_rng(0, "init"))
@@ -194,6 +231,15 @@ class TestRepeatExperiment:
         assert 0.0 <= result.mean <= 1.0
         assert result.std >= 0.0
         assert len(result.accuracies) == 5
+
+    def test_accuracies_are_run_cell_per_seed(self):
+        graph, corpus, _ = two_cluster_fixture()
+        config = small_config(epochs=4)
+        result = repeat_experiment(config, [3, 8], graph, corpus)
+        assert result.accuracies == [run_cell(config, graph, corpus, seed) for seed in (3, 8)]
+        assert result == RepeatResult.of(result.accuracies)
+        assert (result.mean, result.std) == (float(np.mean(result.accuracies)),
+                                             float(np.std(result.accuracies)))
 
     def test_needs_at_least_two_seeds(self):
         graph, corpus, _ = two_cluster_fixture()
