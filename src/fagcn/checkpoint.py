@@ -5,18 +5,22 @@ Layout (all integers little-endian):
     bytes 0..10   magic b"FAGCNCKPT1\\n"
     bytes 11..18  uint64 header length H
     next H bytes  UTF-8 JSON header: {"kind": "model"|"baseline",
-                  "config": {...}, "tensors": [{"name", "rows", "cols"}...]}
+                  "config": {...}, "terms": [...], "labels": [...],
+                  "tensors": [{"name", "rows", "cols"}...]}
     remainder     float64 little-endian row-major data for each tensor,
                   concatenated in header order
 
 The header JSON is serialized with sorted keys and no whitespace, so a
-checkpoint's bytes are a pure function of its contents.
+checkpoint's bytes are a pure function of its contents. ``terms`` and
+``labels`` are the ordered vocabulary and class names that the token and
+class ids of the tensors index.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from typing import Sequence
 
 import numpy as np
 
@@ -27,12 +31,16 @@ from .util import atomic_write_bytes
 MAGIC = b"FAGCNCKPT1\n"
 
 
-def save_checkpoint(path, config: dict, params: ModelParams | BaselineParams) -> None:
-    """Serialize parameters plus the config that produced them."""
+def save_checkpoint(path, config: dict, params: ModelParams | BaselineParams,
+                    terms: Sequence[str], labels: Sequence[str]) -> None:
+    """Serialize parameters plus the config that produced them and the
+    term and label names their ids stand for."""
     named = params.named_parameters()
     header = {
         "kind": params.kind,
         "config": config,
+        "terms": list(terms),
+        "labels": list(labels),
         "tensors": [{"name": name, "rows": t.rows, "cols": t.cols} for name, t in named],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -45,14 +53,20 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _check_header(header, path) -> None:
     if not isinstance(header, dict):
         raise DataError(f"{path}: checkpoint header is not a JSON object")
-    for key in ("kind", "config", "tensors"):
+    for key in ("kind", "config", "terms", "labels", "tensors"):
         if key not in header:
             raise DataError(f"{path}: checkpoint header missing {key!r}")
     if not isinstance(header["kind"], str) or not isinstance(header["config"], dict):
         raise DataError(f"{path}: checkpoint kind must be a string and config an object")
+    if not _is_names(header["terms"]) or not _is_names(header["labels"]):
+        raise DataError(f"{path}: checkpoint terms and labels must be lists of strings")
     entries = header["tensors"]
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and isinstance(e.get("name"), str)
@@ -95,12 +109,14 @@ def _read_arrays(raw: bytes, path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def load_checkpoint(path) -> tuple[dict, ModelParams | BaselineParams]:
-    """Read a checkpoint back into parameters and its stored config.
+def load_checkpoint(path) -> tuple[dict, ModelParams | BaselineParams, list[str], list[str]]:
+    """Read a checkpoint back into its stored config, parameters, terms
+    and labels.
 
     The config's variant picks the parameter set, whose kind must be the
     stored one. Its tensors are filled by name, and every stored tensor
-    must fill exactly one of them.
+    must fill exactly one of them. There must be one term per embedding
+    row and one label per class.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -122,4 +138,8 @@ def load_checkpoint(path) -> tuple[dict, ModelParams | BaselineParams]:
         raise DataError(f"{path}: unexpected tensors in checkpoint: {unexpected}")
     for name, tensor in named.items():
         tensor.data = arrays[name]
-    return config, params
+    terms, labels = header["terms"], header["labels"]
+    if (len(terms), len(labels)) != (params.vocab_size, params.num_classes):
+        raise DataError(f"{path}: checkpoint has {len(terms)} terms and {len(labels)} labels "
+                        f"for {params.vocab_size} terms and {params.num_classes} classes")
+    return config, params, terms, labels

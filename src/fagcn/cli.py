@@ -8,10 +8,11 @@ noise-corrupted corpora are distinguishable from clean ones.
 Exit codes: 0 success; 2 input error (a bad config, sweep spec or
 argument, a config or spec file that is not UTF-8 JSON, or a file that
 cannot be opened, read or written); 3 data error (a malformed or
-non-UTF-8 content or edge file, a malformed checkpoint, or shapes that
-disagree); 4 numeric failure (a non-finite loss, gradient, checkpoint
-weight or class probability). Every failure prints a single ``error:``
-line on stderr instead of a traceback.
+non-UTF-8 content or edge file, a malformed checkpoint, or data whose
+terms or labels differ from the checkpoint's); 4 numeric failure (a
+non-finite loss, gradient, checkpoint weight or class probability).
+Every failure prints a single ``error:`` line on stderr instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -97,13 +98,15 @@ def _load_data(edges_path, content_path):
     return graph, corpus, vocab
 
 
-def _check_shapes(params, corpus) -> None:
-    if params.vocab_size != corpus.vocab_size:
-        raise ShapeError(f"checkpoint expects vocabulary size "
-                         f"{params.vocab_size}, data has {corpus.vocab_size}")
-    if params.num_classes != corpus.num_classes:
-        raise ShapeError(f"checkpoint expects {params.num_classes} classes, "
-                         f"data has {corpus.num_classes}")
+def _check_names(terms: list[str], labels: list[str], vocab, corpus) -> None:
+    """Token and class ids follow first appearance in the content file,
+    so the data must name them in the checkpoint's order."""
+    if vocab.terms != terms:
+        raise ShapeError(f"the data's vocabulary ({len(vocab.terms)} terms) differs from "
+                         f"the checkpoint's ({len(terms)} terms) or orders it differently")
+    if corpus.label_names != labels:
+        raise ShapeError(f"the data's labels {corpus.label_names} differ from "
+                         f"the checkpoint's {labels}")
 
 
 def _history_csv(losses) -> str:
@@ -118,7 +121,7 @@ def cmd_train(config_path, edges_path, content_path, out_dir, *,
     """Train one model and write checkpoint, history CSV, and manifest."""
     started = time.perf_counter()
     config = _load_config(config_path, seed)
-    graph, corpus, _ = _load_data(edges_path, content_path)
+    graph, corpus, vocab = _load_data(edges_path, content_path)
     run_split = split(corpus.n, config.train_fraction, derive_rng(config.seed, "split"))
     os.makedirs(out_dir, exist_ok=True)
     _say(quiet, f"training variant={config.variant} on {corpus.n} nodes, "
@@ -128,7 +131,7 @@ def cmd_train(config_path, edges_path, content_path, out_dir, *,
     checkpoint_path = os.path.join(out_dir, "model.ckpt")
     history_path = os.path.join(out_dir, "history.csv")
     manifest_path = os.path.join(out_dir, "manifest.json")
-    save_checkpoint(checkpoint_path, config.to_dict(), params)
+    save_checkpoint(checkpoint_path, config.to_dict(), params, vocab.terms, corpus.label_names)
     atomic_write_text(history_path, _history_csv(history.losses))
     manifest = {
         "tool": "fagcn",
@@ -156,10 +159,10 @@ def cmd_train(config_path, edges_path, content_path, out_dir, *,
 def cmd_eval(checkpoint_path, edges_path, content_path, split_seed: int, *,
              quiet: bool = False) -> int:
     """Evaluate a checkpoint on the test side of a seeded split."""
-    config_dict, params = load_checkpoint(checkpoint_path)
+    config_dict, params, terms, labels = load_checkpoint(checkpoint_path)
     config = ExperimentConfig.from_dict(config_dict)
-    graph, corpus, _ = _load_data(edges_path, content_path)
-    _check_shapes(params, corpus)
+    graph, corpus, vocab = _load_data(edges_path, content_path)
+    _check_names(terms, labels, vocab, corpus)
     run_split = split(corpus.n, config.train_fraction, derive_rng(split_seed, "split"))
     accuracy = evaluate(params, graph, corpus, run_split.test_idx,
                         layer1_normalize=config.layer1_normalize)
@@ -236,11 +239,11 @@ def cmd_sweep(config_path, sweep_spec_path, out_csv, *, seed: int | None = None,
 def cmd_export_attention(checkpoint_path, edges_path, content_path, node_id: int,
                          out_path, *, quiet: bool = False) -> int:
     """Write the per-neighbor attention weights for one node as JSON."""
-    _, params = load_checkpoint(checkpoint_path)
+    _, params, terms, labels = load_checkpoint(checkpoint_path)
     if params.kind == "baseline":
         raise ConfigError("baseline checkpoints have no attention to export")
     graph, corpus, vocab = _load_data(edges_path, content_path)
-    _check_shapes(params, corpus)
+    _check_names(terms, labels, vocab, corpus)
     try:
         center = corpus.node_ids.index(node_id)
     except ValueError:

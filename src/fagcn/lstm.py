@@ -4,7 +4,6 @@ token occurrence in a node's content."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -82,124 +81,95 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _scatter_grad(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+def _input_and_recurrent_blocks(weights: tuple[Tensor, ...], embed_dim: int):
+    """W_x and W_h, each with the four gates side by side."""
+    w_all = np.hstack([w.data for w in weights])
+    return w_all[:embed_dim], w_all[embed_dim:]
 
 
-def _run_direction(params: LstmDirectionParams, seq: Tensor,
-                   order: Sequence[int],
-                   c0: Tensor | None, h0: Tensor | None) -> list[Tensor]:
-    """Run the recurrence over ``seq`` rows in the given visit order.
+def _run_direction(params: LstmDirectionParams, seq: Tensor, reverse: bool) -> Tensor:
+    """Run the recurrence over the rows of ``seq`` (last to first when
+    ``reverse``) as one taped operation; outputs come back in row order.
 
-    Each step is recorded as a single taped operation: the four gate
-    products are batched into one matmul against the horizontally
-    concatenated weights, and the step's closure back-propagates through
-    the whole cell (gates, cell state, output) at once.
+    After Appleyard et al. (arXiv 1604.01946), the input projection of
+    every token is one product and the time loop carries only ``h @ W_h``.
+    The backward closure runs the whole reverse sweep, then forms the
+    weight gradient as one product. It keeps no copy of the weights,
+    which still hold their forward values when the tape runs.
     """
     weights, biases = params._gate_tensors()
-    d = params.feature_dim
-    embed_dim = params.embed_dim
+    d, embed_dim = params.feature_dim, params.embed_dim
     if seq.cols != embed_dim:
         raise ShapeError(
             f"sequence width {seq.cols} does not match embedding dim {embed_dim}")
-    w_all = np.hstack([w.data for w in weights])
-    b_all = np.hstack([b.data for b in biases])
+    n = seq.rows
+    if n < 1:
+        raise ShapeError("cannot encode an empty token sequence")
+    steps = slice(None, None, -1) if reverse else slice(None)  # its own inverse
+    xs = seq.data[steps]
+    w_x, w_h = _input_and_recurrent_blocks(weights, embed_dim)
+    pre_x = xs @ w_x + np.hstack([b.data for b in biases])
+    gates = np.empty((n, 4 * d))  # f, i, g, o side by side, in visit order
+    cs, hs = np.empty((n, d)), np.empty((n, d))
+    h = c = np.zeros(d)
+    for k in range(n):
+        z = pre_x[k] + h @ w_h
+        gate = gates[k]
+        gate[:] = _sigmoid(z)
+        gate[2 * d:3 * d] = np.tanh(z[2 * d:3 * d])
+        f, i, g, o = gate.reshape(4, d)
+        c = cs[k] = f * c + i * g
+        h = hs[k] = o * np.tanh(c)
+
+    out = Tensor(hs[steps], requires_grad=seq.requires_grad
+                 or any(p.requires_grad for p in weights + biases))
     tape = T.current_tape()
-    needs_grad = seq.requires_grad or any(w.requires_grad for w in weights) \
-        or any(b.requires_grad for b in biases)
+    if tape is None or not out.requires_grad:
+        return out
 
-    h_prev_data = h0.data if h0 is not None else np.zeros((1, d))
-    h_prev: Tensor | None = h0
-    c_prev_data = c0.data if c0 is not None else None
-    c_prev: Tensor | None = c0
-    outputs: list[Tensor] = []
-
-    for t_idx in order:
-        x_in = np.concatenate((seq.data[t_idx:t_idx + 1], h_prev_data), axis=1)
-        pre = x_in @ w_all + b_all
-        f = _sigmoid(pre[:, :d])
-        i = _sigmoid(pre[:, d:2 * d])
-        g = np.tanh(pre[:, 2 * d:3 * d])
-        o = _sigmoid(pre[:, 3 * d:])
-        c_data = i * g if c_prev_data is None else f * c_prev_data + i * g
-        tanh_c = np.tanh(c_data)
-        h = T.Tensor.__new__(T.Tensor)
-        h.data, h.grad, h.requires_grad = o * tanh_c, None, needs_grad
-        c = T.Tensor.__new__(T.Tensor)
-        c.data, c.grad, c.requires_grad = c_data, None, needs_grad
-
-        if tape is not None and needs_grad:
-            step = _make_cell_step(seq, t_idx, x_in, f, i, g, o, tanh_c,
-                                   c_prev_data, c_prev, h_prev, h, c,
-                                   w_all, weights, biases, embed_dim, d)
-            tape.record(step)
-
-        outputs.append(h)
-        h_prev_data, h_prev = h.data, h
-        c_prev_data, c_prev = c_data, c
-    return outputs
-
-
-def _make_cell_step(seq, t_idx, x_in, f, i, g, o, tanh_c, c_prev_data, c_prev,
-                    h_prev, h_out, c_out, w_all, weights, biases, embed_dim, d):
-    def step() -> None:
-        grad_h = h_out.grad
-        grad_c = c_out.grad
-        if grad_h is None and grad_c is None:
+    def sweep() -> None:
+        if out.grad is None:
             return
-        if grad_h is not None:
-            dc = grad_h * (o * (1.0 - tanh_c * tanh_c))
-            if grad_c is not None:
-                dc += grad_c
-            dz_o = (grad_h * tanh_c) * (o * (1.0 - o))
-        else:
-            dc = grad_c
-            dz_o = None
-        dz = np.zeros((1, 4 * d))
-        if c_prev_data is not None:
-            dz[:, :d] = (dc * c_prev_data) * (f * (1.0 - f))
-        dz[:, d:2 * d] = (dc * g) * (i * (1.0 - i))
-        dz[:, 2 * d:3 * d] = (dc * i) * (1.0 - g * g)
-        if dz_o is not None:
-            dz[:, 3 * d:] = dz_o
-
-        dx = dz @ w_all.T
+        w_x, w_h = _input_and_recurrent_blocks(weights, embed_dim)
+        f, i, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
+        tanh_c = np.tanh(cs)
+        c_prev, h_prev = (np.vstack((np.zeros((1, d)), s[:-1])) for s in (cs, hs))
+        # dz = (dc, dc, dc, dh) * local, gate by gate
+        local = np.hstack((c_prev * (f * (1.0 - f)), g * (i * (1.0 - i)),
+                           i * (1.0 - g * g), tanh_c * (o * (1.0 - o))))
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        grad = out.grad[steps]
+        dz = np.empty((n, 4 * d))
+        dh_next = dc_next = np.zeros(d)
+        for k in range(n - 1, -1, -1):
+            dh = grad[k] + dh_next
+            dc = dh * dc_dh[k] + dc_next
+            dz[k] = np.concatenate((dc, dc, dc, dh)) * local[k]
+            dh_next = dz[k] @ w_h.T
+            dc_next = dc * f[k]
         if seq.requires_grad:
-            if seq.grad is None:
-                seq.grad = np.zeros_like(seq.data)
-            seq.grad[t_idx] += dx[0, :embed_dim]
-        if h_prev is not None and h_prev.requires_grad:
-            h_prev.accumulate_grad(dx[:, embed_dim:])
-        if c_prev is not None and c_prev.requires_grad:
-            c_prev.accumulate_grad(dc * f)
-
-        dw = x_in.T @ dz
-        for k, w in enumerate(weights):
+            seq.accumulate_grad((dz @ w_x.T)[steps])
+        dw = np.vstack((xs.T @ dz, h_prev.T @ dz))
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            gate_cols = slice(k * d, (k + 1) * d)
             if w.requires_grad:
-                _scatter_grad(w, dw[:, k * d:(k + 1) * d])
-        for k, b in enumerate(biases):
+                w.accumulate_grad(dw[:, gate_cols])
             if b.requires_grad:
-                _scatter_grad(b, dz[:, k * d:(k + 1) * d])
+                b.accumulate_grad(dz[:, gate_cols].sum(axis=0, keepdims=True))
 
-    return step
+    tape.record(sweep)
+    return out
 
 
-def lstm_forward(
-    params: LstmDirectionParams,
-    seq: Tensor,
-    c0: Tensor | None = None,
-    h0: Tensor | None = None,
-) -> list[Tensor]:
+def lstm_forward(params: LstmDirectionParams, seq: Tensor) -> Tensor:
     """Run the recurrence over sequence rows in temporal order.
 
     Per step: gates f, i, o are sigmoids and the cell candidate g a tanh
     of [x_t, h_{t-1}] times the gate weight plus bias; the cell state is
-    c_t = f*c_{t-1} + i*g and the output h_t = o*tanh(c_t). Initial
-    states default to zero. Returns the list of per-step outputs.
+    c_t = f*c_{t-1} + i*g and the output h_t = o*tanh(c_t), from zero
+    initial states. Returns the outputs, one row per step.
     """
-    return _run_direction(params, seq, range(seq.rows), c0, h0)
+    return _run_direction(params, seq, reverse=False)
 
 
 def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tensor) -> Tensor:
@@ -211,10 +181,5 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tenso
     """
     if fwd.embed_dim != bwd.embed_dim or fwd.feature_dim != bwd.feature_dim:
         raise ShapeError("forward/backward parameter dimensions disagree")
-    n = seq.rows
-    if n < 1:
-        raise ValueError("cannot encode an empty token sequence")
-    ahead = _run_direction(fwd, seq, range(n), None, None)
-    behind = _run_direction(bwd, seq, range(n - 1, -1, -1), None, None)
-    combined = [T.add(ahead[j], behind[n - 1 - j]) for j in range(n)]
-    return T.stack_rows(combined)
+    return T.add(_run_direction(fwd, seq, reverse=False),
+                 _run_direction(bwd, seq, reverse=True))

@@ -31,10 +31,10 @@ class NoiseSpec:
     ratio: float
     seed: int
 
-    def validate(self, max_inject: float = 1.0, max_replace: float = 0.5) -> None:
+    def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"noise protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        bound = max_inject if self.protocol == "inject" else max_replace
+        bound = 1.0 if self.protocol == "inject" else 0.5
         if not 0.0 <= self.ratio <= bound:
             raise ConfigError(
                 f"{self.protocol} ratio must be in [0, {bound}], got {self.ratio}")
@@ -118,7 +118,8 @@ def noise_sweep(base_config: ExperimentConfig, graph: Graph, corpus: ContentCorp
         raise ConfigError("noise_sweep needs at least one variant")
     if not seeds:
         raise ConfigError("noise_sweep needs at least one seed")
-    NoiseSpec(protocol, max(ratios), seeds[0]).validate(max_replace=1.0)
+    for ratio in ratios:
+        NoiseSpec(protocol, ratio, seeds[0]).validate()
     cells = [(ratio, variant, seed)
              for ratio in ratios for variant in variants for seed in seeds]
 

@@ -19,9 +19,6 @@ from .util import derive_rng
 
 VARIANTS = ("none", "self", "context", "baseline_gcn")
 
-# Recommended first-layer output dims for the usual citation benchmarks.
-DATASET_HIDDEN_DIMS = {"citeseer": 6, "cora": 7, "dblp": 4}
-
 _TYPES = {"int": int, "str": str, "bool": bool}
 
 
@@ -263,8 +260,3 @@ def repeat_experiment(config: ExperimentConfig, seeds: list[int], graph: Graph,
         raise ConfigError("repeat_experiment needs at least two seeds")
     return RepeatResult.of([run_cell(config, graph, corpus, seed) for seed in seeds])
 
-
-def format_mean_std(mean: float, std: float) -> str:
-    """Render accuracies the usual way: percent with 2 decimals, e.g.
-    ``80.39 ± 0.60``."""
-    return f"{100.0 * mean:.2f} ± {100.0 * std:.2f}"

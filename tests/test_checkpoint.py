@@ -20,6 +20,12 @@ def model_params(variant: str = "context") -> ModelParams:
                             variant, np.random.default_rng(7))
 
 
+def save(path, config: dict, params) -> None:
+    """Save with placeholder term and label names, one per id."""
+    save_checkpoint(path, config, params, [f"t{k}" for k in range(params.vocab_size)],
+                    [f"c{k}" for k in range(params.num_classes)])
+
+
 def edit_header(path, edit) -> None:
     """Rewrite a saved checkpoint's JSON header in place."""
     raw = path.read_bytes()
@@ -37,9 +43,11 @@ class TestRoundtrip:
         path = tmp_path / "model.ckpt"
         config = ExperimentConfig(variant=variant).to_dict()
         params = model_params(variant)
-        save_checkpoint(path, config, params)
-        loaded_config, loaded = load_checkpoint(path)
+        save(path, config, params)
+        loaded_config, loaded, terms, labels = load_checkpoint(path)
         assert loaded_config == config
+        assert terms == [f"t{k}" for k in range(params.vocab_size)]
+        assert labels == [f"c{k}" for k in range(params.num_classes)]
         assert isinstance(loaded, ModelParams)
         for (name_a, a), (name_b, b) in zip(params.named_parameters(),
                                             loaded.named_parameters()):
@@ -50,16 +58,16 @@ class TestRoundtrip:
         path = tmp_path / "baseline.ckpt"
         params = BaselineParams.init(6, 2, 4, np.random.default_rng(1))
         config = ExperimentConfig(variant="baseline_gcn").to_dict()
-        save_checkpoint(path, config, params)
-        _, loaded = load_checkpoint(path)
+        save(path, config, params)
+        _, loaded, _, _ = load_checkpoint(path)
         assert isinstance(loaded, BaselineParams)
         assert np.array_equal(loaded.conv1_weight.data, params.conv1_weight.data)
 
     def test_bytes_are_deterministic(self, tmp_path):
         config = ExperimentConfig().to_dict()
         params = model_params()
-        save_checkpoint(tmp_path / "a.ckpt", config, params)
-        save_checkpoint(tmp_path / "b.ckpt", config, params)
+        save(tmp_path / "a.ckpt", config, params)
+        save(tmp_path / "b.ckpt", config, params)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
@@ -72,7 +80,7 @@ class TestCorruption:
 
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, ExperimentConfig().to_dict(), model_params())
+        save(path, ExperimentConfig().to_dict(), model_params())
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) - 16])
         with pytest.raises(DataError, match="truncated"):
@@ -80,14 +88,14 @@ class TestCorruption:
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, ExperimentConfig().to_dict(), model_params())
+        save(path, ExperimentConfig().to_dict(), model_params())
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
 
     def test_mangled_header(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, ExperimentConfig().to_dict(), model_params())
+        save(path, ExperimentConfig().to_dict(), model_params())
         raw = bytearray(path.read_bytes())
         raw[len(MAGIC) + 8] ^= 0xFF  # first header byte
         path.write_bytes(bytes(raw))
@@ -103,11 +111,17 @@ class TestSchema:
         lambda h: h["tensors"][0].update(rows=str(h["tensors"][0]["rows"])),
         lambda h: h.update(config="x"),
         lambda h: h["tensors"].append({"name": h["tensors"][0]["name"], "rows": 0, "cols": 0}),
+        lambda h: h.pop("terms"),
+        lambda h: h.update(labels="c0 c1"),
+        lambda h: h["terms"].__setitem__(0, 7),
+        lambda h: h["terms"].pop(),
+        lambda h: h["labels"].append("extra"),
     ], ids=["no-rows", "tensors-not-list", "negative-rows", "string-rows",
-            "config-not-object", "repeated-name"])
+            "config-not-object", "repeated-name", "no-terms", "labels-not-list",
+            "non-string-term", "term-missing", "label-extra"])
     def test_malformed_header_is_data_error(self, tmp_path, edit):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(path, ExperimentConfig().to_dict(), model_params())
+        save(path, ExperimentConfig().to_dict(), model_params())
         edit_header(path, edit)
         with pytest.raises(DataError):
             load_checkpoint(path)
@@ -118,7 +132,7 @@ class TestSchema:
                  (model_params("self"), "context", "missing"),
                  (model_params("self"), "none", "unexpected")]
         for params, variant, message in cases:
-            save_checkpoint(path, ExperimentConfig(variant=variant).to_dict(), params)
+            save(path, ExperimentConfig(variant=variant).to_dict(), params)
             with pytest.raises(DataError, match=message):
                 load_checkpoint(path)
 
@@ -126,6 +140,6 @@ class TestSchema:
         path = tmp_path / "x.ckpt"
         params = model_params()
         params.conv1_weight.data[0, 0] = np.nan
-        save_checkpoint(path, ExperimentConfig().to_dict(), params)
+        save(path, ExperimentConfig().to_dict(), params)
         with pytest.raises(NumericError, match="conv1_weight"):
             load_checkpoint(path)

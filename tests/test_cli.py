@@ -2,8 +2,10 @@
 reproducibility of file outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +122,23 @@ class TestEvalCommand:
         assert "vocabulary" in capsys.readouterr().err
 
 
+    def test_reordered_content_is_data_error(self, dataset, config_path, tmp_path, capsys):
+        # token and label ids follow first appearance, so the same lines in
+        # another order would silently remap them
+        out = tmp_path / "run"
+        cmd_train(config_path, dataset["edges"], dataset["content"], out, quiet=True)
+        lines = Path(dataset["content"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        reordered = tmp_path / "reordered.tsv"
+        reordered.write_text("".join(reversed(lines)), encoding="utf-8")
+        capsys.readouterr()
+        assert cmd_eval(out / "model.ckpt", dataset["edges"], reordered,
+                        split_seed=1, quiet=True) == 3
+        assert cmd_export_attention(out / "model.ckpt", dataset["edges"], reordered, 0,
+                                    tmp_path / "x.json", quiet=True) == 3
+        assert capsys.readouterr().err.count("checkpoint") == 2
+        assert not (tmp_path / "x.json").exists()
+
+
 class TestSweepCommand:
     def write_spec(self, tmp_path, dataset, spec: dict):
         spec = {"content": str(dataset["content"]), "edges": str(dataset["edges"]),
@@ -152,6 +171,13 @@ class TestSweepCommand:
         assert lines[0] == "protocol,ratio,variant,mean_accuracy,std_accuracy,seeds"
         assert len(lines) == 1 + 4
         assert lines[1].startswith("replace,0,self,")
+
+    def test_replace_ratio_above_bound_is_input_error(self, dataset, config_path, tmp_path):
+        spec = self.write_spec(tmp_path, dataset, {
+            "axis": "noise-replace", "values": [0.3, 0.9], "variants": ["self"], "seeds": [1]})
+        out = tmp_path / "noise.csv"
+        assert cmd_sweep(config_path, spec, out, quiet=True) == 2
+        assert not out.exists()
 
     def test_sweep_reruns_identically(self, dataset, config_path, tmp_path):
         spec = self.write_spec(tmp_path, dataset, {
@@ -245,10 +271,10 @@ class TestErrorBoundary:
     def test_non_finite_checkpoint_is_numeric_error(self, dataset, config_path, tmp_path):
         out = tmp_path / "run"
         cmd_train(config_path, dataset["edges"], dataset["content"], out, quiet=True)
-        config, params = load_checkpoint(out / "model.ckpt")
+        config, params, terms, labels = load_checkpoint(out / "model.ckpt")
         for _, tensor in params.named_parameters():
             tensor.data[:] = float("nan")
-        save_checkpoint(out / "model.ckpt", config, params)
+        save_checkpoint(out / "model.ckpt", config, params, terms, labels)
         assert cmd_eval(out / "model.ckpt", dataset["edges"], dataset["content"],
                         split_seed=1, quiet=True) == 4
 
@@ -262,11 +288,13 @@ class TestEntryPoint:
         assert code == 0
 
     def test_module_invocation(self, dataset, config_path, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "fagcn.cli", "--quiet", "eval",
              "--checkpoint", str(tmp_path / "missing.ckpt"),
              "--edges", str(dataset["edges"]),
              "--content", str(dataset["content"]),
              "--split-seed", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 2

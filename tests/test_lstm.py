@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fagcn.tensor as T
+from fagcn.errors import ShapeError
 from fagcn.lstm import LstmDirectionParams, bilstm_encode, lstm_forward
 from fagcn.tensor import Tape, Tensor
 
@@ -53,8 +54,7 @@ class TestLstmForward:
     def test_zero_parameters_give_zero_outputs(self, rng):
         params = zero_params(3, 4)
         seq = Tensor(rng.standard_normal((5, 3)))
-        for h in lstm_forward(params, seq):
-            np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(lstm_forward(params, seq).data, np.zeros((5, 4)))
 
     def test_scalar_hand_trace(self):
         # 1-dim gates with hand-set weights; expected values computed by
@@ -64,7 +64,7 @@ class TestLstmForward:
             w_input=Tensor([[-0.4], [0.3]]), b_input=Tensor([[0.2]]),
             w_cell=Tensor([[0.7], [-0.2]]), b_cell=Tensor([[0.0]]),
             w_output=Tensor([[0.1], [0.6]]), b_output=Tensor([[-0.3]]))
-        (h,) = lstm_forward(params, Tensor([[0.3]]))
+        h = lstm_forward(params, Tensor([[0.3]]))
         assert abs(h.item() - 0.046410583479716876) < 1e-12
 
     def test_matches_independent_recurrence(self, rng):
@@ -72,8 +72,7 @@ class TestLstmForward:
         seq = rng.standard_normal((5, 3))
         outputs = lstm_forward(params, Tensor(seq))
         expected = oracle_recurrence(params_arrays(params), seq)
-        for h, e in zip(outputs, expected):
-            np.testing.assert_allclose(h.data[0], e, atol=1e-12)
+        np.testing.assert_allclose(outputs.data, np.array(expected), atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         params = random_params(3, 4, rng)
@@ -82,8 +81,9 @@ class TestLstmForward:
 
     def test_outputs_strictly_inside_unit_box(self, rng):
         params = random_params(2, 3, rng)
-        for h in lstm_forward(params, Tensor(rng.standard_normal((8, 2)) * 5)):
-            assert np.all(np.abs(h.data) < 1.0)
+        outputs = lstm_forward(params, Tensor(rng.standard_normal((8, 2)) * 5))
+        assert outputs.shape == (8, 3)
+        assert np.all(np.abs(outputs.data) < 1.0)
 
 
 class TestBilstmEncode:
@@ -92,15 +92,14 @@ class TestBilstmEncode:
         seq = Tensor(rng.standard_normal((4, 3)))
         encoded = bilstm_encode(fwd, zero_params(3, 4), seq)
         forward_only = lstm_forward(fwd, seq)
-        for j in range(4):
-            np.testing.assert_allclose(encoded.data[j], forward_only[j].data[0], atol=1e-15)
+        np.testing.assert_allclose(encoded.data, forward_only.data, atol=1e-15)
 
     def test_single_token_sums_both_directions(self, rng):
         fwd = random_params(3, 4, rng)
         bwd = random_params(3, 4, rng)
         seq = Tensor(rng.standard_normal((1, 3)))
         encoded = bilstm_encode(fwd, bwd, seq)
-        expected = lstm_forward(fwd, seq)[0].data + lstm_forward(bwd, seq)[0].data
+        expected = lstm_forward(fwd, seq).data + lstm_forward(bwd, seq).data
         np.testing.assert_allclose(encoded.data, expected, atol=1e-15)
 
     def test_palindrome_with_tied_directions_is_row_symmetric(self, rng):
@@ -113,21 +112,22 @@ class TestBilstmEncode:
 
     def test_empty_sequence_rejected(self, rng):
         fwd = random_params(3, 4, rng)
-        with pytest.raises(Exception):
-            bilstm_encode(fwd, fwd, Tensor(np.zeros((0, 3))))
+        for encode in (lambda s: bilstm_encode(fwd, fwd, s), lambda s: lstm_forward(fwd, s)):
+            with pytest.raises(ShapeError, match="empty"):
+                encode(Tensor(np.zeros((0, 3))))
 
     def test_directional_causality(self, rng):
         # perturbing token k moves forward outputs only at j >= k and
         # backward outputs only at j <= k
         fwd = random_params(3, 4, rng)
         seq = rng.standard_normal((5, 3))
-        base_f = [h.data.copy() for h in lstm_forward(fwd, Tensor(seq))]
-        base_b = [h.data.copy() for h in lstm_forward(fwd, Tensor(seq[::-1]))]
+        base_f = lstm_forward(fwd, Tensor(seq)).data
+        base_b = lstm_forward(fwd, Tensor(seq[::-1])).data
         k = 2
         bumped = seq.copy()
         bumped[k] += 0.5
-        new_f = [h.data for h in lstm_forward(fwd, Tensor(bumped))]
-        new_b = [h.data for h in lstm_forward(fwd, Tensor(bumped[::-1]))]
+        new_f = lstm_forward(fwd, Tensor(bumped)).data
+        new_b = lstm_forward(fwd, Tensor(bumped[::-1])).data
         for j in range(5):
             forward_changed = not np.allclose(base_f[j], new_f[j], atol=1e-14)
             assert forward_changed == (j >= k)
@@ -135,11 +135,12 @@ class TestBilstmEncode:
             backward_changed = not np.allclose(base_b[j], new_b[j], atol=1e-14)
             assert backward_changed == (4 - j <= k)
 
-    def test_gradients_match_finite_differences(self, rng):
+    @pytest.mark.parametrize("length", [1, 3, 12])
+    def test_gradients_match_finite_differences(self, rng, length):
         fwd = random_params(4, 4, rng)
         bwd = random_params(4, 4, rng)
-        seq = Tensor(rng.standard_normal((3, 4)))
-        weights = rng.standard_normal((3, 4))
+        seq = Tensor(rng.standard_normal((length, 4)))
+        weights = rng.standard_normal((length, 4))
         targets = ([("seq", seq)] + fwd.named_parameters("fwd")
                    + bwd.named_parameters("bwd"))
 
@@ -157,6 +158,14 @@ class TestBilstmEncode:
             got = p.grad if p.grad is not None else np.zeros_like(p.data)
             denom = np.maximum(np.abs(expected), 1.0)
             assert np.max(np.abs(got - expected) / denom) < 1e-4, name
+
+    @pytest.mark.parametrize("length", [1, 9])
+    def test_one_tape_record_per_direction_and_one_sum(self, rng, length):
+        fwd = random_params(3, 4, rng)
+        seq = Tensor(rng.standard_normal((length, 3)))
+        with Tape() as tape:
+            bilstm_encode(fwd, random_params(3, 4, rng), seq)
+        assert len(tape) == 3
 
 
 class TestParamInit:

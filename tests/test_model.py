@@ -9,6 +9,7 @@ import fagcn.tensor as T
 from fagcn.corpus import ContentCorpus
 from fagcn.datasets import four_node_fixture
 from fagcn.graph import Graph, neighborhood, normalized_adjacency
+from fagcn.noise import inject_noise
 from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
                          ModelParams, bag_of_words, baseline_gcn_forward,
                          classify, encode_nodes, export_attention, forward,
@@ -263,9 +264,8 @@ class TestBaselineGcn:
 
 
 class TestFullModelGradients:
-    @pytest.mark.parametrize("variant", ["none", "self", "context"])
-    def test_every_parameter_group_passes(self, variant):
-        graph, corpus, _ = four_node_fixture()
+    @staticmethod
+    def worst_error(variant, graph, corpus) -> float:
         params = fixture_params(variant, seed=13)
         labels = LabelMatrix.build(corpus.labels, 2, train_idx=[0, 2])
 
@@ -273,9 +273,20 @@ class TestFullModelGradients:
             z = forward(params, graph, corpus)
             return loss(z, labels, params, 5e-3, 5e-4)
 
-        err = T.grad_check(loss_fn, params.named_parameters(), eps=1e-5,
-                           rng=np.random.default_rng(0), samples_per_param=4)
-        assert err < 1e-4
+        return T.grad_check(loss_fn, params.named_parameters(), eps=1e-5,
+                            rng=np.random.default_rng(0), samples_per_param=4)
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_every_parameter_group_passes(self, variant):
+        graph, corpus, _ = four_node_fixture()
+        assert self.worst_error(variant, graph, corpus) < 1e-4
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_every_parameter_group_passes_after_injected_noise(self, variant):
+        graph, corpus, _ = four_node_fixture()
+        noisy = inject_noise(corpus, 0.4, np.random.default_rng(3))
+        assert [len(c) for c in noisy.contents] == [3, 4, 1, 3]
+        assert self.worst_error(variant, graph, noisy) < 1e-4
 
 
 class TestExportAttention:

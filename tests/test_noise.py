@@ -119,7 +119,6 @@ class TestDeterminismAndSpec:
             NoiseSpec("inject", 1.1, 1).validate()
         with pytest.raises(ConfigError):
             NoiseSpec("scramble", 0.1, 1).validate()
-        NoiseSpec("replace", 0.8, 1).validate(max_replace=1.0)  # configurable bound
 
 
 class TestNoiseSweep:
@@ -144,6 +143,18 @@ class TestNoiseSweep:
             _, hist = train(cfg, graph, corpus, s)
             accuracies.append(hist.test_accuracy)
         assert rows[0].mean_accuracy == pytest.approx(np.mean(accuracies), abs=1e-12)
+
+    @pytest.mark.parametrize("protocol, ratios", [("replace", [0.2, 0.9]),
+                                                  ("inject", [-0.1, 0.5]),
+                                                  ("inject", [0.5, 1.5])])
+    def test_every_ratio_is_bounded_before_any_cell_trains(self, monkeypatch,
+                                                            protocol, ratios):
+        graph, corpus, _ = two_cluster_fixture()
+        trained = []
+        monkeypatch.setattr("fagcn.noise.run_cell", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match="ratio"):
+            noise_sweep(self.sweep_config(), graph, corpus, protocol, ratios, ["self"], [1])
+        assert trained == []
 
     def test_table_shape_and_order(self):
         graph, corpus, _ = two_cluster_fixture()

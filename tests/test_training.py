@@ -14,9 +14,8 @@ from fagcn.graph import Graph
 from fagcn.model import BaselineParams
 from fagcn.corpus import ContentCorpus
 from fagcn.tensor import Tensor
-from fagcn.training import (DATASET_HIDDEN_DIMS, AdamState, ExperimentConfig,
-                            RepeatResult, adam_step, evaluate, format_mean_std,
-                            init_params, repeat_experiment, run_cell, train)
+from fagcn.training import (AdamState, ExperimentConfig, RepeatResult, adam_step,
+                            evaluate, init_params, repeat_experiment, run_cell, train)
 from fagcn.util import derive_rng
 
 
@@ -40,9 +39,6 @@ class TestExperimentConfig:
         assert (config.dropout_lstm, config.dropout_gcn) == (0.2, 0.3)
         assert (config.l2_feature, config.l2_node) == (5e-3, 5e-4)
         assert (config.lr, config.epochs) == (2e-3, 200)
-
-    def test_dataset_hidden_dims(self):
-        assert DATASET_HIDDEN_DIMS == {"citeseer": 6, "cora": 7, "dblp": 4}
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -245,7 +241,3 @@ class TestRepeatExperiment:
         graph, corpus, _ = two_cluster_fixture()
         with pytest.raises(ConfigError):
             repeat_experiment(small_config(), [1], graph, corpus)
-
-    def test_report_format(self):
-        assert format_mean_std(0.8039, 0.0060) == "80.39 ± 0.60"
-        assert format_mean_std(1.0, 0.0) == "100.00 ± 0.00"
