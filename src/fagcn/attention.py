@@ -1,9 +1,11 @@
-"""Per-token attention weights and weighted aggregation of a node's
-token-feature matrix into a single node feature vector.
-
-Three variants: "none" (plain mean), "self" (each token scored against a
-shared trained vector), and "context" (a neighbor's tokens scored by a
-bilinear form against the aggregating node's context vector).
+"""Per-token attention weights, all tokens scored at once and normalised
+by a softmax per segment of consecutive rows, like a graph-attention
+edge softmax. Variants: "none" (zero scores: a plain mean), "self"
+(token h scored tanh(h)·s with a shared trained vector s) and "context"
+(a neighbor's token h scored h·(c Bᵀ), c the sum of the aggregating
+node's token rows). Under "none" and "self" weights do not depend on
+the aggregating node, so each node is one segment; under "context" each
+(center, member) pair of the closed neighborhoods is one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
+from .graph import Graph
 from .tensor import Tensor
 
 VARIANTS = ("none", "self", "context")
@@ -50,9 +53,7 @@ class AttentionParams:
             bound = 1.0 / feature_dim
             return cls(variant, bilinear=Tensor(
                 rng.uniform(-bound, bound, size=(feature_dim, feature_dim))))
-        if variant == "none":
-            return cls(variant)
-        raise ConfigError(f"unknown attention variant {variant!r}")
+        return cls(variant)  # "none", or a ConfigError for an unknown variant
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         if self.variant == "self":
@@ -62,46 +63,32 @@ class AttentionParams:
         return []
 
 
-def attention_self(features: Tensor, score_vector: Tensor) -> Tensor:
-    """Score each token by tanh(features) projected on the shared vector.
+def token_weights(attention: AttentionParams, features: Tensor, starts: np.ndarray,
+                  graph: Graph) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Attention weights of the token rows of ``features``.
 
-    Returns the softmax of the scores as a 1 x num_tokens row summing
-    to one.
+    ``features`` stacks every node's token rows in node order, node i's
+    from row ``starts[i]``. Returns the weight column, the row of
+    ``features`` each weight belongs to, and the segment starts of the
+    column: one segment per node, or under "context" one per pair of
+    ``graph.pairs``. The weights of each segment sum to one.
     """
-    if features.rows < 1:
-        raise ShapeError("attention needs at least one token row")
-    scores = T.matmul(T.tanh(features), T.transpose(score_vector))
-    return T.rowwise_softmax(T.transpose(scores))
-
-
-def context_vector(features: Tensor) -> Tensor:
-    """Elementwise sum of a node's token feature rows (1 x feature_dim)."""
-    if features.rows < 1:
-        raise ShapeError("context vector needs at least one token row")
-    return T.sum_rows(features)
-
-
-def attention_context(features: Tensor, context: Tensor, bilinear: Tensor) -> Tensor:
-    """Score a neighbor's tokens by a bilinear form against the context.
-
-    Each token row h gets the score h @ bilinear @ context^T; the scores
-    are normalized by softmax over this node's tokens only (each
-    neighbor contributes its own weight simplex).
-    """
-    scores = T.matmul(features, T.matmul(bilinear, T.transpose(context)))
-    return T.rowwise_softmax(T.transpose(scores))
-
-
-def aggregate(features: Tensor, weights: Tensor | None) -> Tensor:
-    """Weighted sum of token feature rows into one 1 x feature_dim row.
-
-    With ``weights=None`` (the no-attention variant) tokens are averaged
-    uniformly, which keeps the result inside the convex hull of the rows
-    regardless of content length.
-    """
-    if weights is None:
-        return T.scale(T.sum_rows(features), 1.0 / features.rows)
-    if weights.cols != features.rows or weights.rows != 1:
-        raise ShapeError(
-            f"weights shape {weights.shape} does not match {features.rows} token rows")
-    return T.matmul(weights, features)
+    starts = np.asarray(starts, dtype=np.intp)
+    if starts.size != graph.n:
+        raise ShapeError(f"token rows of {starts.size} nodes for a graph of {graph.n}")
+    rows = np.arange(features.rows)
+    if attention.variant == "none":
+        scores = T.constant(np.zeros((features.rows, 1)))
+    elif attention.variant == "self":
+        scores = T.matmul(T.tanh(features), T.transpose(attention.score_vector))
+    else:
+        contexts = T.gather_segment_sum(T.constant(np.ones((features.rows, 1))), features,
+                                        rows, starts)
+        keys = T.matmul(contexts, T.transpose(attention.bilinear))
+        centers, members, _ = graph.pairs
+        lengths = np.diff(starts, append=features.rows)[members]
+        pair_starts = np.cumsum(lengths) - lengths
+        rows = np.arange(lengths.sum()) + np.repeat(starts[members] - pair_starts, lengths)
+        scores = T.gather_dot(features, rows, keys, np.repeat(centers, lengths))
+        starts = pair_starts
+    return T.segment_softmax(scores, starts), rows, starts

@@ -4,11 +4,12 @@ convolution layers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .util import text_lines
 
 
@@ -39,6 +40,17 @@ class Graph:
         self.adjacency = adjacency
         self.degree = adjacency.sum(axis=1)
 
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closed neighborhoods as index arrays ``(centers, members, indptr)``,
+        built on first use: pairs sorted by center, then member, node i's
+        from ``indptr[i]`` to ``indptr[i + 1]``, each node paired with itself."""
+        n, ends = self.n, np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        # pair (c, m) as the key c * n + m, so one sort orders by center, then member
+        keys = np.sort(np.concatenate([ends @ [n, 1], ends @ [1, n], np.arange(n) * (n + 1)]))
+        centers, members = np.divmod(keys, n)
+        return centers, members, np.searchsorted(centers, np.arange(n + 1))
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, edges={len(self.edges)})"
 
@@ -54,10 +66,9 @@ class Neighborhood:
 def neighborhood(g: Graph, i: int) -> Neighborhood:
     """Closed neighborhood of node i: itself plus all adjacent nodes."""
     if not 0 <= i < g.n:
-        raise IndexError(f"node index {i} out of range for n={g.n}")
-    members = set(np.flatnonzero(g.adjacency[i]).tolist())
-    members.add(i)
-    return Neighborhood(center=i, members=tuple(sorted(members)))
+        raise ConfigError(f"node index {i} out of range for n={g.n}")
+    _, members, indptr = g.pairs
+    return Neighborhood(center=i, members=tuple(members[indptr[i]:indptr[i + 1]].tolist()))
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:

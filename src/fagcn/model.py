@@ -1,6 +1,7 @@
-"""End-to-end forward pass: token encoding, attention-weighted neighbor
-aggregation, two convolution layers, classification, and the regularized
-loss. Also hosts the plain two-layer GCN baseline on bag-of-words input.
+"""End-to-end forward pass: token encoding, attention-weighted token
+features for every (center, member) pair of the closed neighborhoods, two
+convolution layers, classification, and the regularized loss. Also hosts
+the plain two-layer GCN baseline on bag-of-words input.
 """
 
 from __future__ import annotations
@@ -12,18 +13,12 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from . import tensor as T
-from .attention import (AttentionParams, aggregate, attention_context,
-                        attention_self, context_vector)
+from .attention import AttentionParams, token_weights
 from .corpus import ContentCorpus, init_embeddings
-from .errors import ShapeError
-from .graph import Graph, neighborhood, normalized_adjacency
+from .errors import ConfigError
+from .graph import Graph, normalized_adjacency
 from .lstm import LstmDirectionParams, bilstm_encode
 from .tensor import Tensor
-
-# Per-center lists of (member index, aggregated feature row); the shape
-# node_input_features returns under context attention, where a neighbor's
-# aggregated features depend on which node is aggregating it.
-PairFeatures = list[list[tuple[int, Tensor]]]
 
 
 @dataclass
@@ -219,72 +214,50 @@ def encode_nodes(params: ModelParams, corpus: ContentCorpus, *,
     return encoded
 
 
+def _weigh_tokens(params: ModelParams, graph: Graph, encoded: list[Tensor]):
+    """Stacked token rows and their attention weights (see ``token_weights``)."""
+    features = T.stack_rows(encoded)
+    starts = np.cumsum([0] + [h.rows for h in encoded[:-1]])
+    return (features, *token_weights(params.attention, features, starts, graph))
+
+
 def node_input_features(params: ModelParams, corpus: ContentCorpus, graph: Graph, *,
                         training: bool = False,
                         dropout_lstm: float = 0.0,
                         rng: np.random.Generator | None = None,
-                        encoded: list[Tensor] | None = None) -> Tensor | PairFeatures:
-    """Aggregate each node's token features into node feature vectors.
+                        encoded: list[Tensor] | None = None) -> Tensor:
+    """Attention-weighted token features, one row per pair of ``graph.pairs``.
 
-    Under the "none" and "self" variants every node has one feature row
-    independent of who aggregates it, so the result is a single n x
-    feature_dim tensor. Under "context" a neighbor's weights depend on
-    the aggregating center, so the result is a per-center list of
-    (member, feature row) pairs covering each closed neighborhood.
+    Row p mixes the token rows of node ``members[p]`` with the weights it
+    gets when ``centers[p]`` aggregates it. Under "none" and "self" those
+    weights do not depend on the center, so each node's row is mixed
+    once and then gathered for each of its pairs.
     """
     if encoded is None:
         encoded = encode_nodes(params, corpus, training=training,
                                dropout_lstm=dropout_lstm, rng=rng)
-    variant = params.variant
-    if variant == "none":
-        return T.stack_rows([aggregate(h, None) for h in encoded])
-    if variant == "self":
-        rows = []
-        for h in encoded:
-            weights = attention_self(h, params.attention.score_vector)
-            rows.append(aggregate(h, weights))
-        return T.stack_rows(rows)
-    # context: weights for neighbor m are taken against center i's context;
-    # the bilinear product with the context is hoisted out of the pair loop
-    contexts = [context_vector(h) for h in encoded]
-    bilinear = params.attention.bilinear
-    per_center: PairFeatures = []
-    for i in range(graph.n):
-        key = T.matmul(bilinear, T.transpose(contexts[i]))
-        pairs = []
-        for m in neighborhood(graph, i).members:
-            weights = T.rowwise_softmax(T.transpose(T.matmul(encoded[m], key)))
-            pairs.append((m, aggregate(encoded[m], weights)))
-        per_center.append(pairs)
-    return per_center
+    features, weights, rows, segments = _weigh_tokens(params, graph, encoded)
+    mixed = T.gather_segment_sum(weights, features, rows, segments)
+    return mixed if params.variant == "context" else T.take_rows(mixed, graph.pairs[1])
 
 
-def layer1(graph: Graph, features: Tensor | PairFeatures, conv1_weight: Tensor, *,
+def layer1(graph: Graph, features: Tensor, conv1_weight: Tensor, *,
            normalize: bool = False,
            operators: GraphOperators | None = None) -> Tensor:
-    """First convolution: sum neighbor features, then apply the weight.
+    """First convolution: sum each node's pair rows, then apply the weight.
 
-    The sum runs over each node's closed neighborhood with no degree
-    normalization and no nonlinearity; ``normalize=True`` switches to
-    the normalized-adjacency weighting instead of the plain sum.
+    ``features`` holds one row per pair of ``graph.pairs`` (see
+    ``node_input_features``). Node i sums the rows of its closed
+    neighborhood with no degree normalization and no nonlinearity;
+    ``normalize=True`` weighs row (i, m) by the normalized-adjacency entry
+    instead.
     """
     if operators is None:
         operators = GraphOperators.build(graph)
     mixer = operators.norm_adj if normalize else operators.support
-    if isinstance(features, Tensor):
-        summed = T.matmul(mixer, features)
-    else:
-        if len(features) != graph.n:
-            raise ShapeError(f"expected {graph.n} per-center feature lists, got {len(features)}")
-        rows = []
-        for i, pairs in enumerate(features):
-            stacked = T.stack_rows([feat for _, feat in pairs])
-            if normalize:
-                coeffs = T.constant([[mixer.data[i, m] for m, _ in pairs]])
-                rows.append(T.matmul(coeffs, stacked))
-            else:
-                rows.append(T.sum_rows(stacked))
-        summed = T.stack_rows(rows)
+    centers, members, indptr = graph.pairs
+    coeffs = T.constant(mixer.data[centers, members][:, None])  # one per pair row
+    summed = T.gather_segment_sum(coeffs, features, np.arange(features.rows), indptr[:-1])
     return T.matmul(summed, T.transpose(conv1_weight))
 
 
@@ -335,9 +308,9 @@ def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
     at 1e-12 before the log.
     """
     if l2_feature < 0 or l2_node < 0:
-        raise ValueError("regularization weights must be non-negative")
+        raise ConfigError("regularization weights must be non-negative")
     masked = T.constant(labels.masked())
-    total = T.neg(T.sum_all(T.mul(masked, T.safe_log(z))))
+    total = T.scale(T.sum_all(T.mul(masked, T.safe_log(z))), -1.0)
     if l2_feature > 0:
         for w in params.feature_reg_terms():
             total = T.add(total, T.scale(T.frobenius_sq(w), l2_feature))
@@ -375,23 +348,18 @@ def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,
     the "none" variant reports the uniform weights it implies.
     """
     if not 0 <= center < graph.n:
-        raise IndexError(f"node index {center} out of range for n={graph.n}")
+        raise ConfigError(f"node index {center} out of range for n={graph.n}")
     encoded = encode_nodes(params, corpus, training=False)
-    members = neighborhood(graph, center).members
+    _, weights, _, segments = _weigh_tokens(params, graph, encoded)
+    per_segment = np.split(weights.data[:, 0], segments[1:])
+    _, members, indptr = graph.pairs
     record = {"center": corpus.node_ids[center], "variant": params.variant, "neighbors": []}
-    if params.variant == "context":
-        center_context = context_vector(encoded[center])
-    for m in members:
-        if params.variant == "none":
-            weights = np.full(encoded[m].rows, 1.0 / encoded[m].rows)
-        elif params.variant == "self":
-            weights = attention_self(encoded[m], params.attention.score_vector).data[0]
-        else:
-            weights = attention_context(encoded[m], center_context,
-                                        params.attention.bilinear).data[0]
-        tokens = corpus.contents[m]
+    for p in range(indptr[center], indptr[center + 1]):
+        m = members[p]
+        segment = per_segment[p if params.variant == "context" else m]
         ranked = sorted(
-            ({"token": terms[tok], "weight": float(w)} for tok, w in zip(tokens, weights)),
+            ({"token": terms[tok], "weight": float(w)}
+             for tok, w in zip(corpus.contents[m], segment)),
             key=lambda entry: -entry["weight"])
         record["neighbors"].append({"node": corpus.node_ids[m], "weights": ranked})
     return record

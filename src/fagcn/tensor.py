@@ -262,10 +262,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return out
 
 
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
-
-
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = _new(y, x.requires_grad)
@@ -375,11 +371,16 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
+def _row_indices(indices: Sequence[int], x: Tensor) -> Array:
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0])):
+        raise ShapeError(f"row indices out of range for {x.shape}")
+    return idx
+
+
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows by index (repeats allowed); backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ShapeError(f"row indices out of range for {x.shape}")
+    idx = _row_indices(indices, x)
     out = _new(x.data[idx], x.requires_grad)
     tape = _wants_tape(x)
     if tape is not None:
@@ -441,20 +442,6 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def sum_rows(x: Tensor) -> Tensor:
-    """Collapse all rows into a single row by summation."""
-    out = _new(x.data.sum(axis=0, keepdims=True), x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                x.accumulate_grad(np.broadcast_to(out.grad, x.data.shape))
-
-        tape.record(step)
-    return out
-
-
 def frobenius_sq(x: Tensor) -> Tensor:
     """Squared Frobenius norm as a 1x1 tensor."""
     out = _new(np.array([[float((x.data * x.data).sum())]]), x.requires_grad)
@@ -465,6 +452,98 @@ def frobenius_sq(x: Tensor) -> Tensor:
         def step() -> None:
             if out.grad is not None:
                 _accumulate_owned(x, (2.0 * out.grad[0, 0]) * x_data)
+
+        tape.record(step)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# segment operations
+# ---------------------------------------------------------------------------
+
+def _segments(starts: Sequence[int], total: int) -> tuple[Array, Array]:
+    """Segment k holds rows starts[k] up to starts[k + 1] (the last up to
+    ``total``), and none is empty. Returns the starts and each row's segment."""
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.diff(starts, append=total)
+    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or np.any(lengths <= 0):
+        raise ShapeError(f"segment starts must rise strictly from 0 to below {total}")
+    return starts, np.repeat(np.arange(starts.size), lengths)
+
+
+def _scatter_rows(x: Tensor, idx: Array, g: Array, factor: Array) -> None:
+    # row t of g * factor into row idx[t] of x's gradient, scaling g in
+    # place; one bincount over the flattened entries is several times
+    # faster than np.add.at
+    g *= factor
+    flat = (idx[:, None] * x.cols + np.arange(x.cols)).ravel()
+    _accumulate_owned(x, np.bincount(flat, g.ravel(), x.data.size).reshape(x.shape))
+
+
+def segment_softmax(x: Tensor, starts: Sequence[int]) -> Tensor:
+    """Softmax over the rows of each segment, column by column, max-shifted."""
+    starts, seg = _segments(starts, x.data.shape[0])
+    e = np.exp(x.data - np.maximum.reduceat(x.data, starts)[seg])
+    y = e / np.add.reduceat(e, starts)[seg]
+    out = _new(y, x.requires_grad)
+    tape = _wants_tape(x)
+    if tape is not None:
+
+        def step() -> None:
+            g = out.grad
+            if g is None:
+                return
+            _accumulate_owned(x, y * (g - np.add.reduceat(g * y, starts)[seg]))
+
+        tape.record(step)
+    return out
+
+
+def gather_dot(a: Tensor, a_rows: Sequence[int], b: Tensor, b_rows: Sequence[int]) -> Tensor:
+    """Column whose row t is the dot product of a[a_rows[t]] and b[b_rows[t]]."""
+    ia, ib = _row_indices(a_rows, a), _row_indices(b_rows, b)
+    if ia.size != ib.size or a.data.shape[1] != b.data.shape[1]:
+        raise ShapeError(f"gather_dot: {ia.size} rows of {a.shape}, {ib.size} of {b.shape}")
+    out = _new(np.einsum("ij,ij->i", a.data[ia], b.data[ib])[:, None],
+               a.requires_grad or b.requires_grad)
+    tape = _wants_tape(a, b)
+    if tape is not None:
+
+        def step() -> None:
+            g = out.grad
+            if g is None:
+                return
+            if a.requires_grad:
+                _scatter_rows(a, ia, b.data[ib], g)
+            if b.requires_grad:
+                _scatter_rows(b, ib, a.data[ia], g)
+
+        tape.record(step)
+    return out
+
+
+def gather_segment_sum(weights: Tensor, x: Tensor, rows: Sequence[int],
+                       starts: Sequence[int]) -> Tensor:
+    """Row k is the sum of weights[t] * x[rows[t]] over the rows t of segment k.
+    The gathered rows live only inside the forward and backward steps, so
+    the tape keeps no (len(rows) x cols) matrix alive."""
+    idx = _row_indices(rows, x)
+    if weights.data.shape != (idx.size, 1):
+        raise ShapeError(f"weights of shape {weights.shape} do not fit {idx.size} gathered rows")
+    starts, seg = _segments(starts, idx.size)
+    out = _new(np.add.reduceat(weights.data * x.data[idx], starts),
+               weights.requires_grad or x.requires_grad)
+    tape = _wants_tape(weights, x)
+    if tape is not None:
+
+        def step() -> None:
+            if out.grad is None:
+                return
+            g = out.grad[seg]
+            if weights.requires_grad:
+                _accumulate_owned(weights, np.einsum("ij,ij->i", g, x.data[idx])[:, None])
+            if x.requires_grad:
+                _scatter_rows(x, idx, g, weights.data)
 
         tape.record(step)
     return out

@@ -52,9 +52,13 @@ def sha256_file(path) -> str:
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write a file so that it either fully appears or not at all."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):  # left behind only by a failed write or rename
+            os.unlink(tmp)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -252,6 +252,16 @@ class TestErrorBoundary:
                          quiet=True) == 2
         assert taken.read_text(encoding="utf-8") == "keep"
 
+    def test_unwritable_output_leaves_no_temporary_file(self, dataset, config_path, tmp_path,
+                                                        capsys):
+        out = tmp_path / "run"
+        (out / "model.ckpt").mkdir(parents=True)
+        assert cmd_train(config_path, dataset["edges"], dataset["content"], out,
+                         quiet=True) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(out)) == ["model.ckpt"]
+        assert not list(tmp_path.rglob("*.tmp.*"))
+
     @pytest.mark.parametrize("which", ["content", "edges"])
     def test_non_utf8_data_is_data_error(self, dataset, config_path, tmp_path, capsys, which):
         with open(dataset[which], "ab") as fh:

@@ -4,7 +4,7 @@ a dense hand-written oracle."""
 import numpy as np
 import pytest
 
-from fagcn.errors import DataError
+from fagcn.errors import ConfigError, DataError
 from fagcn.graph import (Graph, build_graph, load_edge_list, neighborhood,
                          normalized_adjacency)
 
@@ -98,8 +98,33 @@ class TestNeighborhood:
 
     def test_bounds(self):
         g = Graph(2, [])
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigError):
             neighborhood(g, 2)
+        with pytest.raises(ConfigError):
+            neighborhood(g, -1)
+
+
+class TestPairs:
+    def test_sorted_closed_neighborhoods(self):
+        g = Graph(4, [(2, 0), (0, 1)])
+        centers, members, indptr = g.pairs
+        assert list(zip(centers.tolist(), members.tolist())) == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2), (3, 3)]
+        assert indptr.tolist() == [0, 3, 5, 7, 8]
+
+    def test_matches_adjacency_with_self_loops(self):
+        g = random_graph(18, np.random.default_rng(5))
+        centers, members, indptr = g.pairs
+        dense = np.zeros((g.n, g.n))
+        dense[centers, members] = 1.0
+        np.testing.assert_array_equal(dense, g.adjacency + np.eye(g.n))
+        np.testing.assert_array_equal(np.diff(indptr), g.degree + 1)
+        assert np.all(np.diff(centers * g.n + members) > 0)
+
+    def test_built_on_first_use_only(self):
+        g = Graph(3, [(0, 1)])
+        assert "pairs" not in vars(g)
+        assert g.pairs is g.pairs
 
 
 class TestEdgeFiles:

@@ -7,7 +7,8 @@ import pytest
 
 import fagcn.tensor as T
 from fagcn.corpus import ContentCorpus
-from fagcn.datasets import four_node_fixture
+from fagcn.datasets import four_node_fixture, synthetic_citation
+from fagcn.errors import ConfigError, ShapeError
 from fagcn.graph import Graph, neighborhood, normalized_adjacency
 from fagcn.noise import inject_noise
 from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
@@ -54,49 +55,86 @@ class TestNodeInputFeatures:
         np.testing.assert_allclose(z_ctx, z_plain, atol=1e-12)
 
 
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    @pytest.mark.parametrize("dataset", ["four_node", "sixty_node"])
+    def test_tape_records_do_not_grow_with_the_graph(self, variant, dataset):
+        if dataset == "four_node":
+            graph, corpus, _ = four_node_fixture()
+        else:
+            graph, corpus, _ = synthetic_citation(num_classes=3, nodes_per_class=20)
+        params = ModelParams.init(corpus.vocab_size, corpus.num_classes, 4, 4, 3, variant,
+                                  np.random.default_rng(0))
+        with Tape() as tape:
+            encoded = encode_nodes(params, corpus)
+            before = len(tape)
+            features = node_input_features(params, corpus, graph, encoded=encoded)
+            attention_records = len(tape) - before
+            before = len(tape)
+            layer1(graph, features, params.conv1_weight)
+            layer1_records = len(tape) - before
+        assert attention_records <= 7
+        assert layer1_records == 3
+
+    def test_encoded_count_must_match_graph(self, rng):
+        graph, corpus, _ = four_node_fixture()
+        params = fixture_params("context")
+        encoded = encode_nodes(params, corpus)
+        with pytest.raises(ShapeError):
+            node_input_features(params, corpus, Graph(5, []), encoded=encoded)
+
+
+def pair_rows(graph: Graph, node_rows: np.ndarray) -> Tensor:
+    """Node feature rows laid out one per pair of ``graph.pairs``."""
+    return Tensor(node_rows[graph.pairs[1]])
+
+
 class TestLayer1:
     def test_isolated_node(self, rng):
         graph = Graph(1, [])
-        features = Tensor(rng.standard_normal((1, 4)))
+        features = rng.standard_normal((1, 4))
         w0 = Tensor(rng.standard_normal((3, 4)))
-        out = layer1(graph, features, w0)
-        np.testing.assert_allclose(out.data[0], w0.data @ features.data[0], atol=1e-12)
+        out = layer1(graph, pair_rows(graph, features), w0)
+        np.testing.assert_allclose(out.data[0], w0.data @ features[0], atol=1e-12)
 
     def test_identity_weight_path_center(self, rng):
         graph = Graph(3, [(0, 1), (1, 2)])
-        features = Tensor(rng.standard_normal((3, 4)))
-        out = layer1(graph, features, Tensor(np.eye(4)))
-        np.testing.assert_allclose(out.data[1], features.data.sum(axis=0), atol=1e-12)
+        features = rng.standard_normal((3, 4))
+        out = layer1(graph, pair_rows(graph, features), Tensor(np.eye(4)))
+        np.testing.assert_allclose(out.data[1], features.sum(axis=0), atol=1e-12)
 
     def test_matches_per_node_loop_oracle(self, rng):
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
         features = rng.standard_normal((5, 4))
         w0 = rng.standard_normal((3, 4))
-        out = layer1(graph, Tensor(features), Tensor(w0))
+        out = layer1(graph, pair_rows(graph, features), Tensor(w0))
         for i in range(5):
             expected = np.zeros(3)
             for m in neighborhood(graph, i).members:
                 expected += w0 @ features[m]
             np.testing.assert_allclose(out.data[i], expected, atol=1e-12)
 
-    def test_pair_features_match_tensor_path(self, rng):
-        graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        features = rng.standard_normal((4, 5))
-        w0 = Tensor(rng.standard_normal((2, 5)))
-        as_tensor = layer1(graph, Tensor(features), w0)
-        pairs = [[(m, Tensor(features[m:m + 1])) for m in neighborhood(graph, i).members]
-                 for i in range(4)]
-        as_pairs = layer1(graph, pairs, w0)
-        np.testing.assert_allclose(as_pairs.data, as_tensor.data, atol=1e-12)
-
     def test_normalize_switch_uses_normalized_weights(self, rng):
         graph = Graph(3, [(0, 1), (1, 2)])
         features = rng.standard_normal((3, 4))
         w0 = rng.standard_normal((2, 4))
-        out = layer1(graph, Tensor(features), Tensor(w0), normalize=True)
+        out = layer1(graph, pair_rows(graph, features), Tensor(w0), normalize=True)
         norm = normalized_adjacency(graph)
         expected = norm @ features @ w0.T
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_each_pair_row_is_used_once(self, rng):
+        # pair rows that differ per center (as under context attention)
+        graph = Graph(3, [(0, 1), (1, 2)])
+        features = rng.standard_normal((7, 2))
+        out = layer1(graph, Tensor(features), Tensor(np.eye(2)))
+        np.testing.assert_allclose(out.data, [features[0:2].sum(axis=0),
+                                              features[2:5].sum(axis=0),
+                                              features[5:7].sum(axis=0)], atol=1e-15)
+
+    def test_wrong_row_count_is_shape_error(self, rng):
+        graph = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ShapeError):
+            layer1(graph, Tensor(rng.standard_normal((3, 4))), Tensor(np.eye(4)))
 
 
 class TestLayer2:
@@ -192,6 +230,22 @@ class TestForwardOracleEquivalence:
         np.testing.assert_allclose(z, expected, atol=1e-12)
 
 
+    @pytest.mark.parametrize("layer1_normalize", [False, True])
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_isolated_node_matches(self, variant, layer1_normalize):
+        graph, corpus, _ = four_node_fixture()
+        graph = Graph(5, graph.edges)
+        corpus = ContentCorpus(node_ids=list(range(5)),
+                               contents=corpus.contents + [[2, 2, 5]],
+                               labels=corpus.labels + [1], label_names=corpus.label_names,
+                               vocab_size=corpus.vocab_size)
+        params = fixture_params(variant, seed=17)
+        z = forward(params, graph, corpus, layer1_normalize=layer1_normalize).data
+        expected = straightline_forward(arrays_of(params), graph.adjacency, corpus.contents,
+                                        variant, layer1_normalize=layer1_normalize)
+        np.testing.assert_allclose(z, expected, atol=1e-12)
+
+
 class TestPermutationEquivariance:
     def test_relabeling_nodes_permutes_output_rows(self):
         graph, corpus, _ = four_node_fixture()
@@ -222,8 +276,27 @@ class TestSingleTokenContents:
         params = ModelParams.init(2, 2, 4, 4, 3, "none", rng)
         features = node_input_features(params, corpus, graph)
         encoded = encode_nodes(params, corpus)
-        for i in range(2):
-            np.testing.assert_allclose(features.data[i], encoded[i].data[0], atol=1e-15)
+        # pairs (0, 0), (0, 1), (1, 0), (1, 1): row p holds member p's features
+        np.testing.assert_array_equal(graph.pairs[1], [0, 1, 0, 1])
+        for p, m in enumerate([0, 1, 0, 1]):
+            np.testing.assert_allclose(features.data[p], encoded[m].data[0], atol=1e-15)
+
+
+class TestErrorContract:
+    def test_negative_regularization_is_config_error(self):
+        params = fixture_params("none")
+        z = Tensor(np.full((4, 2), 0.5))
+        labels = LabelMatrix.build([0, 1, 0, 1], 2, train_idx=[0])
+        for l2_feature, l2_node in ((-1e-3, 0.0), (0.0, -1e-3)):
+            with pytest.raises(ConfigError):
+                loss(z, labels, params, l2_feature, l2_node)
+
+    @pytest.mark.parametrize("center", [-1, 4])
+    def test_export_out_of_range_node_is_config_error(self, center):
+        graph, corpus, _ = four_node_fixture()
+        with pytest.raises(ConfigError):
+            export_attention(fixture_params("self"), graph, corpus,
+                             ["ash", "oak", "elm", "fir", "yew", "bay"], center=center)
 
 
 class TestBaselineGcn:

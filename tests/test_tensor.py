@@ -181,11 +181,6 @@ class TestStructuralOps:
             tape.backward(T.sum_all(T.mul(T.constant(w), T.transpose(x))))
         np.testing.assert_array_equal(x.grad, w.T)
 
-    def test_sum_rows(self, rng):
-        x = Tensor(rng.standard_normal((4, 3)))
-        out = T.sum_rows(x)
-        np.testing.assert_allclose(out.data, x.data.sum(axis=0, keepdims=True), atol=1e-15)
-
     def test_broadcast_add_bias(self, rng):
         x = Tensor(rng.standard_normal((4, 3)))
         bias = Tensor(rng.standard_normal((1, 3)))
@@ -193,6 +188,113 @@ class TestStructuralOps:
             tape.backward(T.sum_all(T.add(x, bias)))
         np.testing.assert_array_equal(bias.grad, np.full((1, 3), 4.0))
         np.testing.assert_array_equal(x.grad, np.ones((4, 3)))
+
+
+def check_gradients(objective, inputs: list[Tensor]) -> None:
+    """Taped gradients of sum(probe * objective()) against central differences."""
+    probe = np.random.default_rng(7).standard_normal(objective().shape)
+    for x in inputs:
+        x.zero_grad()
+    with Tape() as tape:
+        tape.backward(T.sum_all(T.mul(T.constant(probe), objective())))
+    for k, x in enumerate(inputs):
+        expected = numeric_gradient(lambda: float((probe * objective().data).sum()), x.data)
+        np.testing.assert_allclose(x.grad, expected, atol=1e-7, err_msg=f"input {k}")
+
+
+# ragged segments with length-1 segments among them
+STARTS = [0, 1, 4, 5, 7]
+
+
+class TestSegmentOps:
+    def test_segment_softmax_matches_per_segment_softmax(self, rng):
+        x = rng.standard_normal((9, 1)) * 4
+        out = T.segment_softmax(Tensor(x), STARTS).data[:, 0]
+        bounds = STARTS + [9]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            e = np.exp(x[lo:hi, 0])
+            np.testing.assert_allclose(out[lo:hi], e / e.sum(), atol=1e-15)
+        np.testing.assert_array_equal(out[[0, 4]], [1.0, 1.0])
+
+    def test_segment_softmax_runs_per_column(self, rng):
+        x = rng.standard_normal((9, 2))
+        out = T.segment_softmax(Tensor(x), STARTS).data
+        for j in range(2):
+            np.testing.assert_array_equal(
+                out[:, j], T.segment_softmax(Tensor(x[:, j:j + 1]), STARTS).data[:, 0])
+
+    def test_segment_softmax_large_scores_no_overflow(self):
+        out = T.segment_softmax(Tensor([[1000.0], [1000.0], [-1000.0]]), [0, 2])
+        np.testing.assert_allclose(out.data[:, 0], [0.5, 0.5, 1.0], atol=1e-15)
+
+    def test_gather_dot_matches_loop(self, rng):
+        a, b = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
+        a_rows, b_rows = [3, 0, 0, 2, 3], [1, 1, 0, 0, 1]
+        out = T.gather_dot(Tensor(a), a_rows, Tensor(b), b_rows).data
+        expected = [[sum(a[i, k] * b[j, k] for k in range(3))] for i, j in zip(a_rows, b_rows)]
+        np.testing.assert_allclose(out, expected, atol=1e-14)
+
+    def test_gather_segment_sum_matches_loop(self, rng):
+        w, x = rng.standard_normal((9, 1)), rng.standard_normal((4, 3))
+        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
+        out = T.gather_segment_sum(Tensor(w), Tensor(x), rows, STARTS).data
+        bounds = STARTS + [9]
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            expected = sum(w[t, 0] * x[rows[t]] for t in range(lo, hi))
+            np.testing.assert_allclose(out[k], expected, atol=1e-14)
+
+    def test_backward_matches_finite_differences(self, rng):
+        scores = Tensor(rng.standard_normal((9, 1)))
+        check_gradients(lambda: T.segment_softmax(scores, STARTS), [scores])
+        a, b = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((2, 3)))
+        check_gradients(lambda: T.gather_dot(a, [3, 0, 0, 2, 3], b, [1, 1, 0, 0, 1]), [a, b])
+        w, x = Tensor(rng.standard_normal((9, 1))), Tensor(rng.standard_normal((4, 3)))
+        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
+        check_gradients(lambda: T.gather_segment_sum(w, x, rows, STARTS), [w, x])
+
+    def test_chained_backward_matches_finite_differences(self, rng):
+        # the attention pattern: scores -> segment softmax -> weighted sum
+        x = Tensor(rng.standard_normal((4, 3)))
+        keys = Tensor(rng.standard_normal((2, 3)))
+        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
+
+        def mixed():
+            scores = T.gather_dot(x, rows, keys, [0, 0, 1, 1, 1, 0, 1, 1, 0])
+            return T.gather_segment_sum(T.segment_softmax(scores, STARTS), x, rows, STARTS)
+
+        check_gradients(mixed, [x, keys])
+
+    def test_constant_weights_get_no_gradient(self, rng):
+        w, x = T.constant(np.ones((3, 1))), Tensor(rng.standard_normal((2, 2)))
+        with Tape() as tape:
+            tape.backward(T.sum_all(T.gather_segment_sum(w, x, [1, 1, 0], [0, 2])))
+        assert w.grad is None
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0]])
+
+    @pytest.mark.parametrize("starts", [[], [1, 3], [0, 2, 2], [0, 3, 2], [0, 9], [[0, 2]]],
+                             ids=["none", "not-from-zero", "empty-inner", "falling",
+                                  "empty-last", "not-flat"])
+    def test_bad_segments_are_shape_errors(self, rng, starts):
+        with pytest.raises(ShapeError):
+            T.segment_softmax(Tensor(rng.standard_normal((9, 1))), starts)
+        with pytest.raises(ShapeError):
+            T.gather_segment_sum(Tensor(np.ones((9, 1))), Tensor(np.ones((2, 2))),
+                                 [0] * 9, starts)
+
+    def test_misaligned_operands_are_shape_errors(self, rng):
+        x = Tensor(rng.standard_normal((3, 2)))
+        with pytest.raises(ShapeError):
+            T.gather_segment_sum(Tensor(np.ones((2, 1))), x, [0, 1, 2], [0])
+        with pytest.raises(ShapeError):
+            T.gather_segment_sum(Tensor(np.ones((1, 3))), x, [0, 1, 2], [0])
+        with pytest.raises(ShapeError):
+            T.gather_segment_sum(Tensor(np.ones((2, 1))), x, [0, 3], [0])
+        with pytest.raises(ShapeError):
+            T.gather_dot(x, [0, 1], x, [0])
+        with pytest.raises(ShapeError):
+            T.gather_dot(x, [0], Tensor(np.ones((2, 3))), [0])
+        with pytest.raises(ShapeError):
+            T.gather_dot(x, [-1], x, [0])
 
 
 class TestTape:
