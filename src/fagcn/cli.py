@@ -32,8 +32,8 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .graph import build_graph, load_edge_list
 from .model import export_attention
 from .noise import noise_sweep, sweep_rows_to_csv
-from .training import (ExperimentConfig, RepeatResult, check_type, evaluate,
-                       run_cell, train)
+from .training import (ExperimentConfig, check_type, evaluate, run_cell,
+                       sweep_cells, train)
 from .util import atomic_write_text, derive_rng, sha256_file
 
 EXIT_OK = 0
@@ -171,16 +171,20 @@ def cmd_eval(checkpoint_path, edges_path, content_path, split_seed: int, *,
 
 
 def _param_sweep(config: ExperimentConfig, graph, corpus, field: str,
-                 values: list, variants: list[str], seeds: list[int]) -> str:
-    lines = ["axis,value,variant,mean_accuracy,std_accuracy,seeds"]
+                 values: list, variants: list[str], seeds: list[int],
+                 max_workers: int = 1) -> str:
+    points = [(value, variant) for value in values for variant in variants]
+
+    def run(point: tuple, seed: int) -> float:
+        value, variant = point
+        return run_cell(dc_replace(config, variant=variant, **{field: value}),
+                        graph, corpus, seed)
+
+    results = sweep_cells(run, points, seeds, max_workers)
     seed_list = ";".join(str(s) for s in seeds)
-    for value in values:
-        for variant in variants:
-            cell_config = dc_replace(config, variant=variant, **{field: value})
-            result = RepeatResult.of([run_cell(cell_config, graph, corpus, seed)
-                                      for seed in seeds])
-            lines.append(f"{field},{value:g},{variant},{result.mean:.4f},"
-                         f"{result.std:.4f},{seed_list}")
+    lines = ["axis,value,variant,mean_accuracy,std_accuracy,seeds"]
+    lines += [f"{field},{value:g},{variant},{r.mean:.4f},{r.std:.4f},{seed_list}"
+              for (value, variant), r in zip(points, results)]
     return "\n".join(lines) + "\n"
 
 
@@ -216,6 +220,8 @@ def cmd_sweep(config_path, sweep_spec_path, out_csv, *, seed: int | None = None,
     base = os.path.dirname(os.path.abspath(sweep_spec_path))
     for key in ("content", "edges"):
         check_type(f"sweep spec {key!r} data path", spec.get(key), "str")
+        if "\0" in spec[key]:
+            raise ConfigError(f"sweep spec {key!r} data path contains a NUL character")
     content_path = os.path.join(base, spec["content"])
     edges_path = os.path.join(base, spec["edges"])
     graph, corpus, _ = _load_data(edges_path, content_path)
@@ -229,7 +235,8 @@ def cmd_sweep(config_path, sweep_spec_path, out_csv, *, seed: int | None = None,
         csv_text = sweep_rows_to_csv(rows)
     else:
         typed = values if integral else [float(v) for v in values]
-        csv_text = _param_sweep(config, graph, corpus, field, typed, variants, seeds)
+        csv_text = _param_sweep(config, graph, corpus, field, typed, variants, seeds,
+                                max_workers=threads)
     atomic_write_text(out_csv, csv_text)
     _say(quiet, f"wrote {out_csv}")
     return EXIT_OK

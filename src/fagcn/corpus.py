@@ -61,6 +61,11 @@ class ContentCorpus:
     def num_classes(self) -> int:
         return len(self.label_names)
 
+    @property
+    def starts(self) -> np.ndarray:
+        """Row of each node's first token when all contents are concatenated."""
+        return np.cumsum([0] + [len(tokens) for tokens in self.contents[:-1]])
+
     def validate(self) -> None:
         if not (len(self.node_ids) == len(self.contents) == len(self.labels)):
             raise DataError("corpus field lengths disagree")

@@ -1,9 +1,15 @@
 """Bidirectional LSTM encoder producing one dense semantic vector per
-token occurrence in a node's content."""
+token occurrence in a node's content.
+
+The encoder runs on the segment layout: the token rows of every node are
+stacked in one matrix, node i's from row ``starts[i]``, and each
+direction encodes all of them in one taped operation.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -54,16 +60,7 @@ class LstmDirectionParams:
         return self.w_forget.rows - self.feature_dim
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w_forget", self.w_forget),
-            (f"{prefix}.w_input", self.w_input),
-            (f"{prefix}.w_cell", self.w_cell),
-            (f"{prefix}.w_output", self.w_output),
-            (f"{prefix}.b_forget", self.b_forget),
-            (f"{prefix}.b_input", self.b_input),
-            (f"{prefix}.b_cell", self.b_cell),
-            (f"{prefix}.b_output", self.b_output),
-        ]
+        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
     def gate_weights(self) -> list[Tensor]:
         """The four gate weight matrices (the L2-regularized subset)."""
@@ -87,13 +84,18 @@ def _input_and_recurrent_blocks(weights: tuple[Tensor, ...], embed_dim: int):
     return w_all[:embed_dim], w_all[embed_dim:]
 
 
-def _run_direction(params: LstmDirectionParams, seq: Tensor, reverse: bool) -> Tensor:
-    """Run the recurrence over the rows of ``seq`` (last to first when
-    ``reverse``) as one taped operation; outputs come back in row order.
+def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[int],
+                   reverse: bool) -> Tensor:
+    """Run the recurrence over each segment of ``seq`` (rows ``starts[k]``
+    up to the next start; last to first when ``reverse``) as one taped
+    operation; outputs come back in row order.
 
     After Appleyard et al. (arXiv 1604.01946), the input projection of
     every token is one product and the time loop carries only ``h @ W_h``.
-    The backward closure runs the whole reverse sweep, then forms the
+    Segments are packed longest first: step t advances token t of every
+    segment longer than t, a prefix of the carried state, so the loop runs
+    once per position of the longest segment, without padding. The
+    backward closure walks the same visits in reverse, then forms the
     weight gradient as one product. It keeps no copy of the weights,
     which still hold their forward values when the tape runs.
     """
@@ -105,51 +107,67 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, reverse: bool) -> T
     n = seq.rows
     if n < 1:
         raise ShapeError("cannot encode an empty token sequence")
-    steps = slice(None, None, -1) if reverse else slice(None)  # its own inverse
-    xs = seq.data[steps]
-    w_x, w_h = _input_and_recurrent_blocks(weights, embed_dim)
-    pre_x = xs @ w_x + np.hstack([b.data for b in biases])
-    gates = np.empty((n, 4 * d))  # f, i, g, o side by side, in visit order
-    cs, hs = np.empty((n, d)), np.empty((n, d))
-    h = c = np.zeros(d)
-    for k in range(n):
-        z = pre_x[k] + h @ w_h
-        gate = gates[k]
-        gate[:] = _sigmoid(z)
-        gate[2 * d:3 * d] = np.tanh(z[2 * d:3 * d])
-        f, i, g, o = gate.reshape(4, d)
-        c = cs[k] = f * c + i * g
-        h = hs[k] = o * np.tanh(c)
+    starts, _ = T._segments(starts, n)
+    lengths = np.diff(starts, append=n)
+    order = np.argsort(-lengths, kind="stable")
+    batch = starts.size - np.cumsum(np.bincount(lengths))[:-1]  # segments per step
+    offsets = np.concatenate(([0], np.cumsum(batch)))
+    step_of = np.repeat(np.arange(batch.size), batch)
+    first = starts[order] + (lengths[order] - 1 if reverse else 0)
+    # visits[r] is the row of seq that visit r (step step_of[r]) advances
+    visits = first[np.arange(n) - offsets[step_of]] + (-step_of if reverse else step_of)
 
-    out = Tensor(hs[steps], requires_grad=seq.requires_grad
-                 or any(p.requires_grad for p in weights + biases))
-    tape = T.current_tape()
-    if tape is None or not out.requires_grad:
+    w_x, w_h = _input_and_recurrent_blocks(weights, embed_dim)
+    pre_x = seq.data[visits] @ w_x
+    pre_x += np.hstack([b.data for b in biases])
+    gates = np.empty((n, 4 * d))  # f, i, g, o side by side, in visit order
+    cs, out_data = np.empty((n, d)), np.empty((n, d))
+    h = c = np.zeros((batch[0], d))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        active = hi - lo
+        z = pre_x[lo:hi] + h[:active] @ w_h
+        gate = gates[lo:hi]
+        gate[:] = _sigmoid(z)
+        gate[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
+        f, i, g, o = (gate[:, k * d:(k + 1) * d] for k in range(4))
+        c = cs[lo:hi] = f * c[:active] + i * g
+        h = out_data[visits[lo:hi]] = o * np.tanh(c)
+
+    inputs = (seq, *weights, *biases)
+    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    tape = T._wants_tape(*inputs)
+    if tape is None:
         return out
 
     def sweep() -> None:
         if out.grad is None:
             return
         w_x, w_h = _input_and_recurrent_blocks(weights, embed_dim)
-        f, i, g, o = (gates[:, k * d:(k + 1) * d] for k in range(4))
-        tanh_c = np.tanh(cs)
-        c_prev, h_prev = (np.vstack((np.zeros((1, d)), s[:-1])) for s in (cs, hs))
-        # dz = (dc, dc, dc, dh) * local, gate by gate
-        local = np.hstack((c_prev * (f * (1.0 - f)), g * (i * (1.0 - i)),
-                           i * (1.0 - g * g), tanh_c * (o * (1.0 - o))))
-        dc_dh = o * (1.0 - tanh_c * tanh_c)
-        grad = out.grad[steps]
         dz = np.empty((n, 4 * d))
-        dh_next = dc_next = np.zeros(d)
-        for k in range(n - 1, -1, -1):
-            dh = grad[k] + dh_next
-            dc = dh * dc_dh[k] + dc_next
-            dz[k] = np.concatenate((dc, dc, dc, dh)) * local[k]
-            dh_next = dz[k] @ w_h.T
-            dc_next = dc * f[k]
+        dh_next = dc_next = np.zeros((0, d))
+        for t in range(batch.size - 1, -1, -1):
+            lo, hi = offsets[t], offsets[t + 1]
+            active, carried = hi - lo, dh_next.shape[0]
+            f, i, g, o = (gates[lo:hi, k * d:(k + 1) * d] for k in range(4))
+            c_prev = cs[offsets[t - 1]:offsets[t - 1] + active] if t else np.zeros((active, d))
+            tanh_c = np.tanh(cs[lo:hi])
+            dh = out.grad[visits[lo:hi]]
+            dh[:carried] += dh_next
+            dc = dh * (o * (1.0 - tanh_c * tanh_c))
+            dc[:carried] += dc_next
+            # dz = (dc, dc, dc, dh) times each gate's local derivative
+            dz[lo:hi] = np.hstack((dc * (c_prev * (f * (1.0 - f))), dc * (g * (i * (1.0 - i))),
+                                   dc * (i * (1.0 - g * g)), dh * (tanh_c * (o * (1.0 - o)))))
+            dh_next = dz[lo:hi] @ w_h.T
+            dc_next = dc * f
         if seq.requires_grad:
-            seq.accumulate_grad((dz @ w_x.T)[steps])
-        dw = np.vstack((xs.T @ dz, h_prev.T @ dz))
+            dx = np.empty(seq.shape)
+            dx[visits] = dz @ w_x.T
+            T._accumulate_owned(seq, dx)
+        # visit r >= batch[0] follows visit r - batch[t - 1] of its segment;
+        # the first visits start from h = 0 and add nothing to dW_h
+        prev = np.arange(batch[0], n) - np.repeat(batch[:-1], batch[1:])
+        dw = np.vstack((seq.data[visits].T @ dz, out.data[visits[prev]].T @ dz[batch[0]:]))
         for k, (w, b) in enumerate(zip(weights, biases)):
             gate_cols = slice(k * d, (k + 1) * d)
             if w.requires_grad:
@@ -169,17 +187,20 @@ def lstm_forward(params: LstmDirectionParams, seq: Tensor) -> Tensor:
     c_t = f*c_{t-1} + i*g and the output h_t = o*tanh(c_t), from zero
     initial states. Returns the outputs, one row per step.
     """
-    return _run_direction(params, seq, reverse=False)
+    return _run_direction(params, seq, (0,), reverse=False)
 
 
-def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tensor) -> Tensor:
-    """Encode a token-embedding sequence with both directions combined.
+def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tensor,
+                  starts: Sequence[int] = (0,)) -> Tensor:
+    """Encode token-embedding sequences with both directions combined.
 
-    The backward direction runs over the reversed sequence; the two
-    per-position outputs are combined by elementwise sum, giving one
-    row per token in original order.
+    ``seq`` holds one sequence per segment, each from its row of
+    ``starts`` up to the next; the default is one sequence of all rows.
+    The backward direction runs over each sequence reversed; the two
+    per-position outputs are combined by elementwise sum, giving one row
+    per token in original order.
     """
     if fwd.embed_dim != bwd.embed_dim or fwd.feature_dim != bwd.feature_dim:
         raise ShapeError("forward/backward parameter dimensions disagree")
-    return T.add(_run_direction(fwd, seq, reverse=False),
-                 _run_direction(bwd, seq, reverse=True))
+    return T.add(_run_direction(fwd, seq, starts, reverse=False),
+                 _run_direction(bwd, seq, starts, reverse=True))

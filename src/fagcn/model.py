@@ -2,12 +2,17 @@
 features for every (center, member) pair of the closed neighborhoods, two
 convolution layers, classification, and the regularized loss. Also hosts
 the plain two-layer GCN baseline on bag-of-words input.
+
+Encoding and attention share one segment layout: the token rows of all
+nodes form one matrix, node i's from row ``corpus.starts[i]``, so the
+Bi-LSTM runs once over the whole corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -200,32 +205,23 @@ class GraphOperators:
 def encode_nodes(params: ModelParams, corpus: ContentCorpus, *,
                  training: bool = False,
                  dropout_lstm: float = 0.0,
-                 rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Bi-LSTM encode every node's token sequence.
+                 rng: np.random.Generator | None = None) -> Tensor:
+    """Bi-LSTM encode every node's token sequence in one pass.
 
-    Returns one (num_tokens x feature_dim) matrix per node, with dropout
-    applied to the rows in training mode.
+    Returns one (total tokens x feature_dim) matrix whose rows for node i
+    start at ``corpus.starts[i]``, with dropout applied in training mode.
     """
-    encoded = []
-    for tokens in corpus.contents:
-        seq = T.take_rows(params.embeddings, tokens)
-        h = bilstm_encode(params.lstm_fwd, params.lstm_bwd, seq)
-        encoded.append(T.dropout(h, dropout_lstm, rng, training))
-    return encoded
-
-
-def _weigh_tokens(params: ModelParams, graph: Graph, encoded: list[Tensor]):
-    """Stacked token rows and their attention weights (see ``token_weights``)."""
-    features = T.stack_rows(encoded)
-    starts = np.cumsum([0] + [h.rows for h in encoded[:-1]])
-    return (features, *token_weights(params.attention, features, starts, graph))
+    tokens = np.fromiter(chain.from_iterable(corpus.contents), dtype=np.intp)
+    seq = T.take_rows(params.embeddings, tokens)
+    h = bilstm_encode(params.lstm_fwd, params.lstm_bwd, seq, corpus.starts)
+    return T.dropout(h, dropout_lstm, rng, training)
 
 
 def node_input_features(params: ModelParams, corpus: ContentCorpus, graph: Graph, *,
                         training: bool = False,
                         dropout_lstm: float = 0.0,
                         rng: np.random.Generator | None = None,
-                        encoded: list[Tensor] | None = None) -> Tensor:
+                        encoded: Tensor | None = None) -> Tensor:
     """Attention-weighted token features, one row per pair of ``graph.pairs``.
 
     Row p mixes the token rows of node ``members[p]`` with the weights it
@@ -236,8 +232,8 @@ def node_input_features(params: ModelParams, corpus: ContentCorpus, graph: Graph
     if encoded is None:
         encoded = encode_nodes(params, corpus, training=training,
                                dropout_lstm=dropout_lstm, rng=rng)
-    features, weights, rows, segments = _weigh_tokens(params, graph, encoded)
-    mixed = T.gather_segment_sum(weights, features, rows, segments)
+    weights, rows, segments = token_weights(params.attention, encoded, corpus.starts, graph)
+    mixed = T.gather_segment_sum(weights, encoded, rows, segments)
     return mixed if params.variant == "context" else T.take_rows(mixed, graph.pairs[1])
 
 
@@ -350,7 +346,7 @@ def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,
     if not 0 <= center < graph.n:
         raise ConfigError(f"node index {center} out of range for n={graph.n}")
     encoded = encode_nodes(params, corpus, training=False)
-    _, weights, _, segments = _weigh_tokens(params, graph, encoded)
+    weights, _, segments = token_weights(params.attention, encoded, corpus.starts, graph)
     per_segment = np.split(weights.data[:, 0], segments[1:])
     _, members, indptr = graph.pairs
     record = {"center": corpus.node_ids[center], "variant": params.variant, "neighbors": []}

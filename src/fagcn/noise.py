@@ -9,7 +9,6 @@ measure content corruption, not vocabulary growth.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .corpus import ContentCorpus
 from .errors import ConfigError
 from .graph import Graph
-from .training import ExperimentConfig, RepeatResult, run_cell
+from .training import ExperimentConfig, run_cell, sweep_cells
 from .util import derive_rng, round_half_up
 
 PROTOCOLS = ("inject", "replace")
@@ -112,37 +111,21 @@ def noise_sweep(base_config: ExperimentConfig, graph: Graph, corpus: ContentCorp
     may run on worker threads; rows come back in (ratio, variant) order
     regardless of completion order.
     """
-    if not ratios:
-        raise ConfigError("noise_sweep needs at least one ratio")
-    if not variants:
-        raise ConfigError("noise_sweep needs at least one variant")
-    if not seeds:
-        raise ConfigError("noise_sweep needs at least one seed")
+    if not (ratios and variants and seeds):
+        raise ConfigError("noise_sweep needs at least one ratio, variant and seed")
     for ratio in ratios:
         NoiseSpec(protocol, ratio, seeds[0]).validate()
-    cells = [(ratio, variant, seed)
-             for ratio in ratios for variant in variants for seed in seeds]
+    points = [(ratio, variant) for ratio in ratios for variant in variants]
 
-    def run(cell: tuple[float, str, int]) -> float:
-        ratio, variant, seed = cell
+    def run(point: tuple[float, str], seed: int) -> float:
+        ratio, variant = point
         noisy = corrupt(corpus, protocol, ratio, derive_rng(seed, "noise"))
         return run_cell(dc_replace(base_config, variant=variant), graph, noisy, seed)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            accuracies = list(pool.map(run, cells))
-    else:
-        accuracies = [run(cell) for cell in cells]
-
-    by_cell = dict(zip(cells, accuracies))
-    rows = []
-    for ratio in ratios:
-        for variant in variants:
-            result = RepeatResult.of([by_cell[(ratio, variant, seed)] for seed in seeds])
-            rows.append(SweepRow(protocol=protocol, ratio=ratio, variant=variant,
-                                 mean_accuracy=result.mean, std_accuracy=result.std,
-                                 seeds=tuple(seeds)))
-    return rows
+    results = sweep_cells(run, points, seeds, max_workers)
+    return [SweepRow(protocol=protocol, ratio=ratio, variant=variant,
+                     mean_accuracy=r.mean, std_accuracy=r.std, seeds=tuple(seeds))
+            for (ratio, variant), r in zip(points, results)]
 
 
 def sweep_rows_to_csv(rows: list[SweepRow]) -> str:

@@ -134,17 +134,14 @@ class Tape:
         self._steps.append(step)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss)=1 and replay all steps in reverse order."""
+        """Seed d(loss)/d(loss)=1 and replay all steps in reverse order.
+        Each step is dropped once it has run, with the activations only it
+        holds, so a tape runs backward once."""
         if loss.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar 1x1 loss, got {loss.shape}")
         loss.accumulate_grad(np.ones((1, 1)))
-        for step in reversed(self._steps):
-            step()
-
-
-def current_tape() -> Tape | None:
-    tapes = _ACTIVE.tapes
-    return tapes[-1] if tapes else None
+        while self._steps:
+            self._steps.pop()()
 
 
 def _wants_tape(*inputs: Tensor) -> Tape | None:
@@ -378,6 +375,16 @@ def _row_indices(indices: Sequence[int], x: Tensor) -> Array:
     return idx
 
 
+def _scatter_rows(x: Tensor, idx: Array, g: Array, factor: Array | None = None) -> None:
+    # row t of g (times factor) into row idx[t] of x's gradient, scaling g
+    # in place; one bincount over the flattened entries is several times
+    # faster than np.add.at
+    if factor is not None:
+        g *= factor
+    flat = (idx[:, None] * x.cols + np.arange(x.cols)).ravel()
+    _accumulate_owned(x, np.bincount(flat, g.ravel(), x.data.size).reshape(x.shape))
+
+
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows by index (repeats allowed); backward scatter-adds."""
     idx = _row_indices(indices, x)
@@ -386,39 +393,8 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     if tape is not None:
 
         def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, idx, g)
-
-        tape.record(step)
-    return out
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack tensors vertically into one matrix."""
-    if not parts:
-        raise ShapeError("stack_rows needs at least one tensor")
-    width = parts[0].data.shape[1]
-    needs_grad = False
-    for p in parts:
-        if p.data.shape[1] != width:
-            raise ShapeError(f"stack_rows column mismatch: {p.data.shape[1]} vs {width}")
-        needs_grad = needs_grad or p.requires_grad
-    out = _new(np.vstack([p.data for p in parts]), needs_grad)
-    tape = _wants_tape(*parts)
-    if tape is not None:
-        offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    p.accumulate_grad(g[lo:hi])
+            if out.grad is not None:
+                _scatter_rows(x, idx, out.grad)
 
         tape.record(step)
     return out
@@ -469,15 +445,6 @@ def _segments(starts: Sequence[int], total: int) -> tuple[Array, Array]:
     if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or np.any(lengths <= 0):
         raise ShapeError(f"segment starts must rise strictly from 0 to below {total}")
     return starts, np.repeat(np.arange(starts.size), lengths)
-
-
-def _scatter_rows(x: Tensor, idx: Array, g: Array, factor: Array) -> None:
-    # row t of g * factor into row idx[t] of x's gradient, scaling g in
-    # place; one bincount over the flattened entries is several times
-    # faster than np.add.at
-    g *= factor
-    flat = (idx[:, None] * x.cols + np.arange(x.cols)).ravel()
-    _accumulate_owned(x, np.bincount(flat, g.ravel(), x.data.size).reshape(x.shape))
 
 
 def segment_softmax(x: Tensor, starts: Sequence[int]) -> Tensor:

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -246,6 +248,22 @@ class RepeatResult:
         """Sample mean and population standard deviation."""
         return cls(mean=float(np.mean(accuracies)), std=float(np.std(accuracies)),
                    accuracies=list(accuracies))
+
+
+def sweep_cells(run: Callable[[tuple, int], float], points: Sequence[tuple],
+                seeds: Sequence[int], max_workers: int = 1) -> list[RepeatResult]:
+    """The accuracies ``run(point, seed)`` over ``seeds``, aggregated per
+    point in point order. With ``max_workers`` > 1 the cells run on that
+    many threads; each thread tapes its own passes, so the results equal
+    the serial ones."""
+    cells = [(point, seed) for point in points for seed in seeds]
+    if max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            accuracies = list(pool.map(lambda cell: run(*cell), cells))
+    else:
+        accuracies = [run(*cell) for cell in cells]
+    k = len(seeds)
+    return [RepeatResult.of(accuracies[p * k:(p + 1) * k]) for p in range(len(points))]
 
 
 def repeat_experiment(config: ExperimentConfig, seeds: list[int], graph: Graph,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fagcn.cli
+import fagcn.training
 from fagcn.checkpoint import load_checkpoint, save_checkpoint
 from fagcn.cli import (cmd_eval, cmd_export_attention, cmd_sweep, cmd_train,
                        main)
@@ -186,6 +187,26 @@ class TestSweepCommand:
         cmd_sweep(config_path, spec, out_a, quiet=True)
         cmd_sweep(config_path, spec, out_b, quiet=True)
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+    def test_threads_apply_to_parameter_axes(self, dataset, config_path, tmp_path, monkeypatch):
+        spec = self.write_spec(tmp_path, dataset, {
+            "axis": "d_h", "values": [3, 4], "variants": ["self", "none"], "seeds": [1, 2]})
+        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+        assert main(["--quiet", "sweep", "--config", str(config_path), "--spec", str(spec),
+                     "--out", str(serial)]) == 0
+        pools = []
+        pool_class = fagcn.training.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setattr(fagcn.training, "ThreadPoolExecutor", recording_pool)
+        assert main(["--quiet", "--threads", "2", "sweep", "--config", str(config_path),
+                     "--spec", str(spec), "--out", str(threaded)]) == 0
+        assert pools == [2]
+        assert threaded.read_bytes() == serial.read_bytes()
 
 
 class TestExportAttention:

@@ -168,6 +168,52 @@ class TestBilstmEncode:
         assert len(tape) == 3
 
 
+RAGGED = [3, 1, 4, 4, 1, 2, 1]  # tied lengths and length-1 segments, unsorted
+
+
+def ragged_starts() -> np.ndarray:
+    return np.cumsum([0] + RAGGED[:-1])
+
+
+class TestPackedSegments:
+    def test_matches_each_segment_encoded_alone(self, rng):
+        fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
+        seq = Tensor(rng.standard_normal((sum(RAGGED), 3)))
+        starts = ragged_starts()
+        packed = bilstm_encode(fwd, bwd, seq, starts).data
+        for lo, length in zip(starts, RAGGED):
+            alone = bilstm_encode(fwd, bwd, Tensor(seq.data[lo:lo + length]))
+            np.testing.assert_allclose(packed[lo:lo + length], alone.data, rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self, rng):
+        fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
+        seq = Tensor(rng.standard_normal((sum(RAGGED), 3)))
+        starts = ragged_starts()
+        weights = rng.standard_normal((sum(RAGGED), 4))
+        targets = [("seq", seq)] + fwd.named_parameters("fwd") + bwd.named_parameters("bwd")
+
+        def run():
+            out = bilstm_encode(fwd, bwd, seq, starts)
+            return T.sum_all(T.mul(T.constant(weights), out)).item()
+
+        for _, p in targets:
+            p.zero_grad()
+        with Tape() as tape:
+            out = bilstm_encode(fwd, bwd, seq, starts)
+            tape.backward(T.sum_all(T.mul(T.constant(weights), out)))
+        for name, p in targets:
+            expected = numeric_gradient(run, p.data, eps=1e-5)
+            denom = np.maximum(np.abs(expected), 1.0)
+            assert np.max(np.abs(p.grad - expected) / denom) < 1e-6, name
+
+    @pytest.mark.parametrize("starts", [[0, 2, 2, 5], [1, 3], [0, 4, 2], [0, 7]],
+                             ids=["empty-segment", "not-from-zero", "unordered", "past-end"])
+    def test_bad_starts_are_shape_errors(self, rng, starts):
+        fwd = random_params(3, 4, rng)
+        with pytest.raises(ShapeError):
+            bilstm_encode(fwd, fwd, Tensor(rng.standard_normal((7, 3))), starts)
+
+
 class TestParamInit:
     def test_shapes_and_range(self, rng):
         params = LstmDirectionParams.init(5, 8, rng)

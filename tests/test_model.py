@@ -38,8 +38,8 @@ class TestNodeInputFeatures:
                                label_names=["x"], vocab_size=3)
         params = ModelParams.init(3, 1, 4, 4, 3, "none", rng)
         features = node_input_features(params, corpus, graph)
-        encoded = encode_nodes(params, corpus)[0]
-        np.testing.assert_allclose(features.data[0], encoded.data.mean(axis=0), atol=1e-12)
+        encoded = encode_nodes(params, corpus).data[corpus.starts[0]:]
+        np.testing.assert_allclose(features.data[0], encoded.mean(axis=0), atol=1e-12)
 
     def test_context_with_zero_bilinear_matches_none(self):
         graph, corpus, _ = four_node_fixture()
@@ -74,6 +74,38 @@ class TestNodeInputFeatures:
             layer1_records = len(tape) - before
         assert attention_records <= 7
         assert layer1_records == 3
+
+    @pytest.mark.parametrize("dataset", ["four_node", "sixty_node"])
+    def test_encoder_records_do_not_grow_with_the_corpus(self, dataset):
+        # one gather, one op per LSTM direction, their sum, one dropout
+        if dataset == "four_node":
+            _, corpus, _ = four_node_fixture()
+        else:
+            _, corpus, _ = synthetic_citation(num_classes=3, nodes_per_class=20)
+        params = ModelParams.init(corpus.vocab_size, corpus.num_classes, 4, 4, 3, "self",
+                                  np.random.default_rng(0))
+        with Tape() as tape:
+            encoded = encode_nodes(params, corpus, training=True, dropout_lstm=0.5,
+                                   rng=np.random.default_rng(1))
+        assert len(tape) <= 5
+        assert encoded.shape == (sum(len(c) for c in corpus.contents), 4)
+
+    def test_encoder_dropout_is_one_mask_over_all_tokens(self):
+        # one draw over every token row: the same stream as one draw per
+        # node in node order
+        _, corpus, _ = four_node_fixture()
+        params = fixture_params("self")
+        dropped = encode_nodes(params, corpus, training=True, dropout_lstm=0.5,
+                               rng=np.random.default_rng(7)).data
+        plain = encode_nodes(params, corpus).data
+        keep = np.random.default_rng(7).random(plain.shape) >= 0.5
+        np.testing.assert_array_equal(dropped, plain * keep * 2.0)
+
+    def test_empty_corpus_is_shape_error(self):
+        corpus = ContentCorpus(node_ids=[], contents=[], labels=[], label_names=["a"],
+                               vocab_size=6)
+        with pytest.raises(ShapeError):
+            encode_nodes(fixture_params("self"), corpus)
 
     def test_encoded_count_must_match_graph(self, rng):
         graph, corpus, _ = four_node_fixture()
@@ -279,7 +311,8 @@ class TestSingleTokenContents:
         # pairs (0, 0), (0, 1), (1, 0), (1, 1): row p holds member p's features
         np.testing.assert_array_equal(graph.pairs[1], [0, 1, 0, 1])
         for p, m in enumerate([0, 1, 0, 1]):
-            np.testing.assert_allclose(features.data[p], encoded[m].data[0], atol=1e-15)
+            np.testing.assert_allclose(features.data[p], encoded.data[corpus.starts[m]],
+                                       atol=1e-15)
 
 
 class TestErrorContract:

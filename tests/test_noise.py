@@ -156,6 +156,14 @@ class TestNoiseSweep:
             noise_sweep(self.sweep_config(), graph, corpus, protocol, ratios, ["self"], [1])
         assert trained == []
 
+    @pytest.mark.parametrize("ratios, variants, seeds", [([], ["self"], [1]),
+                                                        ([0.1], [], [1]),
+                                                        ([0.1], ["self"], [])])
+    def test_empty_axes_are_config_errors(self, ratios, variants, seeds):
+        graph, corpus, _ = two_cluster_fixture()
+        with pytest.raises(ConfigError, match="at least one"):
+            noise_sweep(self.sweep_config(), graph, corpus, "inject", ratios, variants, seeds)
+
     def test_table_shape_and_order(self):
         graph, corpus, _ = two_cluster_fixture()
         ratios = [0.1, 0.2, 0.3]

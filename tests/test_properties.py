@@ -1,24 +1,31 @@
 """Property tests over generated inputs: node relabeling permutes the
-model's output rows, zero noise changes nothing, and arbitrary bytes fed
-to the loaders fail only with the package's own errors.
+model's output rows, zero noise changes nothing, checkpoints and datasets
+survive a write and a load unchanged, and arbitrary bytes or JSON fed to
+the loaders fail only with the package's own errors.
 
 Examples are derived from the test source, not drawn at random, so every
 run checks the same cases.
 """
 
+import io
+import json
 import os
 import tempfile
+from contextlib import redirect_stderr
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fagcn.checkpoint import load_checkpoint, save_checkpoint
-from fagcn.corpus import ContentCorpus, load_corpus
-from fagcn.errors import FagcnError
-from fagcn.graph import Graph, load_edge_list
-from fagcn.model import ModelParams, forward
+from fagcn.cli import cmd_sweep
+from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus
+from fagcn.datasets import write_dataset
+from fagcn.errors import ConfigError, FagcnError
+from fagcn.graph import Graph, build_graph, load_edge_list
+from fagcn.model import ModelParams, forward, init_for_variant
 from fagcn.noise import inject_noise
+from fagcn.training import VARIANTS, ExperimentConfig
 
 FEW = settings(derandomize=True, max_examples=25, deadline=None)
 VOCAB = 5
@@ -118,3 +125,119 @@ class TestLoadersRaiseOnlyPackageErrors:
     def test_load_checkpoint_spliced_bytes(self, cut, junk):
         load_bytes(load_checkpoint, VALID_CHECKPOINT[:cut] + junk + VALID_CHECKPOINT[cut + 1:])
         load_bytes(load_checkpoint, VALID_CHECKPOINT[:cut])
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6)
+NAMES = st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True)
+
+
+class TestCheckpointRoundtrip:
+    @FEW
+    @given(variant=st.sampled_from(VARIANTS), dims=st.tuples(*[st.integers(1, 3)] * 3),
+           terms=NAMES, labels=NAMES, extra=st.dictionaries(st.text(max_size=6), JSON,
+                                                          max_size=3),
+           scale=st.sampled_from([1e-310, 1.0, 1e300]), seed=st.integers(0, 2 ** 16))
+    def test_save_then_load_gives_everything_back(self, variant, dims, terms, labels,
+                                                  extra, scale, seed):
+        rng = np.random.default_rng(seed)
+        params = init_for_variant(variant, len(terms), len(labels), *dims, rng)
+        for _, t in params.named_parameters():
+            t.data = rng.standard_normal(t.shape) * scale
+            t.data[0, 0] = -0.0
+        config = {**extra, "variant": variant}
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "model.ckpt")
+            save_checkpoint(path, config, params, terms, labels)
+            loaded_config, loaded, loaded_terms, loaded_labels = load_checkpoint(path)
+        assert (loaded_config, loaded_terms, loaded_labels) == (config, terms, labels)
+        stored = dict(loaded.named_parameters())
+        for name, t in params.named_parameters():
+            assert stored[name].data.tobytes() == t.data.tobytes(), name
+
+
+@st.composite
+def datasets(draw):
+    """A graph and corpus with arbitrary node ids, lower-case terms and labels."""
+    n = draw(st.integers(1, 6))
+    node_ids = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n,
+                             unique=True))
+    terms = draw(st.lists(st.text("abcxyz019-é", min_size=1, max_size=4), min_size=1,
+                          max_size=6, unique=True))
+    label_names = draw(st.lists(st.text("ABCxyz_ 9", min_size=1, max_size=4), min_size=1,
+                                max_size=3, unique=True))
+    term, label, node = (st.integers(0, len(terms) - 1), st.integers(0, len(label_names) - 1),
+                         st.integers(0, n - 1))
+    corpus = ContentCorpus(node_ids=node_ids,
+                           contents=draw(st.lists(st.lists(term, min_size=1, max_size=5),
+                                                  min_size=n, max_size=n)),
+                           labels=draw(st.lists(label, min_size=n, max_size=n)),
+                           label_names=label_names, vocab_size=len(terms))
+    edges = draw(st.lists(st.tuples(node, node), max_size=8))
+    return Graph(n, edges), corpus, Vocabulary(terms)
+
+
+def write_and_load(scratch, graph, corpus, vocab):
+    content_path, edges_path = write_dataset(scratch, corpus, vocab, graph)
+    loaded, loaded_vocab = load_corpus(content_path)
+    return build_graph(loaded.node_ids, load_edge_list(edges_path)), loaded, loaded_vocab
+
+
+class TestDatasetRoundtrip:
+    @FEW
+    @given(case=datasets())
+    def test_write_then_load_reproduces_the_dataset(self, case):
+        graph, corpus, vocab = case
+        with tempfile.TemporaryDirectory() as scratch:
+            loaded_graph, loaded, loaded_vocab = write_and_load(scratch, graph, corpus, vocab)
+            again_graph, again, again_vocab = write_and_load(
+                os.path.join(scratch, "again"), loaded_graph, loaded, loaded_vocab)
+        assert loaded.node_ids == corpus.node_ids
+        assert loaded_graph.edges == graph.edges
+        for k in range(corpus.n):
+            assert ([loaded_vocab.terms[t] for t in loaded.contents[k]]
+                    == [vocab.terms[t] for t in corpus.contents[k]])
+            assert (loaded.label_names[loaded.labels[k]]
+                    == corpus.label_names[corpus.labels[k]])
+        assert again == loaded and again_vocab.terms == loaded_vocab.terms
+        assert again_graph.edges == loaded_graph.edges
+
+
+CONFIG_KEYS = st.sampled_from(sorted(ExperimentConfig().to_dict())) | st.text(max_size=6)
+AXES = st.sampled_from(["d_i", "d_o", "d_h", "p", "noise-inject", "noise-replace"])
+# mostly valid specs, so the generated values also reach the data paths
+SPECS = st.fixed_dictionaries(
+    {"axis": AXES | JSON, "values": st.just([2]) | JSON,
+     "content": st.text(max_size=4) | JSON, "edges": st.text(max_size=4) | JSON},
+    optional={"variants": st.just(["self"]) | JSON, "seeds": st.just([1]) | JSON}) | JSON
+
+
+class TestJsonInputsRaiseOnlyConfigErrors:
+    @FEW
+    @given(data=st.dictionaries(CONFIG_KEYS, JSON, max_size=4))
+    def test_experiment_config_from_dict(self, data):
+        try:
+            ExperimentConfig.from_dict(data)
+        except ConfigError:
+            pass
+
+    @FEW
+    @given(spec=SPECS)
+    @example(spec={"axis": "d_h", "values": [2], "content": "a\x00", "edges": "b"})
+    def test_sweep_spec(self, spec):
+        with tempfile.TemporaryDirectory() as scratch:
+            config_path = os.path.join(scratch, "config.json")
+            spec_path = os.path.join(scratch, "sweep.json")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump({"epochs": 1}, fh)
+            with open(spec_path, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            with redirect_stderr(io.StringIO()) as err:
+                code = cmd_sweep(config_path, spec_path, os.path.join(scratch, "out.csv"),
+                                 quiet=True)
+        assert code == 2
+        assert err.getvalue().startswith("error: ")

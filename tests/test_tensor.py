@@ -165,14 +165,12 @@ class TestStructuralOps:
         counts = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
         np.testing.assert_array_equal(x.grad, counts[:, None] * np.ones((5, 3)))
 
-    def test_stack_rows_routes_gradients(self, rng):
-        parts = [Tensor(rng.standard_normal((1, 3))) for _ in range(4)]
-        weights = rng.standard_normal((4, 3))
+    def test_take_rows_adds_to_an_existing_gradient(self, rng):
+        x = Tensor(rng.standard_normal((4, 2)))
         with Tape() as tape:
-            stacked = T.stack_rows(parts)
-            tape.backward(T.sum_all(T.mul(T.constant(weights), stacked)))
-        for k, p in enumerate(parts):
-            np.testing.assert_array_equal(p.grad, weights[k:k + 1])
+            out = T.add(T.take_rows(x, [3, 3, 0]), T.take_rows(x, [1, 3, 2]))
+            tape.backward(T.sum_all(out))
+        np.testing.assert_array_equal(x.grad, [[1, 1], [1, 1], [1, 1], [3, 3]])
 
     def test_transpose_backward(self, rng):
         x = Tensor(rng.standard_normal((2, 5)))
