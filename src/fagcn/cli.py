@@ -32,8 +32,8 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .graph import build_graph, load_edge_list
 from .model import export_attention
 from .noise import noise_sweep, sweep_rows_to_csv
-from .training import (ExperimentConfig, check_type, evaluate, run_cell,
-                       sweep_cells, train)
+from .training import (ExperimentConfig, check_cells, check_type, evaluate,
+                       run_cell, sweep_cells, train)
 from .util import atomic_write_text, derive_rng, sha256_file
 
 EXIT_OK = 0
@@ -174,13 +174,10 @@ def _param_sweep(config: ExperimentConfig, graph, corpus, field: str,
                  values: list, variants: list[str], seeds: list[int],
                  max_workers: int = 1) -> str:
     points = [(value, variant) for value in values for variant in variants]
-
-    def run(point: tuple, seed: int) -> float:
-        value, variant = point
-        return run_cell(dc_replace(config, variant=variant, **{field: value}),
-                        graph, corpus, seed)
-
-    results = sweep_cells(run, points, seeds, max_workers)
+    configs = [dc_replace(config, variant=variant, **{field: value}) for value, variant in points]
+    check_cells(configs, seeds)
+    results = sweep_cells(lambda cell_config, seed: run_cell(cell_config, graph, corpus, seed),
+                          configs, seeds, max_workers)
     seed_list = ";".join(str(s) for s in seeds)
     lines = ["axis,value,variant,mean_accuracy,std_accuracy,seeds"]
     lines += [f"{field},{value:g},{variant},{r.mean:.4f},{r.std:.4f},{seed_list}"
@@ -207,6 +204,8 @@ def cmd_sweep(config_path, sweep_spec_path, out_csv, *, seed: int | None = None,
     (data paths, relative to the spec file), and optional variants and
     seeds lists.
     """
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     config = _load_config(config_path, seed)
     spec = _load_json(sweep_spec_path)
     axis, axes = spec.get("axis"), sorted(PARAM_AXES) + sorted(NOISE_AXES)

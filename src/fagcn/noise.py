@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import ContentCorpus
 from .errors import ConfigError
 from .graph import Graph
-from .training import ExperimentConfig, run_cell, sweep_cells
+from .training import ExperimentConfig, check_cells, run_cell, sweep_cells
 from .util import derive_rng, round_half_up
 
 PROTOCOLS = ("inject", "replace")
@@ -115,12 +115,14 @@ def noise_sweep(base_config: ExperimentConfig, graph: Graph, corpus: ContentCorp
         raise ConfigError("noise_sweep needs at least one ratio, variant and seed")
     for ratio in ratios:
         NoiseSpec(protocol, ratio, seeds[0]).validate()
+    configs = {variant: dc_replace(base_config, variant=variant) for variant in variants}
+    check_cells(configs.values(), seeds)
     points = [(ratio, variant) for ratio in ratios for variant in variants]
 
     def run(point: tuple[float, str], seed: int) -> float:
         ratio, variant = point
         noisy = corrupt(corpus, protocol, ratio, derive_rng(seed, "noise"))
-        return run_cell(dc_replace(base_config, variant=variant), graph, noisy, seed)
+        return run_cell(configs[variant], graph, noisy, seed)
 
     results = sweep_cells(run, points, seeds, max_workers)
     return [SweepRow(protocol=protocol, ratio=ratio, variant=variant,

@@ -2,10 +2,18 @@
 
 All model math in this package runs through the operations below. Each
 operation computes its result eagerly with numpy and, while a ``Tape`` is
-active, records a closure that routes gradients back to its inputs.
+active, records a step that routes gradients back to its inputs.
 Running the tape backwards (reverse recorded order) is therefore a valid
 backpropagation schedule: an operation's output gradient is always
-complete before its closure fires.
+complete before its step fires.
+
+An operation records through ``_op``: it passes its result, its inputs
+and one gradient function per input (the vector-Jacobian product), and
+``_op`` owns the rest of the protocol. Two steps are written by hand,
+because their input gradients share work that one function per input
+would do twice: ``gather_segment_sum`` gathers the output gradient once
+for both inputs, and ``lstm._run_direction`` runs one reverse sweep
+through time for the sequence and all eight gate parameters.
 
 Vectors are represented as 1-row matrices throughout.
 """
@@ -154,6 +162,31 @@ def _wants_tape(*inputs: Tensor) -> Tape | None:
     return None
 
 
+def _op(data: Array, inputs: Sequence[Tensor],
+        grads: Sequence[Callable[[Array], Array]]) -> Tensor:
+    """The result ``data`` of an op on ``inputs``, recorded on the active tape.
+
+    ``grads[k]`` maps the output gradient to input k's gradient contribution
+    (its vector-Jacobian product) and must return a new array, which the
+    input then owns. It is called only for an input that requires a
+    gradient, and only once the output has received one.
+    """
+    out = _new(data, any(t.requires_grad for t in inputs))
+    tape = _wants_tape(*inputs)
+    if tape is not None:
+
+        def step() -> None:
+            g = out.grad
+            if g is None:
+                return
+            for t, grad in zip(inputs, grads):
+                if t.requires_grad:
+                    _accumulate_owned(t, grad(g))
+
+        tape.record(step)
+    return out
+
+
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
@@ -177,22 +210,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product a @ b."""
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out = _new(a.data @ b.data, a.requires_grad or b.requires_grad)
-    tape = _wants_tape(a, b)
-    if tape is not None:
-        a_data, b_data = a.data, b.data
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accumulate_owned(a, g @ b_data.T)
-            if b.requires_grad:
-                _accumulate_owned(b, a_data.T @ g)
-
-        tape.record(step)
-    return out
+    a_data, b_data = a.data, b.data
+    return _op(a_data @ b_data, (a, b), (lambda g: g @ b_data.T, lambda g: a_data.T @ g))
 
 
 def _broadcastable(a: Tensor, b: Tensor) -> None:
@@ -204,42 +223,17 @@ def _broadcastable(a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; 1-row or 1-column operands broadcast."""
     _broadcastable(a, b)
-    out = _new(a.data + b.data, a.requires_grad or b.requires_grad)
-    tape = _wants_tape(a, b)
-    if tape is not None:
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g, b.data.shape))
-
-        tape.record(step)
-    return out
+    a_shape, b_shape = a.data.shape, b.data.shape
+    return _op(a.data + b.data, (a, b), (lambda g: _unbroadcast(g, a_shape).copy(),
+                                         lambda g: _unbroadcast(g, b_shape).copy()))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product with broadcasting."""
     _broadcastable(a, b)
-    out = _new(a.data * b.data, a.requires_grad or b.requires_grad)
-    tape = _wants_tape(a, b)
-    if tape is not None:
-        a_data, b_data = a.data, b.data
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _accumulate_owned(a, _unbroadcast(g * b_data, a_data.shape))
-            if b.requires_grad:
-                _accumulate_owned(b, _unbroadcast(g * a_data, b_data.shape))
-
-        tape.record(step)
-    return out
+    a_data, b_data = a.data, b.data
+    return _op(a_data * b_data, (a, b), (lambda g: _unbroadcast(g * b_data, a_data.shape),
+                                         lambda g: _unbroadcast(g * a_data, b_data.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,45 +241,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def scale(x: Tensor, factor: float) -> Tensor:
-    out = _new(x.data * factor, x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                _accumulate_owned(x, out.grad * factor)
-
-        tape.record(step)
-    return out
+    return _op(x.data * factor, (x,), (lambda g: g * factor,))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = _new(y, x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                _accumulate_owned(x, out.grad * (1.0 - y * y))
-
-        tape.record(step)
-    return out
+    return _op(y, (x,), (lambda g: g * (1.0 - y * y),))
 
 
 def relu(x: Tensor) -> Tensor:
-    y = np.maximum(0.0, x.data)
-    out = _new(y, x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-        mask = x.data > 0.0
-
-        def step() -> None:
-            if out.grad is not None:
-                _accumulate_owned(x, out.grad * mask)
-
-        tape.record(step)
-    return out
+    x_data = x.data
+    return _op(np.maximum(0.0, x_data), (x,), (lambda g: g * (x_data > 0.0),))
 
 
 def rowwise_softmax(x: Tensor) -> Tensor:
@@ -293,35 +259,14 @@ def rowwise_softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
-    out = _new(y, x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _accumulate_owned(x, y * (g - dot))
-
-        tape.record(step)
-    return out
+    return _op(y, (x,), (lambda g: y * (g - (g * y).sum(axis=1, keepdims=True)),))
 
 
 def safe_log(x: Tensor, floor: float = 1e-12) -> Tensor:
     """Natural log with inputs clamped at ``floor`` so log(0) cannot occur."""
-    clamped = np.maximum(x.data, floor)
-    out = _new(np.log(clamped), x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-        active = x.data > floor
-
-        def step() -> None:
-            if out.grad is not None:
-                _accumulate_owned(x, out.grad * active / clamped)
-
-        tape.record(step)
-    return out
+    x_data = x.data
+    clamped = np.maximum(x_data, floor)
+    return _op(np.log(clamped), (x,), (lambda g: g * (x_data > floor) / clamped,))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -339,16 +284,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
         raise ConfigError("dropout in training mode needs a random generator")
     keep = rng.random(x.data.shape) >= p
     factor = 1.0 / (1.0 - p)
-    out = _new(x.data * keep * factor, x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                _accumulate_owned(x, out.grad * keep * factor)
-
-        tape.record(step)
-    return out
+    return _op(x.data * keep * factor, (x,), (lambda g: g * keep * factor,))
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +292,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
 # ---------------------------------------------------------------------------
 
 def transpose(x: Tensor) -> Tensor:
-    out = _new(x.data.T.copy(), x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                x.accumulate_grad(out.grad.T)
-
-        tape.record(step)
-    return out
+    return _op(x.data.T.copy(), (x,), (lambda g: g.T.copy(),))
 
 
 def _row_indices(indices: Sequence[int], x: Tensor) -> Array:
@@ -375,29 +302,20 @@ def _row_indices(indices: Sequence[int], x: Tensor) -> Array:
     return idx
 
 
-def _scatter_rows(x: Tensor, idx: Array, g: Array, factor: Array | None = None) -> None:
-    # row t of g (times factor) into row idx[t] of x's gradient, scaling g
-    # in place; one bincount over the flattened entries is several times
-    # faster than np.add.at
+def _scatter_rows(x: Tensor, idx: Array, g: Array, factor: Array | None = None) -> Array:
+    # a new array of x's shape holding row t of g (times factor) summed
+    # into row idx[t], scaling g in place; one bincount over the flattened
+    # entries is several times faster than np.add.at
     if factor is not None:
         g *= factor
     flat = (idx[:, None] * x.cols + np.arange(x.cols)).ravel()
-    _accumulate_owned(x, np.bincount(flat, g.ravel(), x.data.size).reshape(x.shape))
+    return np.bincount(flat, g.ravel(), x.data.size).reshape(x.shape)
 
 
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows by index (repeats allowed); backward scatter-adds."""
     idx = _row_indices(indices, x)
-    out = _new(x.data[idx], x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                _scatter_rows(x, idx, out.grad)
-
-        tape.record(step)
-    return out
+    return _op(x.data[idx], (x,), (lambda g: _scatter_rows(x, idx, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -406,31 +324,14 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum every entry into a 1x1 tensor."""
-    out = _new(np.array([[x.data.sum()]]), x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is not None:
-                _accumulate_owned(x, np.full(x.data.shape, out.grad[0, 0]))
-
-        tape.record(step)
-    return out
+    return _op(np.array([[x.data.sum()]]), (x,), (lambda g: np.full(x.data.shape, g[0, 0]),))
 
 
 def frobenius_sq(x: Tensor) -> Tensor:
     """Squared Frobenius norm as a 1x1 tensor."""
-    out = _new(np.array([[float((x.data * x.data).sum())]]), x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-        x_data = x.data
-
-        def step() -> None:
-            if out.grad is not None:
-                _accumulate_owned(x, (2.0 * out.grad[0, 0]) * x_data)
-
-        tape.record(step)
-    return out
+    x_data = x.data
+    return _op(np.array([[float((x_data * x_data).sum())]]), (x,),
+               (lambda g: (2.0 * g[0, 0]) * x_data,))
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +353,7 @@ def segment_softmax(x: Tensor, starts: Sequence[int]) -> Tensor:
     starts, seg = _segments(starts, x.data.shape[0])
     e = np.exp(x.data - np.maximum.reduceat(x.data, starts)[seg])
     y = e / np.add.reduceat(e, starts)[seg]
-    out = _new(y, x.requires_grad)
-    tape = _wants_tape(x)
-    if tape is not None:
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accumulate_owned(x, y * (g - np.add.reduceat(g * y, starts)[seg]))
-
-        tape.record(step)
-    return out
+    return _op(y, (x,), (lambda g: y * (g - np.add.reduceat(g * y, starts)[seg]),))
 
 
 def gather_dot(a: Tensor, a_rows: Sequence[int], b: Tensor, b_rows: Sequence[int]) -> Tensor:
@@ -471,29 +361,18 @@ def gather_dot(a: Tensor, a_rows: Sequence[int], b: Tensor, b_rows: Sequence[int
     ia, ib = _row_indices(a_rows, a), _row_indices(b_rows, b)
     if ia.size != ib.size or a.data.shape[1] != b.data.shape[1]:
         raise ShapeError(f"gather_dot: {ia.size} rows of {a.shape}, {ib.size} of {b.shape}")
-    out = _new(np.einsum("ij,ij->i", a.data[ia], b.data[ib])[:, None],
-               a.requires_grad or b.requires_grad)
-    tape = _wants_tape(a, b)
-    if tape is not None:
-
-        def step() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                _scatter_rows(a, ia, b.data[ib], g)
-            if b.requires_grad:
-                _scatter_rows(b, ib, a.data[ia], g)
-
-        tape.record(step)
-    return out
+    return _op(np.einsum("ij,ij->i", a.data[ia], b.data[ib])[:, None], (a, b),
+               (lambda g: _scatter_rows(a, ia, b.data[ib], g),
+                lambda g: _scatter_rows(b, ib, a.data[ia], g)))
 
 
 def gather_segment_sum(weights: Tensor, x: Tensor, rows: Sequence[int],
                        starts: Sequence[int]) -> Tensor:
     """Row k is the sum of weights[t] * x[rows[t]] over the rows t of segment k.
     The gathered rows live only inside the forward and backward steps, so
-    the tape keeps no (len(rows) x cols) matrix alive."""
+    the tape keeps no (len(rows) x cols) matrix alive. Its step is its own,
+    not ``_op``'s: both input gradients read one gather of the output
+    gradient."""
     idx = _row_indices(rows, x)
     if weights.data.shape != (idx.size, 1):
         raise ShapeError(f"weights of shape {weights.shape} do not fit {idx.size} gathered rows")
@@ -510,7 +389,7 @@ def gather_segment_sum(weights: Tensor, x: Tensor, rows: Sequence[int],
             if weights.requires_grad:
                 _accumulate_owned(weights, np.einsum("ij,ij->i", g, x.data[idx])[:, None])
             if x.requires_grad:
-                _scatter_rows(x, idx, g, weights.data)
+                _accumulate_owned(x, _scatter_rows(x, idx, g, weights.data))
 
         tape.record(step)
     return out

@@ -7,7 +7,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -250,7 +250,15 @@ class RepeatResult:
                    accuracies=list(accuracies))
 
 
-def sweep_cells(run: Callable[[tuple, int], float], points: Sequence[tuple],
+def check_cells(configs: Iterable[ExperimentConfig], seeds: Sequence[int]) -> None:
+    """Validate the config of every (config, seed) cell of a sweep, so that
+    a bad cell fails before any cell trains."""
+    for config in configs:
+        for seed in seeds:
+            replace(config, seed=seed).validate()
+
+
+def sweep_cells(run: Callable[[Any, int], float], points: Sequence,
                 seeds: Sequence[int], max_workers: int = 1) -> list[RepeatResult]:
     """The accuracies ``run(point, seed)`` over ``seeds``, aggregated per
     point in point order. With ``max_workers`` > 1 the cells run on that

@@ -209,6 +209,48 @@ class TestSweepCommand:
         assert threaded.read_bytes() == serial.read_bytes()
 
 
+    @pytest.mark.parametrize("axis, values, variants, seeds", [
+        ("d_h", [3, 4], ["self", "bogus"], [1, 2]),
+        ("d_h", [4, 0], ["self"], [1, 2]),
+        ("p", [0.4, 1.5], ["self"], [1, 2]),
+        ("d_h", [3], ["self"], [1, -1]),
+        ("noise-inject", [0.0, 0.2], ["none", "bogus"], [1, 2]),
+    ])
+    def test_every_cell_is_validated_before_any_trains(self, dataset, config_path, tmp_path,
+                                                       monkeypatch, axis, values, variants,
+                                                       seeds):
+        spec = self.write_spec(tmp_path, dataset, {
+            "axis": axis, "values": values, "variants": variants, "seeds": seeds})
+        calls = []
+        real_train = fagcn.training.train
+
+        def counting_train(*args):
+            calls.append(args)
+            return real_train(*args)
+
+        monkeypatch.setattr(fagcn.training, "train", counting_train)
+        out = tmp_path / "out.csv"
+        assert main(["--quiet", "sweep", "--config", str(config_path), "--spec", str(spec),
+                     "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_are_input_errors(self, dataset, config_path, tmp_path,
+                                                monkeypatch, threads):
+        spec = self.write_spec(tmp_path, dataset, {
+            "axis": "d_h", "values": [3], "variants": ["self"], "seeds": [1]})
+
+        def no_loading(*args):
+            raise AssertionError("loaded data although --threads is invalid")
+
+        monkeypatch.setattr(fagcn.cli, "_load_data", no_loading)
+        out = tmp_path / "out.csv"
+        assert main(["--quiet", "--threads", threads, "sweep", "--config", str(config_path),
+                     "--spec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestExportAttention:
     def test_export_record(self, dataset, config_path, tmp_path):
         out = tmp_path / "run"

@@ -156,6 +156,18 @@ class TestNoiseSweep:
             noise_sweep(self.sweep_config(), graph, corpus, protocol, ratios, ["self"], [1])
         assert trained == []
 
+    @pytest.mark.parametrize("variants, seeds", [(["self", "bogus"], [1]),
+                                                 (["self"], [1, -2])])
+    def test_every_cell_is_validated_before_any_cell_trains(self, monkeypatch,
+                                                            variants, seeds):
+        graph, corpus, _ = two_cluster_fixture()
+        trained = []
+        monkeypatch.setattr("fagcn.noise.run_cell", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError):
+            noise_sweep(self.sweep_config(), graph, corpus, "inject", [0.0, 0.5],
+                        variants, seeds)
+        assert trained == []
+
     @pytest.mark.parametrize("ratios, variants, seeds", [([], ["self"], [1]),
                                                         ([0.1], [], [1]),
                                                         ([0.1], ["self"], [])])

@@ -338,6 +338,78 @@ class TestTape:
         assert np.array_equal(a, b)
 
 
+# every taped op, applied to (4 x 3) inputs a, b and a (1 x 3) row; the
+# "_self" entries pass one tensor as two inputs
+OPS = {
+    "matmul": lambda a, b, row: T.matmul(a, T.transpose(b)),
+    "add": lambda a, b, row: T.add(a, b),
+    "add_broadcast": lambda a, b, row: T.add(a, row),
+    "add_self": lambda a, b, row: T.add(a, a),
+    "mul": lambda a, b, row: T.mul(a, b),
+    "mul_broadcast": lambda a, b, row: T.mul(row, a),
+    "mul_self": lambda a, b, row: T.mul(a, a),
+    "scale": lambda a, b, row: T.scale(a, -2.0),
+    "tanh": lambda a, b, row: T.tanh(a),
+    "relu": lambda a, b, row: T.relu(a),
+    "rowwise_softmax": lambda a, b, row: T.rowwise_softmax(a),
+    "safe_log": lambda a, b, row: T.safe_log(T.relu(a)),
+    "dropout": lambda a, b, row: T.dropout(a, 0.5, np.random.default_rng(3), training=True),
+    "transpose": lambda a, b, row: T.transpose(a),
+    "take_rows": lambda a, b, row: T.take_rows(a, [3, 0, 3]),
+    "sum_all": lambda a, b, row: T.sum_all(a),
+    "frobenius_sq": lambda a, b, row: T.frobenius_sq(a),
+    "segment_softmax": lambda a, b, row: T.segment_softmax(a, [0, 1]),
+    "gather_dot": lambda a, b, row: T.gather_dot(a, [0, 2, 2], b, [1, 1, 3]),
+    "gather_dot_self": lambda a, b, row: T.gather_dot(a, [0, 2, 2], a, [1, 1, 3]),
+    "gather_segment_sum": lambda a, b, row: T.gather_segment_sum(
+        T.transpose(row), a, [3, 0, 3], [0, 2]),
+}
+
+
+class TestOpContract:
+    @pytest.mark.parametrize("name", OPS)
+    def test_gradients_share_no_memory(self, rng, name):
+        a, b = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((4, 3)))
+        row = Tensor(rng.standard_normal((1, 3)))
+        with Tape() as tape:
+            out = OPS[name](a, b, row)
+            probe = T.constant(rng.standard_normal(out.shape))
+            tape.backward(T.sum_all(T.mul(probe, out)))
+        tensors = [t for t in (a, b, row, out) if t.grad is not None]
+        assert len(tensors) >= 2
+        for t in tensors:
+            before = [u.grad.copy() for u in tensors]
+            t.grad += 1.0
+            for u, grad in zip(tensors, before):
+                if u is not t:
+                    np.testing.assert_array_equal(u.grad, grad)
+
+    def test_constant_inputs_get_no_gradient_call(self, rng):
+        def never(g):
+            raise AssertionError("gradient function of a constant was called")
+
+        x = Tensor(rng.standard_normal((2, 3)))
+        c = T.constant(rng.standard_normal((2, 3)))
+        with Tape() as tape:
+            out = T._op(x.data + c.data, (x, c), (lambda g: g.copy(), never))
+            assert T._op(c.data, (c,), (never,)).requires_grad is False
+            assert len(tape) == 1
+            tape.backward(T.sum_all(out))
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        assert c.grad is None
+
+    def test_unused_outputs_get_no_gradient_call(self, rng):
+        def never(g):
+            raise AssertionError("gradient function of an unused output was called")
+
+        x = Tensor(rng.standard_normal((2, 3)))
+        with Tape() as tape:
+            unused = T._op(2.0 * x.data, (x,), (never,))
+            tape.backward(T.sum_all(x))
+        assert unused.grad is None
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
 class TestGradCheck:
     @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
     def test_linear_function(self, eps):
