@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError, FagcnError, NumericError, ShapeError
 from .graph import Graph, Neighborhood, build_graph, load_edge_list, neighborhood, normalized_adjacency
 from .lstm import LstmDirectionParams, bilstm_encode, lstm_forward
 from .model import BaselineParams, LabelMatrix, ModelParams, forward, loss
-from .noise import NoiseSpec, inject_noise, noise_sweep, replace_noise
+from .noise import NoiseSpec, inject_noise, noise_sweep, replace_noise, sweep
 from .tensor import Tape, Tensor, grad_check
 from .training import (AdamState, ExperimentConfig, TrainHistory, adam_step,
                        evaluate, repeat_experiment, train)
@@ -30,7 +30,7 @@ __all__ = [
     "normalized_adjacency",
     "LstmDirectionParams", "bilstm_encode", "lstm_forward",
     "BaselineParams", "LabelMatrix", "ModelParams", "forward", "loss",
-    "NoiseSpec", "inject_noise", "noise_sweep", "replace_noise",
+    "NoiseSpec", "inject_noise", "noise_sweep", "replace_noise", "sweep",
     "Tape", "Tensor", "grad_check",
     "AdamState", "ExperimentConfig", "TrainHistory", "adam_step",
     "evaluate", "repeat_experiment", "train",

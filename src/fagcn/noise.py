@@ -1,5 +1,5 @@
-"""Content-noise interventions and the sweep driver for robustness
-curves.
+"""Content-noise interventions and the one sweep driver, over noise
+ratios and hyperparameters alike.
 
 Both protocols sample replacement/injection tokens uniformly from the
 corpus's existing vocabulary, so the embedding table (and the baseline's
@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import ContentCorpus
 from .errors import ConfigError
 from .graph import Graph
-from .training import ExperimentConfig, check_cells, run_cell, sweep_cells
+from .training import ExperimentConfig, check_type, run_cell, sweep_cells
 from .util import derive_rng, round_half_up
 
 PROTOCOLS = ("inject", "replace")
@@ -33,6 +33,7 @@ class NoiseSpec:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"noise protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        check_type(f"{self.protocol} ratio", self.ratio, "float")
         bound = 1.0 if self.protocol == "inject" else 0.5
         if not 0.0 <= self.ratio <= bound:
             raise ConfigError(
@@ -91,7 +92,8 @@ def corrupt(corpus: ContentCorpus, protocol: str, ratio: float,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One aggregated sweep cell, ready for CSV emission."""
+    """One aggregated sweep cell, ready for CSV emission. On a parameter
+    axis ``protocol`` holds the config field and ``ratio`` its value."""
 
     protocol: str
     ratio: float
@@ -101,38 +103,56 @@ class SweepRow:
     seeds: tuple[int, ...]
 
 
-def noise_sweep(base_config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
+# What each sweep axis varies: a config field, or the corpus by a noise protocol.
+AXES = {"d_i": "embed_dim", "d_o": "feature_dim", "d_h": "hidden_dim",
+        "p": "train_fraction", "noise-inject": "inject", "noise-replace": "replace"}
+
+
+def sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus, axis: str,
+          values: list, variants: list[str], seeds: list[int],
+          max_workers: int = 1) -> list[SweepRow]:
+    """Train and evaluate every (value, variant, seed) cell of one axis,
+    after validating every value and cell. On a noise axis all variants at
+    a (value, seed) see the same corrupted corpus. Cells may run on worker
+    threads; rows come back in (value, variant) order."""
+    if not isinstance(axis, str) or axis not in AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {sorted(AXES)}")
+    if not (values and variants and seeds):
+        raise ConfigError("a sweep needs at least one value, variant and seed")
+    target = AXES[axis]
+    noise = target in PROTOCOLS
+    points = [(value, variant) for value in values for variant in variants]
+    configs = [dc_replace(config, variant=variant, **({} if noise else {target: value}))
+               for value, variant in points]
+    for (value, _), cell_config in zip(points, configs):
+        if noise:
+            NoiseSpec(target, value, seeds[0]).validate()
+        for seed in seeds:
+            dc_replace(cell_config, seed=seed).validate()
+
+    def run(k: int, seed: int) -> float:
+        value = points[k][0]
+        data = corrupt(corpus, target, value, derive_rng(seed, "noise")) if noise else corpus
+        return run_cell(configs[k], graph, data, seed)
+
+    results = sweep_cells(run, range(len(points)), seeds, max_workers)
+    return [SweepRow(protocol=target, ratio=value, variant=variant,
+                     mean_accuracy=r.mean, std_accuracy=r.std, seeds=tuple(seeds))
+            for (value, variant), r in zip(points, results)]
+
+
+def noise_sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
                 protocol: str, ratios: list[float], variants: list[str],
                 seeds: list[int], max_workers: int = 1) -> list[SweepRow]:
-    """Train and evaluate every (ratio, variant, seed) cell.
-
-    All variants at a given (ratio, seed) see the identical corrupted
-    corpus, so rows are directly comparable. Cells are independent and
-    may run on worker threads; rows come back in (ratio, variant) order
-    regardless of completion order.
-    """
-    if not (ratios and variants and seeds):
-        raise ConfigError("noise_sweep needs at least one ratio, variant and seed")
-    for ratio in ratios:
-        NoiseSpec(protocol, ratio, seeds[0]).validate()
-    configs = {variant: dc_replace(base_config, variant=variant) for variant in variants}
-    check_cells(configs.values(), seeds)
-    points = [(ratio, variant) for ratio in ratios for variant in variants]
-
-    def run(point: tuple[float, str], seed: int) -> float:
-        ratio, variant = point
-        noisy = corrupt(corpus, protocol, ratio, derive_rng(seed, "noise"))
-        return run_cell(configs[variant], graph, noisy, seed)
-
-    results = sweep_cells(run, points, seeds, max_workers)
-    return [SweepRow(protocol=protocol, ratio=ratio, variant=variant,
-                     mean_accuracy=r.mean, std_accuracy=r.std, seeds=tuple(seeds))
-            for (ratio, variant), r in zip(points, results)]
+    """``sweep`` along the ``noise-<protocol>`` axis."""
+    return sweep(config, graph, corpus, f"noise-{protocol}", ratios, variants, seeds, max_workers)
 
 
 def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
-    """Render sweep rows as CSV with 4-decimal accuracies."""
-    lines = ["protocol,ratio,variant,mean_accuracy,std_accuracy,seeds"]
+    """Render sweep rows as CSV with 4-decimal accuracies, under a
+    ``protocol,ratio`` header for a noise axis and ``axis,value`` else."""
+    head = "protocol,ratio" if not rows or rows[0].protocol in PROTOCOLS else "axis,value"
+    lines = [f"{head},variant,mean_accuracy,std_accuracy,seeds"]
     for r in rows:
         seed_list = ";".join(str(s) for s in r.seeds)
         lines.append(f"{r.protocol},{r.ratio:g},{r.variant},"

@@ -4,10 +4,9 @@ and repeated-trial statistics."""
 from __future__ import annotations
 
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -106,7 +105,6 @@ class TrainHistory:
 
     losses: list[float] = field(default_factory=list)
     test_accuracy: float = 0.0
-    seconds: float = 0.0
 
 
 class AdamState:
@@ -155,6 +153,16 @@ def init_params(config: ExperimentConfig, corpus: ContentCorpus,
                             config.embed_dim, config.feature_dim, config.hidden_dim, rng)
 
 
+def _node_indices(name: str, idx, n: int) -> np.ndarray:
+    """``idx`` as an index array, or a ConfigError unless every entry is an
+    int in [0, n)."""
+    idx = np.asarray(list(idx))
+    if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu"
+                     or idx.min() < 0 or idx.max() >= n):
+        raise ConfigError(f"{name} indices must be ints in [0, {n})")
+    return idx
+
+
 def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentCorpus, *,
             layer1_normalize: bool = False,
             operators: GraphOperators | None = None) -> np.ndarray:
@@ -173,8 +181,8 @@ def evaluate(params: ModelParams | BaselineParams, graph: Graph, corpus: Content
     Argmax ties break to the lowest class id. Always runs in evaluation
     mode regardless of how the parameters were trained.
     """
-    test_idx = list(test_idx)
-    if not test_idx:
+    test_idx = _node_indices("test", test_idx, corpus.n)
+    if not test_idx.size:
         raise ConfigError("evaluate needs a non-empty test set")
     z = predict(params, graph, corpus, layer1_normalize=layer1_normalize,
                 operators=operators)
@@ -194,7 +202,10 @@ def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
     substreams of the master seed.
     """
     _check_inputs(config, graph, corpus)
-    started = time.perf_counter()
+    train_idx = _node_indices("train", dataset_split.train_idx, corpus.n)
+    test_idx = _node_indices("test", dataset_split.test_idx, corpus.n)
+    if not set(train_idx.tolist()).isdisjoint(test_idx.tolist()):
+        raise ConfigError("the train and test sets overlap")
     rng_init = derive_rng(config.seed, "init")
     rng_dropout = derive_rng(config.seed, "dropout")
     params = init_params(config, corpus, rng_init)
@@ -218,10 +229,9 @@ def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
             tape.backward(epoch_loss)
         adam_step(named, state, config.lr)
         history.losses.append(value)
-    history.test_accuracy = evaluate(params, graph, corpus, dataset_split.test_idx,
+    history.test_accuracy = evaluate(params, graph, corpus, test_idx,
                                      layer1_normalize=config.layer1_normalize,
                                      operators=operators)
-    history.seconds = time.perf_counter() - started
     return params, history
 
 
@@ -248,14 +258,6 @@ class RepeatResult:
         """Sample mean and population standard deviation."""
         return cls(mean=float(np.mean(accuracies)), std=float(np.std(accuracies)),
                    accuracies=list(accuracies))
-
-
-def check_cells(configs: Iterable[ExperimentConfig], seeds: Sequence[int]) -> None:
-    """Validate the config of every (config, seed) cell of a sweep, so that
-    a bad cell fails before any cell trains."""
-    for config in configs:
-        for seed in seeds:
-            replace(config, seed=seed).validate()
 
 
 def sweep_cells(run: Callable[[Any, int], float], points: Sequence,

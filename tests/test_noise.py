@@ -2,6 +2,7 @@
 determinism, and sweep table shape."""
 
 from collections import Counter
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from fagcn.corpus import ContentCorpus
 from fagcn.datasets import two_cluster_fixture
 from fagcn.errors import ConfigError
 from fagcn.noise import (NoiseSpec, corrupt, inject_noise, noise_sweep,
-                         replace_noise, sweep_rows_to_csv)
-from fagcn.training import ExperimentConfig
+                         replace_noise, sweep, sweep_rows_to_csv)
+from fagcn.training import ExperimentConfig, RepeatResult, run_cell
 from fagcn.util import derive_rng
 
 
@@ -120,6 +121,11 @@ class TestDeterminismAndSpec:
         with pytest.raises(ConfigError):
             NoiseSpec("scramble", 0.1, 1).validate()
 
+    @pytest.mark.parametrize("ratio", ["0.3", None, True, [0.3], float("nan")])
+    def test_non_numeric_ratio_is_config_error(self, ratio):
+        with pytest.raises(ConfigError, match="ratio"):
+            NoiseSpec("inject", ratio, 1).validate()
+
 
 class TestNoiseSweep:
     def sweep_config(self) -> ExperimentConfig:
@@ -168,6 +174,15 @@ class TestNoiseSweep:
                         variants, seeds)
         assert trained == []
 
+    def test_non_numeric_ratio_is_config_error(self, monkeypatch):
+        graph, corpus, _ = two_cluster_fixture()
+        trained = []
+        monkeypatch.setattr("fagcn.noise.run_cell", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match="ratio"):
+            noise_sweep(self.sweep_config(), graph, corpus, "inject", [0.1, "0.3"],
+                        ["self"], [1])
+        assert trained == []
+
     @pytest.mark.parametrize("ratios, variants, seeds", [([], ["self"], [1]),
                                                         ([0.1], [], [1]),
                                                         ([0.1], ["self"], [])])
@@ -201,3 +216,95 @@ class TestNoiseSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "protocol,ratio,variant,mean_accuracy,std_accuracy,seeds"
         assert lines[1] == "replace,0.3,context,0.7500,0.0250,1;2;3"
+
+
+FIELDS = {"d_i": "embed_dim", "d_o": "feature_dim", "d_h": "hidden_dim",
+          "p": "train_fraction"}
+VALUES = {"d_i": [3, 5], "d_o": [3, 5], "d_h": [2, 4], "p": [0.25, 0.5],
+          "noise-inject": [0.0, 0.5], "noise-replace": [0.2, 0.5]}
+
+
+class TestSweep:
+    def config(self) -> ExperimentConfig:
+        return ExperimentConfig(embed_dim=4, feature_dim=4, hidden_dim=3,
+                                train_fraction=0.5, epochs=2, seed=1, variant="self")
+
+    @pytest.mark.parametrize("axis", sorted(VALUES))
+    def test_rows_aggregate_run_cell_per_cell(self, axis):
+        graph, corpus, _ = two_cluster_fixture()
+        config, variants, seeds = self.config(), ["none", "baseline_gcn"], [1, 2]
+        rows = sweep(config, graph, corpus, axis, VALUES[axis], variants, seeds)
+        expected = []
+        for value in VALUES[axis]:
+            for variant in variants:
+                accuracies = []
+                for seed in seeds:
+                    if axis in FIELDS:
+                        cell = dc_replace(config, variant=variant, **{FIELDS[axis]: value})
+                        data = corpus
+                    else:
+                        cell = dc_replace(config, variant=variant)
+                        data = corrupt(corpus, axis[len("noise-"):], value,
+                                       derive_rng(seed, "noise"))
+                    accuracies.append(run_cell(cell, graph, data, seed))
+                result = RepeatResult.of(accuracies)
+                expected.append((value, variant, result.mean, result.std))
+        assert [(r.ratio, r.variant, r.mean_accuracy, r.std_accuracy) for r in rows] == expected
+        assert {r.protocol for r in rows} == {FIELDS.get(axis, axis[len("noise-"):])}
+        assert {r.seeds for r in rows} == {(1, 2)}
+
+    @pytest.mark.parametrize("axis", sorted(VALUES))
+    def test_each_cell_gets_its_config_corpus_and_seed(self, monkeypatch, axis):
+        graph, corpus, _ = two_cluster_fixture()
+        config, variants, seeds = self.config(), ["none", "self"], [1, 2]
+        seen = []
+        monkeypatch.setattr("fagcn.noise.run_cell", lambda cell, g, data, seed:
+                            seen.append((cell, data.contents, seed)) or 0.5)
+        sweep(config, graph, corpus, axis, VALUES[axis], variants, seeds, max_workers=1)
+        expected = []
+        for value in VALUES[axis]:
+            for variant in variants:
+                for seed in seeds:
+                    if axis in FIELDS:
+                        expected.append((dc_replace(config, variant=variant,
+                                                    **{FIELDS[axis]: value}),
+                                         corpus.contents, seed))
+                    else:
+                        noisy = corrupt(corpus, axis[len("noise-"):], value,
+                                        derive_rng(seed, "noise"))
+                        expected.append((dc_replace(config, variant=variant),
+                                         noisy.contents, seed))
+        assert seen == expected
+
+    @pytest.mark.parametrize("axis, head, first", [
+        ("d_h", "axis,value", "hidden_dim,2,"), ("p", "axis,value", "train_fraction,0.25,"),
+        ("noise-inject", "protocol,ratio", "inject,0,"),
+        ("noise-replace", "protocol,ratio", "replace,0.2,"),
+    ])
+    def test_csv_header_follows_the_axis(self, axis, head, first):
+        graph, corpus, _ = two_cluster_fixture()
+        rows = sweep(self.config(), graph, corpus, axis, VALUES[axis], ["self"], [1])
+        lines = sweep_rows_to_csv(rows).strip().split("\n")
+        assert lines[0] == f"{head},variant,mean_accuracy,std_accuracy,seeds"
+        assert len(lines) == 1 + len(VALUES[axis])
+        assert lines[1].startswith(f"{first}self,")
+
+    @pytest.mark.parametrize("protocol", ["inject", "replace"])
+    def test_noise_sweep_is_the_noise_axis(self, protocol):
+        graph, corpus, _ = two_cluster_fixture()
+        args = (["none", "self"], [1, 2])
+        assert (noise_sweep(self.config(), graph, corpus, protocol, [0.1, 0.4], *args)
+                == sweep(self.config(), graph, corpus, f"noise-{protocol}", [0.1, 0.4], *args))
+
+    @pytest.mark.parametrize("axis, values, match", [
+        ("warp", [1], "unknown sweep axis"), (["d_h"], [2], "unknown sweep axis"),
+        (None, [2], "unknown sweep axis"), ("embed_dim", [2], "unknown sweep axis"),
+        ("noise-inject", [0.1, "0.3"], "ratio"), ("d_h", [2, 2.5], "hidden_dim"),
+    ])
+    def test_bad_axis_or_value_trains_no_cell(self, monkeypatch, axis, values, match):
+        graph, corpus, _ = two_cluster_fixture()
+        trained = []
+        monkeypatch.setattr("fagcn.noise.run_cell", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match=match):
+            sweep(self.config(), graph, corpus, axis, values, ["self"], [1])
+        assert trained == []

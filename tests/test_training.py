@@ -161,6 +161,19 @@ class TestTrain:
         with pytest.raises(Exception, match="nodes"):
             train(small_config(), Graph(3, []), corpus, fixture_split())
 
+    @pytest.mark.parametrize("train_idx, test_idx, match", [
+        ((0, 99), (1,), "train indices"),     # past the last node
+        ((-1, 0), (2,), "train indices"),     # would train on node 7
+        ((0, 1.5), (2,), "train indices"),
+        ((0, 1), (2, 8), "test indices"),
+        ((0, 1), (1, 2), "overlap"),          # would test on a training node
+    ])
+    def test_bad_splits_are_config_errors(self, monkeypatch, train_idx, test_idx, match):
+        graph, corpus, _ = two_cluster_fixture()
+        monkeypatch.setattr("fagcn.training.adam_step", lambda *args: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match=match):
+            train(small_config(), graph, corpus, DatasetSplit(train_idx, test_idx))
+
 
 class TestEvaluate:
     def test_all_correct(self):
@@ -211,6 +224,20 @@ class TestEvaluate:
         params = init_params(small_config(), corpus, derive_rng(0, "init"))
         with pytest.raises(ConfigError):
             evaluate(params, graph, corpus, [])
+
+    # -1 would silently score node 7; 99 and 1.5 used to raise IndexError
+    @pytest.mark.parametrize("test_idx", [[-1], [99], [8], [1.5], [True], ["0"], [0, None]])
+    def test_bad_test_indices_are_config_errors(self, test_idx):
+        graph, corpus, _ = two_cluster_fixture()
+        params = init_params(small_config(), corpus, derive_rng(0, "init"))
+        with pytest.raises(ConfigError, match="test indices"):
+            evaluate(params, graph, corpus, test_idx)
+
+    def test_numpy_indices_are_accepted(self):
+        graph, corpus, _ = two_cluster_fixture()
+        params = init_params(small_config(), corpus, derive_rng(0, "init"))
+        assert (evaluate(params, graph, corpus, np.arange(8, dtype=np.int32))
+                == evaluate(params, graph, corpus, list(range(8))))
 
 
 class TestRepeatExperiment:
