@@ -14,6 +14,14 @@ The header JSON is serialized with sorted keys and no whitespace, so a
 checkpoint's bytes are a pure function of its contents. ``terms`` and
 ``labels`` are the ordered vocabulary and class names that the token and
 class ids of the tensors index.
+
+The config's variant names the tensors and its dimensions, with the
+counts of terms and labels, fix their shapes; ``load_checkpoint`` refuses
+any other. Each LSTM direction is stored as one gate ``weight`` and one
+``bias``, the forget, input, cell and output gates side by side.
+Checkpoints written with eight per-gate tensors per direction, before
+that layout, fail to load with a DataError (exit 3) that lists the
+missing tensors.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .model import BaselineParams, ModelParams, init_for_variant
 from .util import atomic_write_bytes
 
 MAGIC = b"FAGCNCKPT1\n"
+DIMS = ("embed_dim", "feature_dim", "hidden_dim")  # the config keys that size the tensors
 
 
 def save_checkpoint(path, config: dict, params: ModelParams | BaselineParams,
@@ -114,19 +123,26 @@ def load_checkpoint(path) -> tuple[dict, ModelParams | BaselineParams, list[str]
     and labels.
 
     The config's variant picks the parameter set, whose kind must be the
-    stored one. Its tensors are filled by name, and every stored tensor
-    must fill exactly one of them. There must be one term per embedding
-    row and one label per class.
+    stored one, and its dimensions together with the number of terms and
+    labels fix the shape of every tensor. Its tensors are filled by name:
+    every stored tensor must fill exactly one of them, with that shape.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     header, arrays = _read_arrays(raw, path)
     config, kind = header["config"], header["kind"]
+    terms, labels = header["terms"], header["labels"]
+    sizes = {"terms": len(terms), "labels": len(labels),
+             **{name: config.get(name) for name in DIMS}}
+    if not all(_is_count(size) and size >= 1 for size in sizes.values()):
+        raise DataError(f"{path}: checkpoint sizes must be ints >= 1, got {sizes}")
     variant = config.get("variant")
-    try:  # unit-sized placeholders, filled by name below
-        params = init_for_variant(variant, 1, 1, 1, 1, 1, np.random.default_rng(0))
+    try:  # weights of the shapes the header implies, overwritten below
+        params = init_for_variant(variant, *sizes.values(), np.random.default_rng(0))
     except ConfigError:
         raise DataError(f"{path}: checkpoint config has invalid variant {variant!r}") from None
+    except (MemoryError, ValueError):  # numpy refuses arrays of such sizes
+        raise DataError(f"{path}: checkpoint sizes are too large to hold: {sizes}") from None
     if params.kind != kind:
         raise DataError(f"{path}: checkpoint kind {kind!r} does not fit variant {variant!r}")
     named = dict(params.named_parameters())
@@ -136,10 +152,12 @@ def load_checkpoint(path) -> tuple[dict, ModelParams | BaselineParams, list[str]
     unexpected = sorted(set(arrays) - set(named))
     if unexpected:
         raise DataError(f"{path}: unexpected tensors in checkpoint: {unexpected}")
+    misfits = [f"{name} is {arrays[name].shape[0]}x{arrays[name].shape[1]}, "
+               f"not {tensor.rows}x{tensor.cols}"
+               for name, tensor in named.items() if arrays[name].shape != tensor.shape]
+    if misfits:
+        raise DataError(f"{path}: checkpoint tensors do not fit its config, "
+                        f"{len(terms)} terms and {len(labels)} labels: {'; '.join(misfits)}")
     for name, tensor in named.items():
         tensor.data = arrays[name]
-    terms, labels = header["terms"], header["labels"]
-    if (len(terms), len(labels)) != (params.vocab_size, params.num_classes):
-        raise DataError(f"{path}: checkpoint has {len(terms)} terms and {len(labels)} labels "
-                        f"for {params.vocab_size} terms and {params.num_classes} classes")
     return config, params, terms, labels

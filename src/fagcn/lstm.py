@@ -20,55 +20,40 @@ from .tensor import Tensor
 
 @dataclass
 class LstmDirectionParams:
-    """Weights for one recurrence direction.
+    """Weights for one recurrence direction, the four gates side by side.
 
-    Each gate weight maps the concatenated [token embedding, previous
-    hidden state] row (width embed_dim + feature_dim) to feature_dim;
-    biases are 1-row vectors.
+    ``weight`` maps the concatenated [token embedding, previous hidden
+    state] row (width embed_dim + feature_dim) to the forget, input, cell
+    and output gate pre-activations, feature_dim columns each, in that
+    order; ``bias`` is the matching 1-row vector.
     """
 
-    w_forget: Tensor
-    w_input: Tensor
-    w_cell: Tensor
-    w_output: Tensor
-    b_forget: Tensor
-    b_input: Tensor
-    b_cell: Tensor
-    b_output: Tensor
+    weight: Tensor
+    bias: Tensor
 
     @classmethod
     def init(cls, embed_dim: int, feature_dim: int, rng: np.random.Generator) -> "LstmDirectionParams":
-        """Uniform init in [-1/sqrt(feature_dim), 1/sqrt(feature_dim)]."""
+        """Uniform init in [-1/sqrt(feature_dim), 1/sqrt(feature_dim)]:
+        the four gate weights are drawn one after another, then the four
+        biases."""
         bound = 1.0 / np.sqrt(feature_dim)
-        in_dim = embed_dim + feature_dim
 
-        def w() -> Tensor:
-            return Tensor(rng.uniform(-bound, bound, size=(in_dim, feature_dim)))
+        def gates(rows: int) -> Tensor:
+            return Tensor(np.hstack([rng.uniform(-bound, bound, size=(rows, feature_dim))
+                                     for _ in range(4)]))
 
-        def b() -> Tensor:
-            return Tensor(rng.uniform(-bound, bound, size=(1, feature_dim)))
-
-        return cls(w_forget=w(), w_input=w(), w_cell=w(), w_output=w(),
-                   b_forget=b(), b_input=b(), b_cell=b(), b_output=b())
+        return cls(weight=gates(embed_dim + feature_dim), bias=gates(1))
 
     @property
     def feature_dim(self) -> int:
-        return self.w_forget.cols
+        return self.weight.cols // 4
 
     @property
     def embed_dim(self) -> int:
-        return self.w_forget.rows - self.feature_dim
+        return self.weight.rows - self.feature_dim
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
-
-    def gate_weights(self) -> list[Tensor]:
-        """The four gate weight matrices (the L2-regularized subset)."""
-        return [self.w_forget, self.w_input, self.w_cell, self.w_output]
-
-    def _gate_tensors(self) -> tuple[tuple[Tensor, ...], tuple[Tensor, ...]]:
-        return ((self.w_forget, self.w_input, self.w_cell, self.w_output),
-                (self.b_forget, self.b_input, self.b_cell, self.b_output))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -76,12 +61,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     y += 1.0
     y *= 0.5
     return y
-
-
-def _input_and_recurrent_blocks(weights: tuple[Tensor, ...], embed_dim: int):
-    """W_x and W_h, each with the four gates side by side."""
-    w_all = np.hstack([w.data for w in weights])
-    return w_all[:embed_dim], w_all[embed_dim:]
 
 
 def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[int],
@@ -96,10 +75,11 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
     segment longer than t, a prefix of the carried state, so the loop runs
     once per position of the longest segment, without padding. The
     backward closure walks the same visits in reverse, then forms the
-    weight gradient as one product. It keeps no copy of the weights,
-    which still hold their forward values when the tape runs.
+    weight gradient as one product. ``W_x`` and ``W_h`` are row views of
+    the stacked gate weight, not rebuilt copies; the weight still holds
+    its forward values when the tape runs.
     """
-    weights, biases = params._gate_tensors()
+    weight, bias = params.weight, params.bias
     d, embed_dim = params.feature_dim, params.embed_dim
     if seq.cols != embed_dim:
         raise ShapeError(
@@ -117,9 +97,9 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
     # visits[r] is the row of seq that visit r (step step_of[r]) advances
     visits = first[np.arange(n) - offsets[step_of]] + (-step_of if reverse else step_of)
 
-    w_x, w_h = _input_and_recurrent_blocks(weights, embed_dim)
+    w_x, w_h = weight.data[:embed_dim], weight.data[embed_dim:]
     pre_x = seq.data[visits] @ w_x
-    pre_x += np.hstack([b.data for b in biases])
+    pre_x += bias.data
     gates = np.empty((n, 4 * d))  # f, i, g, o side by side, in visit order
     cs, out_data = np.empty((n, d)), np.empty((n, d))
     h = c = np.zeros((batch[0], d))
@@ -133,7 +113,7 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
         c = cs[lo:hi] = f * c[:active] + i * g
         h = out_data[visits[lo:hi]] = o * np.tanh(c)
 
-    inputs = (seq, *weights, *biases)
+    inputs = (seq, weight, bias)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tape = T._wants_tape(*inputs)
     if tape is None:
@@ -142,7 +122,6 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
     def sweep() -> None:
         if out.grad is None:
             return
-        w_x, w_h = _input_and_recurrent_blocks(weights, embed_dim)
         dz = np.empty((n, 4 * d))
         dh_next = dc_next = np.zeros((0, d))
         for t in range(batch.size - 1, -1, -1):
@@ -164,16 +143,14 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
             dx = np.empty(seq.shape)
             dx[visits] = dz @ w_x.T
             T._accumulate_owned(seq, dx)
-        # visit r >= batch[0] follows visit r - batch[t - 1] of its segment;
-        # the first visits start from h = 0 and add nothing to dW_h
-        prev = np.arange(batch[0], n) - np.repeat(batch[:-1], batch[1:])
-        dw = np.vstack((seq.data[visits].T @ dz, out.data[visits[prev]].T @ dz[batch[0]:]))
-        for k, (w, b) in enumerate(zip(weights, biases)):
-            gate_cols = slice(k * d, (k + 1) * d)
-            if w.requires_grad:
-                w.accumulate_grad(dw[:, gate_cols])
-            if b.requires_grad:
-                b.accumulate_grad(dz[:, gate_cols].sum(axis=0, keepdims=True))
+        if weight.requires_grad:
+            # visit r >= batch[0] follows visit r - batch[t - 1] of its segment;
+            # the first visits start from h = 0 and add nothing to dW_h
+            prev = np.arange(batch[0], n) - np.repeat(batch[:-1], batch[1:])
+            T._accumulate_owned(weight, np.vstack((seq.data[visits].T @ dz,
+                                                   out.data[visits[prev]].T @ dz[batch[0]:])))
+        if bias.requires_grad:
+            T._accumulate_owned(bias, dz.sum(axis=0, keepdims=True))
 
     tape.record(sweep)
     return out

@@ -70,18 +70,6 @@ class ModelParams:
         return self.embeddings.rows
 
     @property
-    def embed_dim(self) -> int:
-        return self.embeddings.cols
-
-    @property
-    def feature_dim(self) -> int:
-        return self.conv1_weight.cols
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.conv1_weight.rows
-
-    @property
     def num_classes(self) -> int:
         return self.conv2_weight.cols
 
@@ -96,7 +84,7 @@ class ModelParams:
 
     def feature_reg_terms(self) -> list[Tensor]:
         """Weight matrices covered by the feature-learning L2 penalty."""
-        return self.lstm_fwd.gate_weights() + self.lstm_bwd.gate_weights()
+        return [self.lstm_fwd.weight, self.lstm_bwd.weight]
 
     def node_reg_terms(self) -> list[Tensor]:
         """Weight matrices covered by the node-learning L2 penalty."""
@@ -137,10 +125,6 @@ class BaselineParams:
     @property
     def vocab_size(self) -> int:
         return self.conv1_weight.rows
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.conv1_weight.cols
 
     @property
     def num_classes(self) -> int:
@@ -298,8 +282,8 @@ def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
          l2_feature: float, l2_node: float) -> Tensor:
     """Cross-entropy over labeled nodes plus the two L2 penalties.
 
-    The penalties cover exactly the gate weight matrices (feature term)
-    and the two convolution weights (node term); biases, embeddings and
+    The penalties cover exactly the two stacked LSTM gate weights (feature
+    term) and the two convolution weights (node term); biases, embeddings and
     attention parameters are not regularized. Probabilities are clamped
     at 1e-12 before the log.
     """

@@ -20,6 +20,15 @@ from .training import ExperimentConfig, check_type, run_cell, sweep_cells
 from .util import derive_rng, round_half_up
 
 PROTOCOLS = ("inject", "replace")
+MAX_RATIO = {"inject": 1.0, "replace": 0.5}
+
+
+def _check_ratio(protocol: str, ratio) -> None:
+    """Raise ConfigError unless ``ratio`` is a number in [0, MAX_RATIO]."""
+    check_type(f"{protocol} ratio", ratio, "float")
+    if not 0.0 <= ratio <= MAX_RATIO[protocol]:
+        raise ConfigError(
+            f"{protocol} ratio must be in [0, {MAX_RATIO[protocol]}], got {ratio}")
 
 
 @dataclass(frozen=True)
@@ -33,11 +42,7 @@ class NoiseSpec:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"noise protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        check_type(f"{self.protocol} ratio", self.ratio, "float")
-        bound = 1.0 if self.protocol == "inject" else 0.5
-        if not 0.0 <= self.ratio <= bound:
-            raise ConfigError(
-                f"{self.protocol} ratio must be in [0, {bound}], got {self.ratio}")
+        _check_ratio(self.protocol, self.ratio)
 
 
 def inject_noise(corpus: ContentCorpus, ratio: float, rng: np.random.Generator) -> ContentCorpus:
@@ -46,8 +51,7 @@ def inject_noise(corpus: ContentCorpus, ratio: float, rng: np.random.Generator) 
     Original tokens are all kept; insertion positions are uniform, so a
     node of length L grows to L + round(ratio * L).
     """
-    if ratio < 0:
-        raise ConfigError(f"inject ratio must be >= 0, got {ratio}")
+    _check_ratio("inject", ratio)
     vocab_size = corpus.vocab_size
     contents = []
     for tokens in corpus.contents:
@@ -66,8 +70,7 @@ def replace_noise(corpus: ContentCorpus, ratio: float, rng: np.random.Generator)
     coincide with the original token; the position still counts as
     replaced, keeping per-position corruption exactly uniform.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError(f"replace ratio must be in [0, 1], got {ratio}")
+    _check_ratio("replace", ratio)
     vocab_size = corpus.vocab_size
     contents = []
     for tokens in corpus.contents:

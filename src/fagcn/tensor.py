@@ -13,7 +13,8 @@ and one gradient function per input (the vector-Jacobian product), and
 because their input gradients share work that one function per input
 would do twice: ``gather_segment_sum`` gathers the output gradient once
 for both inputs, and ``lstm._run_direction`` runs one reverse sweep
-through time for the sequence and all eight gate parameters.
+through time for the sequence and its direction's stacked gate weight
+and bias.
 
 Vectors are represented as 1-row matrices throughout.
 """
@@ -67,13 +68,6 @@ class Tensor:
     def zero_grad(self) -> None:
         """Drop any accumulated gradient; a fresh one is allocated lazily."""
         self.grad = None
-
-    def accumulate_grad(self, g: Array) -> None:
-        """Add a gradient contribution; ``g`` may alias shared memory."""
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -147,7 +141,7 @@ class Tape:
         holds, so a tape runs backward once."""
         if loss.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar 1x1 loss, got {loss.shape}")
-        loss.accumulate_grad(np.ones((1, 1)))
+        _accumulate_owned(loss, np.ones((1, 1)))
         while self._steps:
             self._steps.pop()()
 

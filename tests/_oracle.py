@@ -19,16 +19,20 @@ def arrays_of(params) -> dict[str, np.ndarray]:
 
 
 def _direction(arrays: dict, prefix: str, token_vectors: list[np.ndarray]) -> list[np.ndarray]:
-    d = arrays[f"{prefix}.w_forget"].shape[1]
+    weight, bias = arrays[f"{prefix}.weight"], arrays[f"{prefix}.bias"][0]
+    d = weight.shape[1] // 4
+    # forget, input, cell and output gates side by side
+    gates = {name: (weight[:, k * d:(k + 1) * d], bias[k * d:(k + 1) * d])
+             for k, name in enumerate(("forget", "input", "cell", "output"))}
     h = np.zeros(d)
     c = np.zeros(d)
     outputs = []
     for vec in token_vectors:
         x = np.concatenate([vec, h])
-        f = _sigmoid(x @ arrays[f"{prefix}.w_forget"] + arrays[f"{prefix}.b_forget"][0])
-        i = _sigmoid(x @ arrays[f"{prefix}.w_input"] + arrays[f"{prefix}.b_input"][0])
-        g = np.tanh(x @ arrays[f"{prefix}.w_cell"] + arrays[f"{prefix}.b_cell"][0])
-        o = _sigmoid(x @ arrays[f"{prefix}.w_output"] + arrays[f"{prefix}.b_output"][0])
+        f = _sigmoid(x @ gates["forget"][0] + gates["forget"][1])
+        i = _sigmoid(x @ gates["input"][0] + gates["input"][1])
+        g = np.tanh(x @ gates["cell"][0] + gates["cell"][1])
+        o = _sigmoid(x @ gates["output"][0] + gates["output"][1])
         c = f * c + i * g
         h = o * np.tanh(c)
         outputs.append(h)
@@ -110,11 +114,8 @@ def straightline_loss(z: np.ndarray, onehot: np.ndarray, train_idx,
         for f in range(onehot.shape[1]):
             if onehot[d, f] > 0:
                 total -= onehot[d, f] * np.log(max(z[d, f], 1e-12))
-    gate_names = [f"{prefix}.{field}" for prefix in ("lstm_fwd", "lstm_bwd")
-                  for field in ("w_forget", "w_input", "w_cell", "w_output")]
-    for name in gate_names:
-        if name in arrays:
-            total += l2_feature * float((arrays[name] ** 2).sum())
+    for name in ("lstm_fwd.weight", "lstm_bwd.weight"):
+        total += l2_feature * float((arrays[name] ** 2).sum())
     for name in ("conv1_weight", "conv2_weight"):
         total += l2_node * float((arrays[name] ** 2).sum())
     return total

@@ -15,9 +15,11 @@ from fagcn.training import ExperimentConfig
 
 
 def model_params(variant: str = "context") -> ModelParams:
+    """Weights of the shapes the default config implies."""
     _, corpus, _ = four_node_fixture()
-    return ModelParams.init(corpus.vocab_size, corpus.num_classes, 4, 4, 3,
-                            variant, np.random.default_rng(7))
+    c = ExperimentConfig()
+    return ModelParams.init(corpus.vocab_size, corpus.num_classes, c.embed_dim,
+                            c.feature_dim, c.hidden_dim, variant, np.random.default_rng(7))
 
 
 def save(path, config: dict, params) -> None:
@@ -57,7 +59,7 @@ class TestRoundtrip:
     def test_baseline_params(self, tmp_path):
         path = tmp_path / "baseline.ckpt"
         params = BaselineParams.init(6, 2, 4, np.random.default_rng(1))
-        config = ExperimentConfig(variant="baseline_gcn").to_dict()
+        config = ExperimentConfig(variant="baseline_gcn", hidden_dim=4).to_dict()
         save(path, config, params)
         _, loaded, _, _ = load_checkpoint(path)
         assert isinstance(loaded, BaselineParams)
@@ -124,6 +126,23 @@ class TestSchema:
         save(path, ExperimentConfig().to_dict(), model_params())
         edit_header(path, edit)
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.pop("hidden_dim"), "sizes"),
+        (lambda c: c.update(embed_dim=0), "sizes"),
+        (lambda c: c.update(feature_dim="80"), "sizes"),
+        (lambda c: c.update(hidden_dim=True), "sizes"),
+        (lambda c: c.update(embed_dim=10 ** 12), "too large"),
+        (lambda c: c.update(feature_dim=10 ** 12), "too large"),
+        (lambda c: c.update(hidden_dim=7), "conv1_weight is 6x80, not 7x80"),
+    ], ids=["no-hidden-dim", "zero-dim", "string-dim", "bool-dim", "huge-embed-dim",
+            "huge-feature-dim", "other-hidden-dim"])
+    def test_config_sizes_must_fit_the_tensors(self, tmp_path, edit, message):
+        path = tmp_path / "x.ckpt"
+        save(path, ExperimentConfig().to_dict(), model_params())
+        edit_header(path, lambda h: edit(h["config"]))
+        with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
     def test_tensors_must_fit_the_stored_kind_and_variant(self, tmp_path):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fagcn.cli
@@ -122,6 +123,26 @@ class TestEvalCommand:
         assert code == 3
         assert "vocabulary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, reshape", [
+        ("lstm_fwd.weight", lambda w: np.hstack((w, w[:, :1]))),
+        ("lstm_bwd.bias", lambda b: np.vstack((b, b))),
+        ("attention.score_vector", lambda v: np.hstack((v, v[:, :1]))),
+    ], ids=["weight-extra-column", "bias-two-rows", "score-vector-wider"])
+    def test_misshapen_tensor_is_data_error(self, dataset, config_path, tmp_path, capsys,
+                                            name, reshape):
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config_path.write_text(json.dumps({**config, "variant": "self"}), encoding="utf-8")
+        out = tmp_path / "run"
+        cmd_train(config_path, dataset["edges"], dataset["content"], out, quiet=True)
+        config, params, terms, labels = load_checkpoint(out / "model.ckpt")
+        tensor = dict(params.named_parameters())[name]
+        tensor.data = reshape(tensor.data)
+        save_checkpoint(out / "model.ckpt", config, params, terms, labels)
+        capsys.readouterr()
+        assert cmd_eval(out / "model.ckpt", dataset["edges"], dataset["content"],
+                        split_seed=1, quiet=True) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
 
     def test_reordered_content_is_data_error(self, dataset, config_path, tmp_path, capsys):
         # token and label ids follow first appearance, so the same lines in

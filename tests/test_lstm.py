@@ -7,6 +7,7 @@ import pytest
 import fagcn.tensor as T
 from fagcn.errors import ShapeError
 from fagcn.lstm import LstmDirectionParams, bilstm_encode, lstm_forward
+from fagcn.model import ModelParams
 from fagcn.tensor import Tape, Tensor
 
 from conftest import numeric_gradient
@@ -38,16 +39,22 @@ def random_params(embed_dim: int, feature_dim: int, rng) -> LstmDirectionParams:
     return LstmDirectionParams.init(embed_dim, feature_dim, rng)
 
 
+GATES = ("forget", "input", "cell", "output")
+
+
 def params_arrays(params: LstmDirectionParams) -> dict[str, np.ndarray]:
-    return {name.split(".", 1)[1]: (t.data[0] if name.split(".")[1].startswith("b") else t.data)
-            for name, t in params.named_parameters("d")}
+    """Each gate's weight block and bias, sliced out of the stacked layout."""
+    d = params.feature_dim
+    arrays = {}
+    for k, gate in enumerate(GATES):
+        arrays[f"w_{gate}"] = params.weight.data[:, k * d:(k + 1) * d]
+        arrays[f"b_{gate}"] = params.bias.data[0, k * d:(k + 1) * d]
+    return arrays
 
 
 def zero_params(embed_dim: int, feature_dim: int) -> LstmDirectionParams:
-    w = lambda: Tensor(np.zeros((embed_dim + feature_dim, feature_dim)))
-    b = lambda: Tensor(np.zeros((1, feature_dim)))
-    return LstmDirectionParams(w_forget=w(), w_input=w(), w_cell=w(), w_output=w(),
-                               b_forget=b(), b_input=b(), b_cell=b(), b_output=b())
+    return LstmDirectionParams(weight=Tensor(np.zeros((embed_dim + feature_dim, 4 * feature_dim))),
+                               bias=Tensor(np.zeros((1, 4 * feature_dim))))
 
 
 class TestLstmForward:
@@ -59,11 +66,11 @@ class TestLstmForward:
     def test_scalar_hand_trace(self):
         # 1-dim gates with hand-set weights; expected values computed by
         # hand from the per-step formulas (sigmoid/tanh of affine maps).
+        # Columns: forget, input, cell, output.
         params = LstmDirectionParams(
-            w_forget=Tensor([[0.5], [0.25]]), b_forget=Tensor([[0.1]]),
-            w_input=Tensor([[-0.4], [0.3]]), b_input=Tensor([[0.2]]),
-            w_cell=Tensor([[0.7], [-0.2]]), b_cell=Tensor([[0.0]]),
-            w_output=Tensor([[0.1], [0.6]]), b_output=Tensor([[-0.3]]))
+            weight=Tensor([[0.5, -0.4, 0.7, 0.1],
+                           [0.25, 0.3, -0.2, 0.6]]),
+            bias=Tensor([[0.1, 0.2, 0.0, -0.3]]))
         h = lstm_forward(params, Tensor([[0.3]]))
         assert abs(h.item() - 0.046410583479716876) < 1e-12
 
@@ -219,11 +226,21 @@ class TestParamInit:
         params = LstmDirectionParams.init(5, 8, rng)
         assert params.embed_dim == 5 and params.feature_dim == 8
         bound = 1.0 / np.sqrt(8)
+        shapes = {"x.weight": (13, 32), "x.bias": (1, 32)}
+        assert [name for name, _ in params.named_parameters("x")] == list(shapes)
         for name, t in params.named_parameters("x"):
-            expected = (13, 8) if name.split(".")[1].startswith("w") else (1, 8)
-            assert t.shape == expected
+            assert t.shape == shapes[name]
             assert np.all(np.abs(t.data) <= bound)
 
-    def test_gate_weights_are_the_regularized_set(self, rng):
-        params = LstmDirectionParams.init(2, 3, rng)
-        assert [t.shape for t in params.gate_weights()] == [(5, 3)] * 4
+    def test_init_draws_four_gate_weights_then_four_biases(self):
+        params = LstmDirectionParams.init(2, 3, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        bound = 1.0 / np.sqrt(3)
+        weights = [rng.uniform(-bound, bound, size=(5, 3)) for _ in GATES]
+        biases = [rng.uniform(-bound, bound, size=(1, 3)) for _ in GATES]
+        np.testing.assert_array_equal(params.weight.data, np.hstack(weights))
+        np.testing.assert_array_equal(params.bias.data, np.hstack(biases))
+
+    def test_stacked_weights_are_the_regularized_set(self, rng):
+        params = ModelParams.init(6, 2, 2, 3, 4, "self", rng)
+        assert params.feature_reg_terms() == [params.lstm_fwd.weight, params.lstm_bwd.weight]

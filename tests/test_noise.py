@@ -95,6 +95,8 @@ class TestReplaceNoise:
     def test_out_of_range_ratio(self):
         with pytest.raises(ConfigError):
             replace_noise(make_corpus([3]), 1.5, np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            replace_noise(make_corpus([3]), 0.9, np.random.default_rng(0))
 
 
 class TestDeterminismAndSpec:
@@ -112,12 +114,17 @@ class TestDeterminismAndSpec:
         assert all(t < 20 for tokens in noisy.contents for t in tokens)
 
     def test_noise_spec_bounds(self):
-        NoiseSpec("inject", 1.0, 1).validate()
-        NoiseSpec("replace", 0.5, 1).validate()
-        with pytest.raises(ConfigError):
-            NoiseSpec("replace", 0.6, 1).validate()
-        with pytest.raises(ConfigError):
-            NoiseSpec("inject", 1.1, 1).validate()
+        # the protocols accept exactly the ratios the spec accepts
+        corpus = make_corpus([3])
+        for protocol, ratio in [("inject", 1.0), ("replace", 0.5), ("inject", 0), ("replace", 0)]:
+            NoiseSpec(protocol, ratio, 1).validate()
+            corrupt(corpus, protocol, ratio, np.random.default_rng(0))
+        for protocol, ratio in [("replace", 0.6), ("replace", 0.9), ("inject", 1.1),
+                                ("inject", 1.5), ("inject", -0.1), ("replace", -0.1)]:
+            with pytest.raises(ConfigError, match="ratio"):
+                NoiseSpec(protocol, ratio, 1).validate()
+            with pytest.raises(ConfigError, match="ratio"):
+                corrupt(corpus, protocol, ratio, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             NoiseSpec("scramble", 0.1, 1).validate()
 
@@ -125,6 +132,9 @@ class TestDeterminismAndSpec:
     def test_non_numeric_ratio_is_config_error(self, ratio):
         with pytest.raises(ConfigError, match="ratio"):
             NoiseSpec("inject", ratio, 1).validate()
+        for noise in (inject_noise, replace_noise):
+            with pytest.raises(ConfigError, match="ratio"):
+                noise(make_corpus([3]), ratio, np.random.default_rng(0))
 
 
 class TestNoiseSweep:

@@ -93,7 +93,8 @@ def checkpoint_bytes() -> bytes:
     params = ModelParams.init(VOCAB, 2, 3, 3, 2, "context", np.random.default_rng(0))
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "model.ckpt")
-        save_checkpoint(path, {"variant": "context"}, params,
+        save_checkpoint(path, {"variant": "context", "embed_dim": 3, "feature_dim": 3,
+                               "hidden_dim": 2}, params,
                         [f"t{k}" for k in range(VOCAB)], ["a", "b"])
         with open(path, "rb") as fh:
             return fh.read()
@@ -149,7 +150,8 @@ class TestCheckpointRoundtrip:
         for _, t in params.named_parameters():
             t.data = rng.standard_normal(t.shape) * scale
             t.data[0, 0] = -0.0
-        config = {**extra, "variant": variant}
+        config = {**extra, "variant": variant,
+                  **dict(zip(("embed_dim", "feature_dim", "hidden_dim"), dims))}
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "model.ckpt")
             save_checkpoint(path, config, params, terms, labels)
