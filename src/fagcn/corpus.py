@@ -80,27 +80,19 @@ class ContentCorpus:
                 raise DataError(f"node {node_id}: label {label} out of range")
 
 
-def load_corpus(path, labels: Sequence[str] | None = None) -> tuple[ContentCorpus, Vocabulary]:
+def load_corpus(path) -> tuple[ContentCorpus, Vocabulary]:
     """Load a content file: ``node_id<TAB>label<TAB>token token ...``.
 
     Tokens are lowercased but otherwise taken as-is (no stemming or
     stop-word removal); duplicate tokens within a node are kept in
-    sequence position. When ``labels`` is given it pins the allowed
-    label set and any other label string is rejected; otherwise label
-    ids are assigned in first-appearance order.
+    sequence position. Label ids are assigned in first-appearance order.
     """
     vocab = Vocabulary()
     node_ids: list[int] = []
     contents: list[list[int]] = []
     label_ids: list[int] = []
-    if labels is not None:
-        label_names = list(labels)
-        label_index = {name: k for k, name in enumerate(label_names)}
-        closed_labels = True
-    else:
-        label_names = []
-        label_index = {}
-        closed_labels = False
+    label_names: list[str] = []
+    label_index: dict[str, int] = {}
 
     for lineno, raw in text_lines(path, DataError):
         line = raw.rstrip("\n")
@@ -118,8 +110,6 @@ def load_corpus(path, labels: Sequence[str] | None = None) -> tuple[ContentCorpu
         if not tokens:
             raise DataError(f"{path}:{lineno}: node {node_id} has no content tokens")
         if label not in label_index:
-            if closed_labels:
-                raise DataError(f"{path}:{lineno}: unknown label {label!r}")
             label_index[label] = len(label_names)
             label_names.append(label)
         node_ids.append(node_id)

@@ -21,7 +21,7 @@ from . import tensor as T
 from .attention import AttentionParams, token_weights
 from .corpus import ContentCorpus, init_embeddings
 from .errors import ConfigError
-from .graph import Graph, normalized_adjacency
+from .graph import Graph, check_node, normalized_adjacency
 from .lstm import LstmDirectionParams, bilstm_encode
 from .tensor import Tensor
 
@@ -182,7 +182,7 @@ class GraphOperators:
 
     @classmethod
     def build(cls, graph: Graph) -> "GraphOperators":
-        return cls(support=T.constant(graph.adjacency + np.eye(graph.n)),
+        return cls(support=T.constant(graph.dense(1.0)),
                    norm_adj=T.constant(normalized_adjacency(graph)))
 
 
@@ -327,8 +327,7 @@ def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,
     node's (token string, weight) pairs sorted by descending weight;
     the "none" variant reports the uniform weights it implies.
     """
-    if not 0 <= center < graph.n:
-        raise ConfigError(f"node index {center} out of range for n={graph.n}")
+    check_node(graph, center)
     encoded = encode_nodes(params, corpus, training=False)
     weights, _, segments = token_weights(params.attention, encoded, corpus.starts, graph)
     per_segment = np.split(weights.data[:, 0], segments[1:])

@@ -31,20 +31,6 @@ def _check_ratio(protocol: str, ratio) -> None:
             f"{protocol} ratio must be in [0, {MAX_RATIO[protocol]}], got {ratio}")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """One noise-intervention cell: protocol, corruption ratio, seed."""
-
-    protocol: str
-    ratio: float
-    seed: int
-
-    def validate(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"noise protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        _check_ratio(self.protocol, self.ratio)
-
-
 def inject_noise(corpus: ContentCorpus, ratio: float, rng: np.random.Generator) -> ContentCorpus:
     """Insert round(ratio * length) random tokens into each node's content.
 
@@ -129,7 +115,7 @@ def sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus, axis: s
                for value, variant in points]
     for (value, _), cell_config in zip(points, configs):
         if noise:
-            NoiseSpec(target, value, seeds[0]).validate()
+            _check_ratio(target, value)
         for seed in seeds:
             dc_replace(cell_config, seed=seed).validate()
 

@@ -39,16 +39,6 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="7"):
             load_corpus(path)
 
-    def test_unknown_label_with_pinned_set(self, tmp_path):
-        path = write_content(tmp_path, "0\tmystery\ta\n")
-        with pytest.raises(DataError, match="mystery"):
-            load_corpus(path, labels=["x", "y"])
-
-    def test_pinned_labels_fix_class_ids(self, tmp_path):
-        path = write_content(tmp_path, "0\ty\ta\n1\tx\tb\n")
-        corpus, _ = load_corpus(path, labels=["x", "y"])
-        assert corpus.labels == [1, 0]
-
     def test_idempotent(self, tmp_path):
         path = write_content(tmp_path, "0\tx\ta b\n1\ty\tb c d\n")
         first = load_corpus(path)

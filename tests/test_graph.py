@@ -1,6 +1,8 @@
 """Graph structure, neighborhoods, and the normalized adjacency against
 a dense hand-written oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,28 @@ def dense_oracle(adjacency: np.ndarray) -> np.ndarray:
     return d @ with_loops @ d
 
 
+def reference_adjacency(n: int, edges) -> np.ndarray:
+    """Dense A straight from a raw edge list: symmetric, zero diagonal."""
+    dense = np.zeros((n, n))
+    for i, j in edges:
+        if i != j:
+            dense[i, j] = dense[j, i] = 1.0
+    return dense
+
+
+def random_edges(n: int, rng: np.random.Generator, p: float = 0.3) -> list:
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
 def random_graph(n: int, rng: np.random.Generator, p: float = 0.3) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+    return Graph(n, random_edges(n, rng, p))
+
+
+def messy_edges(n: int, rng: np.random.Generator) -> list:
+    """Random endpoints with repeats, reversed pairs, self-loops and numpy
+    ints; a short list leaves some nodes isolated."""
+    raw = [tuple(pair) for pair in rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))]
+    return raw + [(j, i) for i, j in raw[::2]] + raw[::3] + [(np.int32(n - 1), n - 1)]
 
 
 class TestGraph:
@@ -40,6 +61,52 @@ class TestGraph:
     def test_out_of_range_edge(self):
         with pytest.raises(DataError):
             Graph(2, [(0, 2)])
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.5)], [(0, 1, 2)], [("0", "1")], [(0, 1), (0, 1, 2)], [(0, None)],
+        [(0, 2 ** 70)], [(-1, 0)], [(0, 1), (np.int64(3), 0)], [0, 1]])
+    def test_bad_endpoints_are_data_error(self, edges):
+        with pytest.raises(DataError):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize("n", [0, 2.5, "3", None, True])
+    def test_bad_node_count_is_data_error(self, n):
+        with pytest.raises(DataError, match="nodes"):
+            Graph(n, [])
+
+    def test_views_match_reference_on_messy_edges(self):
+        rng = np.random.default_rng(9)
+        for trial in range(60):
+            n = int(rng.integers(1, 25))
+            edges = messy_edges(n, rng)
+            g, dense = Graph(n, edges), reference_adjacency(n, edges)
+            centers, members = np.nonzero(dense + np.eye(n))
+            np.testing.assert_array_equal(g.pairs[0], centers)
+            np.testing.assert_array_equal(g.pairs[1], members)
+            np.testing.assert_array_equal(g.pairs[2], np.r_[0, np.cumsum(dense.sum(axis=1) + 1)])
+            np.testing.assert_array_equal(g.degree, dense.sum(axis=1))
+            assert g.edges == {(i, j) for i, j in zip(*np.nonzero(np.triu(dense)))}
+            np.testing.assert_array_equal(g.adjacency, dense)
+            np.testing.assert_allclose(normalized_adjacency(g), dense_oracle(dense), atol=1e-15)
+
+    def test_bool_endpoint_views_agree(self):
+        g = Graph(3, [(0, True)])
+        centers, members, indptr = g.pairs
+        assert list(zip(centers.tolist(), members.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+        assert g.edges == {(0, 1)}
+        np.testing.assert_array_equal(g.adjacency, reference_adjacency(3, [(0, 1)]))
+        np.testing.assert_array_equal(g.degree, [1, 1, 0])
+
+    def test_construction_allocates_no_dense_matrix(self):
+        ring = [(i, (i + 1) % 4000) for i in range(4000)]
+        tracemalloc.start()
+        try:
+            g = Graph(4000, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        np.testing.assert_array_equal(g.degree, 2.0)
 
 
 class TestNormalizedAdjacency:
@@ -103,6 +170,14 @@ class TestNeighborhood:
         with pytest.raises(ConfigError):
             neighborhood(g, -1)
 
+    @pytest.mark.parametrize("index", [1.5, True, "1", None, [1]])
+    def test_non_int_index_is_config_error(self, index):
+        with pytest.raises(ConfigError, match="int"):
+            neighborhood(Graph(3, [(0, 1)]), index)
+
+    def test_numpy_int_index(self):
+        assert neighborhood(Graph(3, [(0, 1)]), np.int64(1)).members == (0, 1)
+
 
 class TestPairs:
     def test_sorted_closed_neighborhoods(self):
@@ -113,18 +188,19 @@ class TestPairs:
         assert indptr.tolist() == [0, 3, 5, 7, 8]
 
     def test_matches_adjacency_with_self_loops(self):
-        g = random_graph(18, np.random.default_rng(5))
+        edges = random_edges(18, np.random.default_rng(5))
+        g, reference = Graph(18, edges), reference_adjacency(18, edges) + np.eye(18)
         centers, members, indptr = g.pairs
         dense = np.zeros((g.n, g.n))
         dense[centers, members] = 1.0
-        np.testing.assert_array_equal(dense, g.adjacency + np.eye(g.n))
-        np.testing.assert_array_equal(np.diff(indptr), g.degree + 1)
+        np.testing.assert_array_equal(dense, reference)
+        np.testing.assert_array_equal(np.diff(indptr), reference.sum(axis=1))
         assert np.all(np.diff(centers * g.n + members) > 0)
 
-    def test_built_on_first_use_only(self):
+    def test_adjacency_built_on_first_use_only(self):
         g = Graph(3, [(0, 1)])
-        assert "pairs" not in vars(g)
-        assert g.pairs is g.pairs
+        assert "adjacency" not in vars(g)
+        assert g.adjacency is g.adjacency
 
 
 class TestEdgeFiles:

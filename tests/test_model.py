@@ -331,6 +331,13 @@ class TestErrorContract:
             export_attention(fixture_params("self"), graph, corpus,
                              ["ash", "oak", "elm", "fir", "yew", "bay"], center=center)
 
+    @pytest.mark.parametrize("center", [1.5, True, "1", None])
+    def test_export_non_int_node_is_config_error(self, center):
+        graph, corpus, _ = four_node_fixture()
+        with pytest.raises(ConfigError, match="int"):
+            export_attention(fixture_params("self"), graph, corpus,
+                             ["ash", "oak", "elm", "fir", "yew", "bay"], center=center)
+
 
 class TestBaselineGcn:
     def test_zero_first_layer_gives_uniform(self, rng):

@@ -10,7 +10,7 @@ import pytest
 from fagcn.corpus import ContentCorpus
 from fagcn.datasets import two_cluster_fixture
 from fagcn.errors import ConfigError
-from fagcn.noise import (NoiseSpec, corrupt, inject_noise, noise_sweep,
+from fagcn.noise import (_check_ratio, corrupt, inject_noise, noise_sweep,
                          replace_noise, sweep, sweep_rows_to_csv)
 from fagcn.training import ExperimentConfig, RepeatResult, run_cell
 from fagcn.util import derive_rng
@@ -114,25 +114,25 @@ class TestDeterminismAndSpec:
         assert all(t < 20 for tokens in noisy.contents for t in tokens)
 
     def test_noise_spec_bounds(self):
-        # the protocols accept exactly the ratios the spec accepts
+        # the sweep's check and both protocols accept and refuse the same ratios
         corpus = make_corpus([3])
         for protocol, ratio in [("inject", 1.0), ("replace", 0.5), ("inject", 0), ("replace", 0)]:
-            NoiseSpec(protocol, ratio, 1).validate()
+            _check_ratio(protocol, ratio)
             corrupt(corpus, protocol, ratio, np.random.default_rng(0))
         for protocol, ratio in [("replace", 0.6), ("replace", 0.9), ("inject", 1.1),
                                 ("inject", 1.5), ("inject", -0.1), ("replace", -0.1)]:
             with pytest.raises(ConfigError, match="ratio"):
-                NoiseSpec(protocol, ratio, 1).validate()
+                _check_ratio(protocol, ratio)
             with pytest.raises(ConfigError, match="ratio"):
                 corrupt(corpus, protocol, ratio, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            NoiseSpec("scramble", 0.1, 1).validate()
+            corrupt(corpus, "scramble", 0.1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("ratio", ["0.3", None, True, [0.3], float("nan")])
     def test_non_numeric_ratio_is_config_error(self, ratio):
-        with pytest.raises(ConfigError, match="ratio"):
-            NoiseSpec("inject", ratio, 1).validate()
-        for noise in (inject_noise, replace_noise):
+        for protocol, noise in (("inject", inject_noise), ("replace", replace_noise)):
+            with pytest.raises(ConfigError, match="ratio"):
+                _check_ratio(protocol, ratio)
             with pytest.raises(ConfigError, match="ratio"):
                 noise(make_corpus([3]), ratio, np.random.default_rng(0))
 
