@@ -3,9 +3,9 @@ by a softmax per segment of consecutive rows, like a graph-attention
 edge softmax. Variants: "none" (zero scores: a plain mean), "self"
 (token h scored tanh(h)·s with a shared trained vector s) and "context"
 (a neighbor's token h scored h·(c Bᵀ), c the sum of the aggregating
-node's token rows). Under "none" and "self" weights do not depend on
-the aggregating node, so each node is one segment; under "context" each
-(center, member) pair of the closed neighborhoods is one.
+node's token rows). Every variant weighs one (pair, token) layout:
+segment p holds the tokens of ``members[p]`` as ``centers[p]`` aggregates
+it, so under "none" and "self" every pair of a member repeats its weights.
 """
 
 from __future__ import annotations
@@ -65,30 +65,29 @@ class AttentionParams:
 
 def token_weights(attention: AttentionParams, features: Tensor, starts: np.ndarray,
                   graph: Graph) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Attention weights of the token rows of ``features``.
+    """Attention weights of the (pair, token) rows of ``graph.pairs``.
 
     ``features`` stacks every node's token rows in node order, node i's
     from row ``starts[i]``. Returns the weight column, the row of
     ``features`` each weight belongs to, and the segment starts of the
-    column: one segment per node, or under "context" one per pair of
-    ``graph.pairs``. The weights of each segment sum to one.
+    column: segment p holds the tokens of ``members[p]`` as seen by
+    ``centers[p]``, in order. The weights of each segment sum to one.
     """
     starts = np.asarray(starts, dtype=np.intp)
     if starts.size != graph.n:
         raise ShapeError(f"token rows of {starts.size} nodes for a graph of {graph.n}")
-    rows = np.arange(features.rows)
+    centers, members, _ = graph.pairs
+    lengths = np.diff(starts, append=features.rows)[members]
+    pair_starts = np.cumsum(lengths) - lengths
+    rows = np.arange(lengths.sum()) + np.repeat(starts[members] - pair_starts, lengths)
     if attention.variant == "none":
-        scores = T.constant(np.zeros((features.rows, 1)))
+        scores = T.constant(np.zeros((rows.size, 1)))
     elif attention.variant == "self":
-        scores = T.matmul(T.tanh(features), T.transpose(attention.score_vector))
+        scores = T.take_rows(T.matmul(T.tanh(features), T.transpose(attention.score_vector)),
+                             rows)
     else:
         contexts = T.gather_segment_sum(T.constant(np.ones((features.rows, 1))), features,
-                                        rows, starts)
+                                        np.arange(features.rows), starts)
         keys = T.matmul(contexts, T.transpose(attention.bilinear))
-        centers, members, _ = graph.pairs
-        lengths = np.diff(starts, append=features.rows)[members]
-        pair_starts = np.cumsum(lengths) - lengths
-        rows = np.arange(lengths.sum()) + np.repeat(starts[members] - pair_starts, lengths)
         scores = T.gather_dot(features, rows, keys, np.repeat(centers, lengths))
-        starts = pair_starts
-    return T.segment_softmax(scores, starts), rows, starts
+    return T.segment_softmax(scores, pair_starts), rows, pair_starts

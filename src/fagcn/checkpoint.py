@@ -15,10 +15,11 @@ checkpoint's bytes are a pure function of its contents. ``terms`` and
 ``labels`` are the ordered vocabulary and class names that the token and
 class ids of the tensors index.
 
-The config's variant names the tensors and its dimensions, with the
-counts of terms and labels, fix their shapes; ``load_checkpoint`` refuses
-any other. Each LSTM direction is stored as one gate ``weight`` and one
-``bias``, the forget, input, cell and output gates side by side.
+The config must be a valid ``ExperimentConfig``. Its variant names the
+tensors and its dimensions, with the counts of terms and labels, fix
+their shapes; ``load_checkpoint`` refuses any other. Each LSTM direction
+is stored as one gate ``weight`` and one ``bias``, the forget, input,
+cell and output gates side by side.
 Checkpoints written with eight per-gate tensors per direction, before
 that layout, fail to load with a DataError (exit 3) that lists the
 missing tensors.
@@ -34,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .model import BaselineParams, ModelParams, init_for_variant
+from .training import ExperimentConfig
 from .util import atomic_write_bytes
 
 MAGIC = b"FAGCNCKPT1\n"
@@ -118,14 +120,16 @@ def _read_arrays(raw: bytes, path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def load_checkpoint(path) -> tuple[dict, ModelParams | BaselineParams, list[str], list[str]]:
+def load_checkpoint(path) -> tuple[ExperimentConfig, ModelParams | BaselineParams,
+                                   list[str], list[str]]:
     """Read a checkpoint back into its stored config, parameters, terms
     and labels.
 
-    The config's variant picks the parameter set, whose kind must be the
-    stored one, and its dimensions together with the number of terms and
-    labels fix the shape of every tensor. Its tensors are filled by name:
-    every stored tensor must fill exactly one of them, with that shape.
+    The config must name every dimension and be a valid ``ExperimentConfig``.
+    Its variant picks the parameter set, whose kind must be the stored
+    one, and its dimensions together with the number of terms and labels
+    fix the shape of every tensor. Its tensors are filled by name: every
+    stored tensor must fill exactly one of them, with that shape.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -136,15 +140,17 @@ def load_checkpoint(path) -> tuple[dict, ModelParams | BaselineParams, list[str]
              **{name: config.get(name) for name in DIMS}}
     if not all(_is_count(size) and size >= 1 for size in sizes.values()):
         raise DataError(f"{path}: checkpoint sizes must be ints >= 1, got {sizes}")
-    variant = config.get("variant")
+    try:  # the variant names the tensors, so it has no default here
+        config = ExperimentConfig.from_dict({"variant": None, **config})
+    except ConfigError as exc:
+        raise DataError(f"{path}: checkpoint config is invalid: {exc}") from None
     try:  # weights of the shapes the header implies, overwritten below
-        params = init_for_variant(variant, *sizes.values(), np.random.default_rng(0))
-    except ConfigError:
-        raise DataError(f"{path}: checkpoint config has invalid variant {variant!r}") from None
+        params = init_for_variant(config.variant, *sizes.values(), np.random.default_rng(0))
     except (MemoryError, ValueError):  # numpy refuses arrays of such sizes
         raise DataError(f"{path}: checkpoint sizes are too large to hold: {sizes}") from None
     if params.kind != kind:
-        raise DataError(f"{path}: checkpoint kind {kind!r} does not fit variant {variant!r}")
+        raise DataError(f"{path}: checkpoint kind {kind!r} does not fit variant "
+                        f"{config.variant!r}")
     named = dict(params.named_parameters())
     missing = sorted(set(named) - set(arrays))
     if missing:

@@ -154,8 +154,7 @@ def cmd_train(config_path, edges_path, content_path, out_dir, *,
 def cmd_eval(checkpoint_path, edges_path, content_path, split_seed: int, *,
              quiet: bool = False) -> int:
     """Evaluate a checkpoint on the test side of a seeded split."""
-    config_dict, params, terms, labels = load_checkpoint(checkpoint_path)
-    config = ExperimentConfig.from_dict(config_dict)
+    config, params, terms, labels = load_checkpoint(checkpoint_path)
     graph, corpus, vocab = _load_data(edges_path, content_path)
     _check_names(terms, labels, vocab, corpus)
     run_split = split(corpus.n, config.train_fraction, derive_rng(split_seed, "split"))

@@ -133,14 +133,21 @@ def write_dataset(dirpath, corpus: ContentCorpus, vocab: Vocabulary,
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Emit a demo dataset: ``python -m fagcn.datasets OUT_DIR [SEED]``."""
+    """Emit a demo dataset: ``python -m fagcn.datasets OUT_DIR [SEED]``. A
+    SEED that is not an int >= 0 or an unwritable OUT_DIR exits 2."""
     args = sys.argv[1:] if argv is None else argv
     if not 1 <= len(args) <= 2:
         print("usage: python -m fagcn.datasets OUT_DIR [SEED]", file=sys.stderr)
         return 2
-    seed = int(args[1]) if len(args) == 2 else 0
-    graph, corpus, vocab = synthetic_citation(seed=seed)
-    content_path, edges_path = write_dataset(args[0], corpus, vocab, graph)
+    seed = args[1] if len(args) == 2 else "0"
+    try:
+        if not seed.isdecimal():
+            raise ValueError(f"SEED must be an int >= 0, got {seed!r}")
+        graph, corpus, vocab = synthetic_citation(seed=int(seed))
+        content_path, edges_path = write_dataset(args[0], corpus, vocab, graph)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {content_path} and {edges_path}")
     return 0
 

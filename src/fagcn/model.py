@@ -1,11 +1,12 @@
-"""End-to-end forward pass: token encoding, attention-weighted token
-features for every (center, member) pair of the closed neighborhoods, two
-convolution layers, classification, and the regularized loss. Also hosts
-the plain two-layer GCN baseline on bag-of-words input.
+"""End-to-end forward pass: token encoding, attention weights for every
+(center, member) pair of the closed neighborhoods, two convolution
+layers, classification, and the regularized loss. Also hosts the plain
+two-layer GCN baseline on bag-of-words input.
 
-Encoding and attention share one segment layout: the token rows of all
-nodes form one matrix, node i's from row ``corpus.starts[i]``, so the
-Bi-LSTM runs once over the whole corpus.
+The token rows of all nodes form one matrix, node i's from row
+``corpus.starts[i]``, so the Bi-LSTM runs once over the whole corpus.
+Attention weighs them in one (pair, token) layout for every variant, and
+layer1 projects them to hidden width before it sums them per center: Â(XW).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionParams, token_weights
 from .corpus import ContentCorpus, init_embeddings
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .graph import Graph, check_node, normalized_adjacency
 from .lstm import LstmDirectionParams, bilstm_encode
 from .tensor import Tensor
@@ -205,40 +206,44 @@ def node_input_features(params: ModelParams, corpus: ContentCorpus, graph: Graph
                         training: bool = False,
                         dropout_lstm: float = 0.0,
                         rng: np.random.Generator | None = None,
-                        encoded: Tensor | None = None) -> Tensor:
-    """Attention-weighted token features, one row per pair of ``graph.pairs``.
+                        encoded: Tensor | None = None
+                        ) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+    """The encoded token rows with their attention weights, as
+    ``(encoded, weights, rows, starts)``.
 
-    Row p mixes the token rows of node ``members[p]`` with the weights it
-    gets when ``centers[p]`` aggregates it. Under "none" and "self" those
-    weights do not depend on the center, so each node's row is mixed
-    once and then gathered for each of its pairs.
+    ``weights`` has one row per (pair, token): segment p, from row
+    ``starts[p]``, weighs the token rows ``rows`` of node ``members[p]``
+    as ``centers[p]`` aggregates it (see ``token_weights``).
     """
     if encoded is None:
         encoded = encode_nodes(params, corpus, training=training,
                                dropout_lstm=dropout_lstm, rng=rng)
-    weights, rows, segments = token_weights(params.attention, encoded, corpus.starts, graph)
-    mixed = T.gather_segment_sum(weights, encoded, rows, segments)
-    return mixed if params.variant == "context" else T.take_rows(mixed, graph.pairs[1])
+    return (encoded, *token_weights(params.attention, encoded, corpus.starts, graph))
 
 
-def layer1(graph: Graph, features: Tensor, conv1_weight: Tensor, *,
+def layer1(graph: Graph, features: tuple[Tensor, Tensor, np.ndarray, np.ndarray],
+           conv1_weight: Tensor, *,
            normalize: bool = False,
            operators: GraphOperators | None = None) -> Tensor:
-    """First convolution: sum each node's pair rows, then apply the weight.
+    """First convolution: project the token rows to hidden width, then sum
+    each node's weighted pair-token rows.
 
-    ``features`` holds one row per pair of ``graph.pairs`` (see
-    ``node_input_features``). Node i sums the rows of its closed
-    neighborhood with no degree normalization and no nonlinearity;
-    ``normalize=True`` weighs row (i, m) by the normalized-adjacency entry
-    instead.
+    ``features`` is ``node_input_features``' ``(encoded, weights, rows,
+    starts)``. Each weight is scaled by its pair's coefficient: 1, with no
+    degree normalization and no nonlinearity, or with ``normalize=True``
+    the normalized-adjacency entry.
     """
+    encoded, weights, rows, starts = features
     if operators is None:
         operators = GraphOperators.build(graph)
     mixer = operators.norm_adj if normalize else operators.support
     centers, members, indptr = graph.pairs
-    coeffs = T.constant(mixer.data[centers, members][:, None])  # one per pair row
-    summed = T.gather_segment_sum(coeffs, features, np.arange(features.rows), indptr[:-1])
-    return T.matmul(summed, T.transpose(conv1_weight))
+    if starts.size != centers.size:
+        raise ShapeError(f"{starts.size} pair segments for a graph of {centers.size} pairs")
+    lengths = np.diff(starts, append=weights.rows)
+    coeffs = T.constant(np.repeat(mixer.data[centers, members], lengths)[:, None])
+    projected = T.matmul(encoded, T.transpose(conv1_weight))
+    return T.gather_segment_sum(T.mul(weights, coeffs), projected, rows, starts[indptr[:-1]])
 
 
 def layer2(norm_adj: Tensor, hidden: Tensor, conv2_weight: Tensor, *,
@@ -335,10 +340,9 @@ def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,
     record = {"center": corpus.node_ids[center], "variant": params.variant, "neighbors": []}
     for p in range(indptr[center], indptr[center + 1]):
         m = members[p]
-        segment = per_segment[p if params.variant == "context" else m]
         ranked = sorted(
             ({"token": terms[tok], "weight": float(w)}
-             for tok, w in zip(corpus.contents[m], segment)),
+             for tok, w in zip(corpus.contents[m], per_segment[p])),
             key=lambda entry: -entry["weight"])
         record["neighbors"].append({"node": corpus.node_ids[m], "weights": ranked})
     return record

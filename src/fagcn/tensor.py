@@ -185,17 +185,6 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def _unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    if shape[0] == 1 and g.shape[0] > 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] > 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # binary operations
 # ---------------------------------------------------------------------------
@@ -208,26 +197,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op(a_data @ b_data, (a, b), (lambda g: g @ b_data.T, lambda g: a_data.T @ g))
 
 
-def _broadcastable(a: Tensor, b: Tensor) -> None:
-    for da, db in zip(a.shape, b.shape):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"shapes {a.shape} and {b.shape} do not broadcast")
+def _same_shape(a: Tensor, b: Tensor) -> None:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"elementwise operands differ in shape: {a.shape} and {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; 1-row or 1-column operands broadcast."""
-    _broadcastable(a, b)
-    a_shape, b_shape = a.data.shape, b.data.shape
-    return _op(a.data + b.data, (a, b), (lambda g: _unbroadcast(g, a_shape).copy(),
-                                         lambda g: _unbroadcast(g, b_shape).copy()))
+    """Elementwise sum of two tensors of one shape."""
+    _same_shape(a, b)
+    return _op(a.data + b.data, (a, b), (lambda g: g.copy(), lambda g: g.copy()))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product with broadcasting."""
-    _broadcastable(a, b)
+    """Elementwise (Hadamard) product of two tensors of one shape."""
+    _same_shape(a, b)
     a_data, b_data = a.data, b.data
-    return _op(a_data * b_data, (a, b), (lambda g: _unbroadcast(g * b_data, a_data.shape),
-                                         lambda g: _unbroadcast(g * a_data, b_data.shape)))
+    return _op(a_data * b_data, (a, b), (lambda g: g * b_data, lambda g: g * a_data))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ def context_params(bilinear) -> AttentionParams:
 
 def member_weights(attention, center_rows, member_rows) -> np.ndarray:
     """Weights of node 1's token rows when node 0 aggregates it, in a
-    two-node graph with one edge. Segment 1 is node 1 under "none" and
-    "self" and pair (0, 1) under "context"."""
+    two-node graph with one edge: segment 1, pair (0, 1), for every
+    variant."""
     h = Tensor(np.vstack([center_rows, member_rows]))
     starts = np.array([0, len(center_rows)])
     weights, rows, segments = token_weights(attention, h, starts, Graph(2, [(0, 1)]))
@@ -193,16 +193,17 @@ class TestSimplexAndReductions:
             graph, h, starts, dim = random_instance(rng)
             ends = np.append(starts[1:], h.rows)
             _, members, _ = graph.pairs
-            uniform, _, _ = token_weights(AttentionParams("none"), h, starts, graph)
-            plain = T.gather_segment_sum(uniform, h, range(h.rows), starts).data[members]
+            uniform, layout, pair_starts = token_weights(AttentionParams("none"), h, starts,
+                                                         graph)
+            plain = T.gather_segment_sum(uniform, h, layout, pair_starts).data
             for attention in (self_params(rng.standard_normal((1, dim))),
                               context_params(rng.standard_normal((dim, dim)) / dim)):
                 weights, rows, segments = token_weights(attention, h, starts, graph)
+                np.testing.assert_array_equal(rows, layout)
+                np.testing.assert_array_equal(segments, pair_starts)
                 np.testing.assert_allclose(segment_sums(weights, segments), 1.0, atol=1e-9)
                 assert np.all(weights.data > 0.0)
                 mixed = T.gather_segment_sum(weights, h, rows, segments).data
-                if attention.variant == "self":
-                    mixed = mixed[members]
                 for p, m in enumerate(members):
                     block = h.data[starts[m]:ends[m]]
                     assert np.all(mixed[p] >= block.min(axis=0) - 1e-12)
@@ -212,8 +213,6 @@ class TestSimplexAndReductions:
                               context_params(np.zeros((dim, dim)))):
                 weights, rows, segments = token_weights(attention, h, starts, graph)
                 mixed = T.gather_segment_sum(weights, h, rows, segments).data
-                if attention.variant == "self":
-                    mixed = mixed[members]
                 np.testing.assert_allclose(mixed, plain, atol=1e-12)
 
     def test_gradients_through_context_attention(self, rng):

@@ -47,7 +47,7 @@ class TestRoundtrip:
         params = model_params(variant)
         save(path, config, params)
         loaded_config, loaded, terms, labels = load_checkpoint(path)
-        assert loaded_config == config
+        assert loaded_config.to_dict() == config
         assert terms == [f"t{k}" for k in range(params.vocab_size)]
         assert labels == [f"c{k}" for k in range(params.num_classes)]
         assert isinstance(loaded, ModelParams)
@@ -118,9 +118,10 @@ class TestSchema:
         lambda h: h["terms"].__setitem__(0, 7),
         lambda h: h["terms"].pop(),
         lambda h: h["labels"].append("extra"),
+        lambda h: h["config"].pop("variant"),
     ], ids=["no-rows", "tensors-not-list", "negative-rows", "string-rows",
             "config-not-object", "repeated-name", "no-terms", "labels-not-list",
-            "non-string-term", "term-missing", "label-extra"])
+            "non-string-term", "term-missing", "label-extra", "no-variant"])
     def test_malformed_header_is_data_error(self, tmp_path, edit):
         path = tmp_path / "x.ckpt"
         save(path, ExperimentConfig().to_dict(), model_params())

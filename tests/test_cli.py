@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fagcn.cli
+import fagcn.datasets
 import fagcn.training
 from fagcn.checkpoint import load_checkpoint, save_checkpoint
 from fagcn.cli import (cmd_eval, cmd_export_attention, cmd_sweep, cmd_train,
@@ -123,6 +124,32 @@ class TestEvalCommand:
         assert code == 3
         assert "vocabulary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "export-attention"])
+    @pytest.mark.parametrize("patch", [{"warp_speed": True}, {"lr": -1}, {"seed": "x"},
+                                       {"train_fraction": 2}],
+                             ids=["unknown-key", "negative-lr", "string-seed",
+                                  "fraction-above-one"])
+    def test_invalid_stored_config_is_data_error(self, dataset, config_path, tmp_path,
+                                                 capsys, command, patch):
+        out = tmp_path / "run"
+        cmd_train(config_path, dataset["edges"], dataset["content"], out, quiet=True)
+        config, params, terms, labels = load_checkpoint(out / "model.ckpt")
+        save_checkpoint(out / "model.ckpt", {**config.to_dict(), **patch}, params, terms,
+                        labels)
+        capsys.readouterr()
+        target = tmp_path / "attention.json"
+        if command == "eval":
+            code = cmd_eval(out / "model.ckpt", dataset["edges"], dataset["content"],
+                            split_seed=1, quiet=True)
+        else:
+            code = cmd_export_attention(out / "model.ckpt", dataset["edges"],
+                                        dataset["content"], 0, target, quiet=True)
+        assert code == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "config" in err[0]
+        assert captured.out == "" and not target.exists()
+
     @pytest.mark.parametrize("name, reshape", [
         ("lstm_fwd.weight", lambda w: np.hstack((w, w[:, :1]))),
         ("lstm_bwd.bias", lambda b: np.vstack((b, b))),
@@ -137,7 +164,7 @@ class TestEvalCommand:
         config, params, terms, labels = load_checkpoint(out / "model.ckpt")
         tensor = dict(params.named_parameters())[name]
         tensor.data = reshape(tensor.data)
-        save_checkpoint(out / "model.ckpt", config, params, terms, labels)
+        save_checkpoint(out / "model.ckpt", config.to_dict(), params, terms, labels)
         capsys.readouterr()
         assert cmd_eval(out / "model.ckpt", dataset["edges"], dataset["content"],
                         split_seed=1, quiet=True) == 3
@@ -368,9 +395,30 @@ class TestErrorBoundary:
         config, params, terms, labels = load_checkpoint(out / "model.ckpt")
         for _, tensor in params.named_parameters():
             tensor.data[:] = float("nan")
-        save_checkpoint(out / "model.ckpt", config, params, terms, labels)
+        save_checkpoint(out / "model.ckpt", config.to_dict(), params, terms, labels)
         assert cmd_eval(out / "model.ckpt", dataset["edges"], dataset["content"],
                         split_seed=1, quiet=True) == 4
+
+
+class TestDatasetsEntryPoint:
+    def test_writes_a_dataset(self, tmp_path, capsys):
+        assert fagcn.datasets.main([str(tmp_path / "data"), "3"]) == 0
+        assert sorted(os.listdir(tmp_path / "data")) == ["content.tsv", "edges.txt"]
+        assert capsys.readouterr().out.startswith("wrote ")
+
+    @pytest.mark.parametrize("seed", ["1.5", "x", "", "-3", "+3"])
+    def test_bad_seed_is_input_error(self, tmp_path, capsys, seed):
+        assert fagcn.datasets.main([str(tmp_path / "data"), seed]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "SEED" in err[0]
+        assert not (tmp_path / "data").exists()
+
+    def test_out_dir_that_cannot_be_created_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("keep", encoding="utf-8")
+        assert fagcn.datasets.main([str(tmp_path / "taken" / "data")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "keep"
 
 
 class TestEntryPoint:

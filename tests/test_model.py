@@ -28,6 +28,17 @@ def fixture_params(variant: str, seed: int = 0) -> ModelParams:
                             variant=variant, rng=np.random.default_rng(seed))
 
 
+def pair_token_layout(graph: Graph, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The token rows and segment starts of the (pair, token) layout,
+    built by loops: segment p holds node ``members[p]``'s token rows."""
+    starts = np.cumsum(lengths) - lengths
+    rows, segments = [], []
+    for m in graph.pairs[1]:
+        segments.append(len(rows))
+        rows += range(starts[m], starts[m] + lengths[m])
+    return np.array(rows), np.array(segments)
+
+
 class TestNodeInputFeatures:
     def test_mean_aggregation_without_attention(self, rng):
         # the hidden state evolves across positions, so even identical
@@ -37,9 +48,25 @@ class TestNodeInputFeatures:
         corpus = ContentCorpus(node_ids=[0], contents=[[2, 2, 2]], labels=[0],
                                label_names=["x"], vocab_size=3)
         params = ModelParams.init(3, 1, 4, 4, 3, "none", rng)
-        features = node_input_features(params, corpus, graph)
-        encoded = encode_nodes(params, corpus).data[corpus.starts[0]:]
-        np.testing.assert_allclose(features.data[0], encoded.mean(axis=0), atol=1e-12)
+        encoded, weights, rows, starts = node_input_features(params, corpus, graph)
+        np.testing.assert_array_equal(encoded.data, encode_nodes(params, corpus).data)
+        np.testing.assert_array_equal(weights.data, np.full((3, 1), 1 / 3))
+        np.testing.assert_array_equal(rows, [0, 1, 2])
+        np.testing.assert_array_equal(starts, [0])
+        mixed = T.gather_segment_sum(weights, encoded, rows, starts)
+        np.testing.assert_allclose(mixed.data[0], encoded.data.mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_one_pair_token_layout_for_every_variant(self, variant):
+        graph, corpus, _ = four_node_fixture()
+        params = fixture_params(variant, seed=6)
+        _, weights, rows, starts = node_input_features(params, corpus, graph)
+        lengths = [len(tokens) for tokens in corpus.contents]
+        expected_rows, expected_starts = pair_token_layout(graph, lengths)
+        np.testing.assert_array_equal(rows, expected_rows)
+        np.testing.assert_array_equal(starts, expected_starts)
+        np.testing.assert_allclose(np.add.reduceat(weights.data[:, 0], starts), 1.0,
+                                   atol=1e-12)
 
     def test_context_with_zero_bilinear_matches_none(self):
         graph, corpus, _ = four_node_fixture()
@@ -72,8 +99,10 @@ class TestNodeInputFeatures:
             before = len(tape)
             layer1(graph, features, params.conv1_weight)
             layer1_records = len(tape) - before
-        assert attention_records <= 7
-        assert layer1_records == 3
+        # projection (transpose, matmul), weights times pair coefficients
+        # (a constant under "none", so not recorded), one segment sum
+        assert attention_records <= 5
+        assert layer1_records == (3 if variant == "none" else 4)
 
     @pytest.mark.parametrize("dataset", ["four_node", "sixty_node"])
     def test_encoder_records_do_not_grow_with_the_corpus(self, dataset):
@@ -115,58 +144,88 @@ class TestNodeInputFeatures:
             node_input_features(params, corpus, Graph(5, []), encoded=encoded)
 
 
-def pair_rows(graph: Graph, node_rows: np.ndarray) -> Tensor:
-    """Node feature rows laid out one per pair of ``graph.pairs``."""
-    return Tensor(node_rows[graph.pairs[1]])
+def layer1_input(graph: Graph, lengths, dim: int, rng, uniform: bool = False):
+    """Random token rows of the given per-node lengths, laid out with
+    per-(pair, token) weights that differ from center to center (or are
+    uniform per segment), as ``node_input_features`` hands them over."""
+    rows, segments = pair_token_layout(graph, lengths)
+    if uniform:
+        counts = np.diff(segments, append=rows.size)
+        weights = np.repeat(1.0 / counts, counts)
+    else:
+        weights = rng.random(rows.size)
+    encoded = rng.standard_normal((int(np.sum(lengths)), dim))
+    return encoded, weights, (Tensor(encoded), Tensor(weights[:, None]), rows, segments)
 
 
 class TestLayer1:
     def test_isolated_node(self, rng):
         graph = Graph(1, [])
-        features = rng.standard_normal((1, 4))
+        encoded, weights, features = layer1_input(graph, [3], 4, rng)
         w0 = Tensor(rng.standard_normal((3, 4)))
-        out = layer1(graph, pair_rows(graph, features), w0)
-        np.testing.assert_allclose(out.data[0], w0.data @ features[0], atol=1e-12)
+        out = layer1(graph, features, w0)
+        np.testing.assert_allclose(out.data[0], w0.data @ (weights @ encoded), atol=1e-12)
 
     def test_identity_weight_path_center(self, rng):
         graph = Graph(3, [(0, 1), (1, 2)])
-        features = rng.standard_normal((3, 4))
-        out = layer1(graph, pair_rows(graph, features), Tensor(np.eye(4)))
-        np.testing.assert_allclose(out.data[1], features.sum(axis=0), atol=1e-12)
+        encoded, _, features = layer1_input(graph, [2, 1, 3], 4, rng, uniform=True)
+        out = layer1(graph, features, Tensor(np.eye(4)))
+        means = [encoded[0:2].mean(axis=0), encoded[2], encoded[3:6].mean(axis=0)]
+        np.testing.assert_allclose(out.data[1], np.sum(means, axis=0), atol=1e-12)
 
     def test_matches_per_node_loop_oracle(self, rng):
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
-        features = rng.standard_normal((5, 4))
+        lengths = [2, 1, 4, 3, 2]
+        starts = np.cumsum(lengths) - lengths
+        encoded, weights, features = layer1_input(graph, lengths, 4, rng)
         w0 = rng.standard_normal((3, 4))
-        out = layer1(graph, pair_rows(graph, features), Tensor(w0))
-        for i in range(5):
-            expected = np.zeros(3)
-            for m in neighborhood(graph, i).members:
-                expected += w0 @ features[m]
-            np.testing.assert_allclose(out.data[i], expected, atol=1e-12)
+        norm = normalized_adjacency(graph)
+        for normalize in (False, True):
+            out = layer1(graph, features, Tensor(w0), normalize=normalize)
+            t = 0
+            for i in range(5):
+                expected = np.zeros(3)
+                for m in neighborhood(graph, i).members:
+                    coeff = norm[i, m] if normalize else 1.0
+                    for j in range(lengths[m]):
+                        expected += coeff * weights[t] * (w0 @ encoded[starts[m] + j])
+                        t += 1
+                np.testing.assert_allclose(out.data[i], expected, atol=1e-12)
+            assert t == weights.size
 
     def test_normalize_switch_uses_normalized_weights(self, rng):
+        # weights that do not depend on the center reduce layer1 to
+        # norm_adj @ mixed @ W0^T, with mixed the per-node weighted mean
         graph = Graph(3, [(0, 1), (1, 2)])
-        features = rng.standard_normal((3, 4))
+        encoded, _, features = layer1_input(graph, [2, 1, 3], 4, rng, uniform=True)
         w0 = rng.standard_normal((2, 4))
-        out = layer1(graph, pair_rows(graph, features), Tensor(w0), normalize=True)
-        norm = normalized_adjacency(graph)
-        expected = norm @ features @ w0.T
+        out = layer1(graph, features, Tensor(w0), normalize=True)
+        mixed = np.stack([encoded[0:2].mean(axis=0), encoded[2], encoded[3:6].mean(axis=0)])
+        expected = normalized_adjacency(graph) @ mixed @ w0.T
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_each_pair_row_is_used_once(self, rng):
-        # pair rows that differ per center (as under context attention)
+        # weight one on every (pair, token) row and an identity weight:
+        # node i sums every token row of its closed neighborhood once
         graph = Graph(3, [(0, 1), (1, 2)])
-        features = rng.standard_normal((7, 2))
-        out = layer1(graph, Tensor(features), Tensor(np.eye(2)))
-        np.testing.assert_allclose(out.data, [features[0:2].sum(axis=0),
-                                              features[2:5].sum(axis=0),
-                                              features[5:7].sum(axis=0)], atol=1e-15)
+        encoded, weights, (tokens, _, rows, starts) = layer1_input(graph, [2, 1, 3], 2, rng)
+        out = layer1(graph, (tokens, Tensor(np.ones((weights.size, 1))), rows, starts),
+                     Tensor(np.eye(2)))
+        np.testing.assert_allclose(out.data, [encoded[0:3].sum(axis=0),
+                                              encoded.sum(axis=0),
+                                              encoded[2:6].sum(axis=0)], atol=1e-15)
 
     def test_wrong_row_count_is_shape_error(self, rng):
         graph = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(ShapeError):
-            layer1(graph, Tensor(rng.standard_normal((3, 4))), Tensor(np.eye(4)))
+        _, _, features = layer1_input(graph, [2, 1, 3], 4, rng)
+        encoded, weights, rows, starts = features
+        with pytest.raises(ShapeError):  # laid out for another graph
+            layer1(Graph(3, [(0, 1)]), features, Tensor(np.eye(4)))
+        with pytest.raises(ShapeError):  # one weight short
+            layer1(graph, (encoded, Tensor(weights.data[1:]), rows, starts),
+                   Tensor(np.eye(4)))
+        with pytest.raises(ShapeError):  # token rows narrower than the weight
+            layer1(graph, features, Tensor(np.eye(5)))
 
 
 class TestLayer2:
@@ -305,14 +364,15 @@ class TestSingleTokenContents:
         graph = Graph(2, [(0, 1)])
         corpus = ContentCorpus(node_ids=[0, 1], contents=[[0], [1]], labels=[0, 1],
                                label_names=["a", "b"], vocab_size=2)
-        params = ModelParams.init(2, 2, 4, 4, 3, "none", rng)
-        features = node_input_features(params, corpus, graph)
-        encoded = encode_nodes(params, corpus)
-        # pairs (0, 0), (0, 1), (1, 0), (1, 1): row p holds member p's features
+        # pairs (0, 0), (0, 1), (1, 0), (1, 1): segment p is member p's one
+        # token row, with weight one
         np.testing.assert_array_equal(graph.pairs[1], [0, 1, 0, 1])
-        for p, m in enumerate([0, 1, 0, 1]):
-            np.testing.assert_allclose(features.data[p], encoded.data[corpus.starts[m]],
-                                       atol=1e-15)
+        for variant in ("none", "self", "context"):
+            params = ModelParams.init(2, 2, 4, 4, 3, variant, rng)
+            _, weights, rows, starts = node_input_features(params, corpus, graph)
+            np.testing.assert_array_equal(rows, [0, 1, 0, 1])
+            np.testing.assert_array_equal(starts, [0, 1, 2, 3])
+            np.testing.assert_allclose(weights.data, np.ones((4, 1)), atol=1e-15)
 
 
 class TestErrorContract:
@@ -432,3 +492,35 @@ class TestExportAttention:
         node2 = next(n for n in record["neighbors"] if n["node"] == 2)
         assert len(node2["weights"]) == 1
         assert node2["weights"][0]["weight"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_weights_per_neighbor_for_every_variant(self, variant):
+        # each neighbor lists its own tokens, weights summing to one; under
+        # "none" and "self" a member's weights are the same for every center
+        # that aggregates it, under "none" uniform, and under "context" they
+        # may differ per center
+        graph, corpus, _ = four_node_fixture()
+        terms = ["ash", "oak", "elm", "fir", "yew", "bay"]
+        params = fixture_params(variant, seed=4)
+        seen: dict[int, list[dict]] = {}
+        for center in range(graph.n):
+            record = export_attention(params, graph, corpus, terms, center)
+            assert [n["node"] for n in record["neighbors"]] == \
+                list(neighborhood(graph, center).members)
+            for entry in record["neighbors"]:
+                tokens = [terms[t] for t in corpus.contents[entry["node"]]]
+                weights = [w["weight"] for w in entry["weights"]]
+                assert sorted(w["token"] for w in entry["weights"]) == sorted(tokens)
+                assert abs(sum(weights) - 1.0) < 1e-9
+                assert weights == sorted(weights, reverse=True)
+                if variant == "none":
+                    assert [w["token"] for w in entry["weights"]] == tokens
+                    np.testing.assert_allclose(weights, 1.0 / len(tokens), atol=1e-15)
+                seen.setdefault(entry["node"], []).append(
+                    {w["token"]: w["weight"] for w in entry["weights"]})
+        assert len(seen[2]) == 4  # node 2 is aggregated by every node
+        for member, per_center in seen.items():
+            same = all(by_token == per_center[0] for by_token in per_center)
+            assert same or (variant == "context" and len(corpus.contents[member]) > 1)
+        if variant == "context":
+            assert not all(by_token == seen[0][0] for by_token in seen[0])

@@ -17,11 +17,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fagcn.checkpoint import load_checkpoint, save_checkpoint
+from fagcn.checkpoint import DIMS, load_checkpoint, save_checkpoint
 from fagcn.cli import cmd_sweep
 from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus
 from fagcn.datasets import write_dataset
-from fagcn.errors import ConfigError, FagcnError
+from fagcn.errors import ConfigError, DataError, FagcnError
 from fagcn.graph import Graph, build_graph, load_edge_list
 from fagcn.model import ModelParams, forward, init_for_variant
 from fagcn.noise import inject_noise
@@ -135,13 +135,17 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=6)
 NAMES = st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True)
+# valid values for some of the config fields that size no tensor
+VALID_SETTINGS = st.fixed_dictionaries({}, optional={
+    "lr": st.floats(1e-6, 10.0), "epochs": st.integers(0, 10 ** 6),
+    "seed": st.integers(0, 2 ** 63), "train_fraction": st.floats(0.01, 0.99),
+    "dropout_gcn": st.floats(0.0, 0.99), "layer1_normalize": st.booleans()})
 
 
 class TestCheckpointRoundtrip:
     @FEW
     @given(variant=st.sampled_from(VARIANTS), dims=st.tuples(*[st.integers(1, 3)] * 3),
-           terms=NAMES, labels=NAMES, extra=st.dictionaries(st.text(max_size=6), JSON,
-                                                          max_size=3),
+           terms=NAMES, labels=NAMES, extra=VALID_SETTINGS,
            scale=st.sampled_from([1e-310, 1.0, 1e300]), seed=st.integers(0, 2 ** 16))
     def test_save_then_load_gives_everything_back(self, variant, dims, terms, labels,
                                                   extra, scale, seed):
@@ -156,7 +160,8 @@ class TestCheckpointRoundtrip:
             path = os.path.join(scratch, "model.ckpt")
             save_checkpoint(path, config, params, terms, labels)
             loaded_config, loaded, loaded_terms, loaded_labels = load_checkpoint(path)
-        assert (loaded_config, loaded_terms, loaded_labels) == (config, terms, labels)
+        assert (loaded_config, loaded_terms, loaded_labels) == \
+            (ExperimentConfig(**config), terms, labels)
         stored = dict(loaded.named_parameters())
         for name, t in params.named_parameters():
             assert stored[name].data.tobytes() == t.data.tobytes(), name
@@ -216,6 +221,27 @@ SPECS = st.fixed_dictionaries(
     {"axis": AXES | JSON, "values": st.just([2]) | JSON,
      "content": st.text(max_size=4) | JSON, "edges": st.text(max_size=4) | JSON},
     optional={"variants": st.just(["self"]) | JSON, "seeds": st.just([1]) | JSON}) | JSON
+
+
+class TestStoredConfigs:
+    @FEW
+    # the dimensions stay fixed: TestSchema in test_checkpoint.py covers them,
+    # and a drawn one could ask for a huge allocation
+    @given(edits=st.dictionaries(st.sampled_from(sorted(set(ExperimentConfig().to_dict())
+                                                        - set(DIMS))) | st.text(max_size=6),
+                                 JSON, max_size=3))
+    def test_a_stored_config_loads_valid_or_is_a_data_error(self, edits):
+        config = {"variant": "context", "embed_dim": 3, "feature_dim": 3, "hidden_dim": 2}
+        params = ModelParams.init(VOCAB, 2, 3, 3, 2, "context", np.random.default_rng(0))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "model.ckpt")
+            save_checkpoint(path, {**config, **edits}, params,
+                            [f"t{k}" for k in range(VOCAB)], ["a", "b"])
+            try:
+                loaded, _, _, _ = load_checkpoint(path)
+            except DataError:
+                return
+        loaded.validate()
 
 
 class TestJsonInputsRaiseOnlyConfigErrors:
