@@ -1,7 +1,10 @@
 """Undirected graph structure and the normalized adjacency used by the
 convolution layers. A ``Graph`` stores one form of its edges, ``pairs``
-(the CSR layout of I + A), and its degrees; the edge set, the dense
-adjacency and every n x n operator are derived from ``pairs``."""
+(the CSR layout of I + A), and its degrees; the edge set and the
+per-pair coefficients of the normalized adjacency are derived from
+``pairs``. The convolutions propagate over the pairs; the dense n x n
+forms (``Graph.dense``, ``Graph.adjacency``, ``normalized_adjacency``)
+are references for checks only."""
 
 from __future__ import annotations
 
@@ -24,7 +27,8 @@ class Graph:
     self-pair not counted). Input edges are deduplicated and symmetrized;
     input self-loops add nothing. Lazy views: ``edges``, the set of
     ``(i, j)`` with i < j, and the dense ``adjacency`` (zero diagonal),
-    kept for reference checks and the benchmark's memory count.
+    which no training or evaluation code reads: it is a reference for
+    checks, like ``dense``.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -95,9 +99,9 @@ def neighborhood(g: Graph, i: int) -> Neighborhood:
     return Neighborhood(center=i, members=tuple(members[indptr[i]:indptr[i + 1]].tolist()))
 
 
-def normalized_adjacency(g: Graph) -> np.ndarray:
-    """Symmetrically normalized adjacency with self-loops: pair (c, m)
-    holds 1 / sqrt((d_c + 1)(d_m + 1)).
+def normalized_coefficients(g: Graph) -> np.ndarray:
+    """The symmetrically normalized adjacency with self-loops, one entry
+    per pair of ``g.pairs``: pair (c, m) holds 1 / sqrt((d_c + 1)(d_m + 1)).
 
     Degrees for the normalization count the self-loop (D + I), which
     keeps every row well defined even for isolated nodes: their only
@@ -105,7 +109,13 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     """
     centers, members, _ = g.pairs
     inv_sqrt = 1.0 / np.sqrt(g.degree + 1.0)
-    return g.dense(inv_sqrt[centers] * inv_sqrt[members])
+    return inv_sqrt[centers] * inv_sqrt[members]
+
+
+def normalized_adjacency(g: Graph) -> np.ndarray:
+    """``normalized_coefficients`` as a dense n x n matrix, a reference for
+    checks."""
+    return g.dense(normalized_coefficients(g))
 
 
 def load_edge_list(path) -> list[tuple[int, int]]:

@@ -7,6 +7,9 @@ The token rows of all nodes form one matrix, node i's from row
 ``corpus.starts[i]``, so the Bi-LSTM runs once over the whole corpus.
 Attention weighs them in one (pair, token) layout for every variant, and
 layer1 projects them to hidden width before it sums them per center: Â(XW).
+Both convolutions and the baseline propagate over the (center, member)
+pairs of ``graph.pairs``, with one coefficient per pair; no n x n matrix
+is built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import tensor as T
 from .attention import AttentionParams, token_weights
 from .corpus import ContentCorpus, init_embeddings
 from .errors import ConfigError, ShapeError
-from .graph import Graph, check_node, normalized_adjacency
+from .graph import Graph, check_node, normalized_coefficients
 from .lstm import LstmDirectionParams, bilstm_encode
 from .tensor import Tensor
 
@@ -114,12 +117,12 @@ class BaselineParams:
     def bind(self, graph: Graph, corpus: ContentCorpus,
              operators: GraphOperators) -> Callable[..., Tensor]:
         """The baseline has no dropout, so the training keywords are
-        ignored; the bag-of-words input is built once per binding."""
-        bow = T.constant(bag_of_words(corpus, corpus.vocab_size))
+        ignored; the constant Â·BoW is built once per binding."""
+        norm_adj = operators.norm_adj
+        propagated = norm_adj.propagate(T.constant(bag_of_words(corpus, corpus.vocab_size)))
 
         def run(**_training_keywords) -> Tensor:
-            return baseline_gcn_forward(operators.norm_adj, bow,
-                                        self.conv1_weight, self.conv2_weight)
+            return _baseline_head(norm_adj, propagated, self.conv1_weight, self.conv2_weight)
 
         return run
 
@@ -174,17 +177,36 @@ class LabelMatrix:
         return out
 
 
+@dataclass(frozen=True)
+class PairOperator:
+    """A constant n x n operator stored as one coefficient per (center,
+    member) pair of ``graph.pairs``, in that order: ``data`` is the CSR
+    value array, as a scipy CSR matrix's ``.data`` is, and every entry
+    off the pairs is zero."""
+
+    graph: Graph
+    data: np.ndarray
+
+    def propagate(self, x: Tensor) -> Tensor:
+        """The product with ``x``: row c sums ``data[p] * x[members[p]]``
+        over c's pairs p."""
+        if x.rows != self.graph.n:
+            raise ShapeError(f"a graph of {self.graph.n} nodes cannot propagate {x.shape}")
+        _, members, indptr = self.graph.pairs
+        return T.gather_segment_sum(T.constant(self.data[:, None]), x, members, indptr[:-1])
+
+
 @dataclass
 class GraphOperators:
-    """Constant matrices derived from the graph, reused across epochs."""
+    """Constant operators derived from the graph, reused across epochs."""
 
-    support: Tensor   # I + A, the unnormalized closed-neighborhood sum
-    norm_adj: Tensor  # symmetrically normalized adjacency with self-loops
+    support: PairOperator   # I + A: 1 per pair, the unnormalized closed-neighborhood sum
+    norm_adj: PairOperator  # Â: 1 / sqrt((d_c + 1)(d_m + 1)) per pair
 
     @classmethod
     def build(cls, graph: Graph) -> "GraphOperators":
-        return cls(support=T.constant(graph.dense(1.0)),
-                   norm_adj=T.constant(normalized_adjacency(graph)))
+        return cls(support=PairOperator(graph, np.ones(graph.pairs[1].size)),
+                   norm_adj=PairOperator(graph, normalized_coefficients(graph)))
 
 
 def encode_nodes(params: ModelParams, corpus: ContentCorpus, *,
@@ -237,26 +259,26 @@ def layer1(graph: Graph, features: tuple[Tensor, Tensor, np.ndarray, np.ndarray]
     if operators is None:
         operators = GraphOperators.build(graph)
     mixer = operators.norm_adj if normalize else operators.support
-    centers, members, indptr = graph.pairs
-    if starts.size != centers.size:
-        raise ShapeError(f"{starts.size} pair segments for a graph of {centers.size} pairs")
+    _, members, indptr = graph.pairs
+    if starts.size != members.size:
+        raise ShapeError(f"{starts.size} pair segments for a graph of {members.size} pairs")
     lengths = np.diff(starts, append=weights.rows)
-    coeffs = T.constant(np.repeat(mixer.data[centers, members], lengths)[:, None])
+    coeffs = T.constant(np.repeat(mixer.data, lengths)[:, None])
     projected = T.matmul(encoded, T.transpose(conv1_weight))
     return T.gather_segment_sum(T.mul(weights, coeffs), projected, rows, starts[indptr[:-1]])
 
 
-def layer2(norm_adj: Tensor, hidden: Tensor, conv2_weight: Tensor, *,
+def layer2(norm_adj: PairOperator, hidden: Tensor, conv2_weight: Tensor, *,
            training: bool = False,
            dropout_gcn: float = 0.0,
            rng: np.random.Generator | None = None) -> Tensor:
     """Second convolution: normalized aggregation of the rectified layer.
 
     Dropout is applied to the rectified activations (training mode only)
-    before the adjacency product.
+    before they are propagated.
     """
     active = T.dropout(T.relu(hidden), dropout_gcn, rng, training)
-    return T.matmul(T.matmul(norm_adj, active), conv2_weight)
+    return T.matmul(norm_adj.propagate(active), conv2_weight)
 
 
 def classify(outputs: Tensor) -> Tensor:
@@ -307,21 +329,29 @@ def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
 
 def bag_of_words(corpus: ContentCorpus, vocab_size: int) -> np.ndarray:
     """Binary n x vocab_size term-presence matrix."""
+    lengths = [len(tokens) for tokens in corpus.contents]
+    tokens = np.fromiter(chain.from_iterable(corpus.contents), dtype=np.intp)
     bow = np.zeros((corpus.n, vocab_size))
-    for i, tokens in enumerate(corpus.contents):
-        bow[i, tokens] = 1.0
+    bow[np.repeat(np.arange(corpus.n), lengths), tokens] = 1.0
     return bow
 
 
-def baseline_gcn_forward(norm_adj: Tensor, bow: Tensor,
+def baseline_gcn_forward(norm_adj: PairOperator, bow: Tensor,
                          conv1_weight: Tensor, conv2_weight: Tensor) -> Tensor:
     """Two-layer GCN on static bag-of-words features.
 
     Z = softmax(norm_adj @ relu(norm_adj @ bow @ W) @ W'); both layers
     use the same normalized adjacency.
     """
-    hidden = T.relu(T.matmul(T.matmul(norm_adj, bow), conv1_weight))
-    return T.rowwise_softmax(T.matmul(T.matmul(norm_adj, hidden), conv2_weight))
+    return _baseline_head(norm_adj, norm_adj.propagate(bow), conv1_weight, conv2_weight)
+
+
+def _baseline_head(norm_adj: PairOperator, propagated: Tensor,
+                   conv1_weight: Tensor, conv2_weight: Tensor) -> Tensor:
+    # the baseline past its constant first product norm_adj @ bow, which
+    # ``BaselineParams.bind`` computes once per binding; its second layer
+    # is ``layer2`` without dropout
+    return classify(layer2(norm_adj, T.matmul(propagated, conv1_weight), conv2_weight))
 
 
 def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,

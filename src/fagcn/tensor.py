@@ -34,8 +34,8 @@ Array = np.ndarray
 class Tensor:
     """A 2-D float64 matrix with an optional same-shape gradient slot.
 
-    ``requires_grad=False`` marks constants (adjacency matrices, label
-    masks, bag-of-words inputs): no gradient is ever accumulated into
+    ``requires_grad=False`` marks constants (per-pair graph coefficients,
+    label masks, bag-of-words inputs): no gradient is ever accumulated into
     them and operations with only constant inputs are not recorded.
     """
 

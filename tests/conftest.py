@@ -1,5 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# When a Hypothesis test fails, the hypothesis plugin imports this module
+# while it writes the report. The import loads libcst, which touches a
+# deprecated name of mypy_extensions; under the "error" warning filter that
+# DeprecationWarning would end the whole run as an INTERNALERROR. Importing
+# it once here, with the warning ignored, lets a failure report normally.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

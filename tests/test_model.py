@@ -2,11 +2,13 @@
 equivalence with the straight-line re-implementation, and gradient
 checks for every parameter group."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fagcn.tensor as T
-from fagcn.corpus import ContentCorpus
+from fagcn.corpus import ContentCorpus, split
 from fagcn.datasets import four_node_fixture, synthetic_citation
 from fagcn.errors import ConfigError, ShapeError
 from fagcn.graph import Graph, neighborhood, normalized_adjacency
@@ -16,6 +18,7 @@ from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
                          classify, encode_nodes, export_attention, forward,
                          layer1, layer2, loss, node_input_features)
 from fagcn.tensor import Tape, Tensor
+from fagcn.training import ExperimentConfig, train
 
 from _oracle import (arrays_of, straightline_baseline, straightline_forward,
                      straightline_loss)
@@ -253,6 +256,105 @@ class TestLayer2:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+PAIR_GRAPHS = {
+    "single-node": Graph(1, []),
+    "isolated-nodes": Graph(6, [(0, 1), (1, 2), (2, 0), (3, 1)]),
+    "irregular": Graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)
+                         if (3 * i + 5 * j) % 7 < 2]),
+}
+
+
+class TestPairOperator:
+    @pytest.mark.parametrize("name", PAIR_GRAPHS)
+    def test_coefficients_match_the_dense_references(self, name):
+        graph = PAIR_GRAPHS[name]
+        ops = GraphOperators.build(graph)
+        assert ops.support.data.shape == ops.norm_adj.data.shape == graph.pairs[1].shape
+        np.testing.assert_array_equal(graph.dense(ops.support.data), graph.dense(1.0))
+        np.testing.assert_array_equal(graph.dense(ops.norm_adj.data),
+                                      normalized_adjacency(graph))
+
+    @pytest.mark.parametrize("name", PAIR_GRAPHS)
+    def test_product_matches_the_dense_product(self, name, rng):
+        graph = PAIR_GRAPHS[name]
+        ops = GraphOperators.build(graph)
+        x = rng.standard_normal((graph.n, 3))
+        for op in (ops.support, ops.norm_adj):
+            np.testing.assert_allclose(op.propagate(Tensor(x)).data,
+                                       graph.dense(op.data) @ x, rtol=0, atol=1e-12)
+
+    def test_row_count_must_match_the_graph(self):
+        op = GraphOperators.build(Graph(3, [(0, 1)])).norm_adj
+        for rows in (2, 4):
+            with pytest.raises(ShapeError):
+                op.propagate(Tensor(np.ones((rows, 2))))
+
+    def test_gradients_through_layer2(self, rng):
+        norm_adj = GraphOperators.build(PAIR_GRAPHS["isolated-nodes"]).norm_adj
+        hidden = Tensor(rng.standard_normal((6, 4)))
+        w = Tensor(rng.standard_normal((4, 3)))
+        probe = T.constant(rng.standard_normal((6, 3)))
+
+        def loss_fn():
+            return T.sum_all(T.mul(probe, layer2(norm_adj, hidden, w)))
+
+        assert T.grad_check(loss_fn, [("hidden", hidden), ("w", w)], eps=1e-6) < 1e-7
+
+    def test_gradients_through_baseline(self, rng):
+        norm_adj = GraphOperators.build(PAIR_GRAPHS["irregular"]).norm_adj
+        bow = T.constant(rng.integers(0, 2, size=(12, 7)).astype(float))
+        params = BaselineParams.init(vocab_size=7, num_classes=3, hidden_dim=4,
+                                     rng=np.random.default_rng(4))
+        labels = LabelMatrix.build([k % 3 for k in range(12)], 3, train_idx=[0, 4, 5, 9])
+
+        def loss_fn():
+            z = baseline_gcn_forward(norm_adj, bow, params.conv1_weight, params.conv2_weight)
+            return loss(z, labels, params, 0.0, 5e-4)
+
+        assert T.grad_check(loss_fn, params.named_parameters(), eps=1e-6) < 1e-7
+
+
+class TestNoDenseMatrix:
+    """On a 4,000-node ring one n x n float64 matrix is 122 MiB; nothing on
+    the training or evaluation path comes near that."""
+
+    N = 4000
+    BOUND = 8 * 2 ** 20
+
+    @classmethod
+    def ring(cls) -> tuple[Graph, ContentCorpus]:
+        graph = Graph(cls.N, [(i, (i + 1) % cls.N) for i in range(cls.N)])
+        classes = [i % 2 for i in range(cls.N)]
+        corpus = ContentCorpus(node_ids=list(range(cls.N)), contents=[[k] for k in classes],
+                               labels=classes, label_names=["a", "b"], vocab_size=2)
+        return graph, corpus
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_building_the_operators(self):
+        graph, _ = self.ring()
+        assert self.peak(lambda: GraphOperators.build(graph)) < self.BOUND
+
+    def test_eval_forward(self, rng):
+        graph, corpus = self.ring()
+        params = ModelParams.init(2, 2, embed_dim=2, feature_dim=2, hidden_dim=2,
+                                  variant="none", rng=rng)
+        assert self.peak(lambda: forward(params, graph, corpus)) < self.BOUND
+
+    def test_one_baseline_epoch(self):
+        graph, corpus = self.ring()
+        config = ExperimentConfig(hidden_dim=2, epochs=1, variant="baseline_gcn")
+        dataset_split = split(corpus.n, config.train_fraction, np.random.default_rng(0))
+        assert self.peak(lambda: train(config, graph, corpus, dataset_split)) < self.BOUND
+
+
 class TestClassify:
     def test_zero_row_uniform(self):
         out = classify(Tensor(np.zeros((1, 4))))
@@ -434,6 +536,16 @@ class TestBaselineGcn:
                                labels=[0, 0], label_names=["x"], vocab_size=3)
         bow = bag_of_words(corpus, 3)
         np.testing.assert_array_equal(bow, [[1, 0, 1], [0, 1, 0]])
+
+    def test_bag_of_words_matches_per_node_loop(self, rng):
+        # ragged lengths and repeated tokens; two terms occur nowhere
+        contents = [rng.integers(0, 8, size=k).tolist() for k in rng.integers(1, 7, size=30)]
+        corpus = ContentCorpus(node_ids=list(range(30)), contents=contents, labels=[0] * 30,
+                               label_names=["x"], vocab_size=10)
+        expected = np.zeros((30, 10))
+        for i, tokens in enumerate(contents):
+            expected[i, tokens] = 1.0
+        assert bag_of_words(corpus, 10).tobytes() == expected.tobytes()
 
 
 class TestFullModelGradients:
