@@ -335,12 +335,27 @@ def segment_softmax(x: Tensor, starts: Sequence[int]) -> Tensor:
     return _op(y, (x,), (lambda g: y * (g - np.add.reduceat(g * y, starts)[seg]),))
 
 
+GATHER_BLOCK = 8192  # entries (64 KiB of float64) per gathered block in gather_dot
+
+
 def gather_dot(a: Tensor, a_rows: Sequence[int], b: Tensor, b_rows: Sequence[int]) -> Tensor:
-    """Column whose row t is the dot product of a[a_rows[t]] and b[b_rows[t]]."""
+    """Column whose row t is the dot product of a[a_rows[t]] and b[b_rows[t]].
+
+    The forward gathers blocks of at most ``GATHER_BLOCK`` entries. Two
+    whole (len(a_rows) x cols) gathers are large enough that the allocator
+    maps fresh pages for them on some calls and reuses freed ones on
+    others, so the call's time would depend on the heap's state; small
+    blocks are always reused. Each row's dot product is the same either
+    way."""
     ia, ib = _row_indices(a_rows, a), _row_indices(b_rows, b)
     if ia.size != ib.size or a.data.shape[1] != b.data.shape[1]:
         raise ShapeError(f"gather_dot: {ia.size} rows of {a.shape}, {ib.size} of {b.shape}")
-    return _op(np.einsum("ij,ij->i", a.data[ia], b.data[ib])[:, None], (a, b),
+    dots = np.empty((ia.size, 1))
+    step = max(1, GATHER_BLOCK // max(a.cols, 1))
+    for lo in range(0, ia.size, step):
+        block = slice(lo, lo + step)
+        np.einsum("ij,ij->i", a.data[ia[block]], b.data[ib[block]], out=dots[block, 0])
+    return _op(dots, (a, b),
                (lambda g: _scatter_rows(a, ia, b.data[ib], g),
                 lambda g: _scatter_rows(b, ib, a.data[ia], g)))
 

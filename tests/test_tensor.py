@@ -1,6 +1,8 @@
 """Numeric kernel: forward values against independent oracles, taped
 gradients against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,27 @@ class TestSegmentOps:
         out = T.gather_dot(Tensor(a), a_rows, Tensor(b), b_rows).data
         expected = [[sum(a[i, k] * b[j, k] for k in range(3))] for i, j in zip(a_rows, b_rows)]
         np.testing.assert_allclose(out, expected, atol=1e-14)
+
+    def test_gather_dot_blocks_match_one_whole_gather(self, rng):
+        # 3.5 blocks of rows, so the last block is partial
+        cols = 16
+        rows = 7 * T.GATHER_BLOCK // (2 * cols)
+        a, b = rng.standard_normal((50, cols)), rng.standard_normal((9, cols))
+        a_rows, b_rows = rng.integers(0, 50, rows), rng.integers(0, 9, rows)
+        out = T.gather_dot(Tensor(a), a_rows, Tensor(b), b_rows).data
+        np.testing.assert_array_equal(out[:, 0], np.einsum("ij,ij->i", a[a_rows], b[b_rows]))
+
+    def test_gather_dot_never_gathers_all_rows_at_once(self, rng):
+        # the context-attention shape: 5,100 (pair, token) rows of width 80
+        a, b = rng.standard_normal((300, 80)), rng.standard_normal((100, 80))
+        a_rows, b_rows = rng.integers(0, 300, 5100), np.sort(rng.integers(0, 100, 5100))
+        tracemalloc.start()
+        try:
+            T.gather_dot(Tensor(a), a_rows, Tensor(b), b_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a[a_rows].nbytes / 2
 
     def test_gather_segment_sum_matches_loop(self, rng):
         w, x = rng.standard_normal((9, 1)), rng.standard_normal((4, 3))
