@@ -14,7 +14,7 @@ from .attention import AttentionParams
 from .corpus import ContentCorpus, DatasetSplit, Vocabulary, load_corpus, split
 from .errors import ConfigError, DataError, FagcnError, NumericError, ShapeError
 from .graph import Graph, Neighborhood, build_graph, load_edge_list, neighborhood, normalized_adjacency
-from .lstm import LstmDirectionParams, bilstm_encode, lstm_forward
+from .lstm import LstmDirectionParams, bilstm_encode
 from .model import BaselineParams, LabelMatrix, ModelParams, forward, loss
 from .noise import inject_noise, noise_sweep, replace_noise, sweep
 from .tensor import Tape, Tensor, grad_check
@@ -28,7 +28,7 @@ __all__ = [
     "ConfigError", "DataError", "FagcnError", "NumericError", "ShapeError",
     "Graph", "Neighborhood", "build_graph", "load_edge_list", "neighborhood",
     "normalized_adjacency",
-    "LstmDirectionParams", "bilstm_encode", "lstm_forward",
+    "LstmDirectionParams", "bilstm_encode",
     "BaselineParams", "LabelMatrix", "ModelParams", "forward", "loss",
     "inject_noise", "noise_sweep", "replace_noise", "sweep",
     "Tape", "Tensor", "grad_check",

@@ -76,7 +76,7 @@ def token_weights(attention: AttentionParams, features: Tensor, starts: np.ndarr
     starts = np.asarray(starts, dtype=np.intp)
     if starts.size != graph.n:
         raise ShapeError(f"token rows of {starts.size} nodes for a graph of {graph.n}")
-    centers, members, _ = graph.pairs
+    _, members, indptr = graph.pairs
     lengths = np.diff(starts, append=features.rows)[members]
     pair_starts = np.cumsum(lengths) - lengths
     rows = np.arange(lengths.sum()) + np.repeat(starts[members] - pair_starts, lengths)
@@ -89,5 +89,6 @@ def token_weights(attention: AttentionParams, features: Tensor, starts: np.ndarr
         contexts = T.gather_segment_sum(T.constant(np.ones((features.rows, 1))), features,
                                         np.arange(features.rows), starts)
         keys = T.matmul(contexts, T.transpose(attention.bilinear))
-        scores = T.gather_dot(features, rows, keys, np.repeat(centers, lengths))
+        # pairs are sorted by center, so each center's (pair, token) rows are one segment
+        scores = T.gather_dot(features, rows, keys, pair_starts[indptr[:-1]])
     return T.segment_softmax(scores, pair_starts), rows, pair_starts

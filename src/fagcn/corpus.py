@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import round_half_up, text_lines
+from .util import require_ascii_ints, round_half_up, text_lines
 
 
 class Vocabulary:
@@ -81,7 +81,8 @@ class ContentCorpus:
 
 
 def load_corpus(path) -> tuple[ContentCorpus, Vocabulary]:
-    """Load a content file: ``node_id<TAB>label<TAB>token token ...``.
+    """Load a content file: ``node_id<TAB>label<TAB>token token ...``,
+    the node id ASCII ``-?[0-9]+``.
 
     Tokens are lowercased but otherwise taken as-is (no stemming or
     stop-word removal); duplicate tokens within a node are kept in
@@ -103,9 +104,10 @@ def load_corpus(path) -> tuple[ContentCorpus, Vocabulary]:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
         id_text, label, token_text = fields
         try:
-            node_id = int(id_text)
+            node_id = int(require_ascii_ints(id_text))
         except ValueError:
-            raise DataError(f"{path}:{lineno}: node id must be an integer") from None
+            raise DataError(
+                f"{path}:{lineno}: node id must be an integer, got {id_text!r}") from None
         tokens = token_text.split()
         if not tokens:
             raise DataError(f"{path}:{lineno}: node {node_id} has no content tokens")

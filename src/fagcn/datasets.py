@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     seed = args[1] if len(args) == 2 else "0"
     try:
-        if not seed.isdecimal():
+        if not (seed.isascii() and seed.isdecimal()):
             raise ValueError(f"SEED must be an int >= 0, got {seed!r}")
         graph, corpus, vocab = synthetic_citation(seed=int(seed))
         content_path, edges_path = write_dataset(args[0], corpus, vocab, graph)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import text_lines
+from .util import require_ascii_ints, text_lines
 
 
 class Graph:
@@ -119,19 +119,21 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
 
 
 def load_edge_list(path) -> list[tuple[int, int]]:
-    """Parse an edge-list file: two integer node ids per line, '#' comments."""
+    """Parse an edge-list file: two integer node ids per line, each ASCII
+    ``-?[0-9]+``; '#' comments."""
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in text_lines(path, DataError):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path, DataError):
         fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         if len(fields) != 2:
-            raise DataError(f"{path}:{lineno}: expected two node ids, got {line!r}")
+            raise DataError(f"{path}:{lineno}: expected two node ids, got {line.strip()!r}")
         try:
+            require_ascii_ints(line)
             pairs.append((int(fields[0]), int(fields[1])))
         except ValueError:
-            raise DataError(f"{path}:{lineno}: node ids must be integers") from None
+            raise DataError(
+                f"{path}:{lineno}: node ids must be integers, got {line.strip()!r}") from None
     return pairs
 
 

@@ -67,17 +67,21 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
                    reverse: bool) -> Tensor:
     """Run the recurrence over each segment of ``seq`` (rows ``starts[k]``
     up to the next start; last to first when ``reverse``) as one taped
-    operation; outputs come back in row order.
+    operation; outputs come back in row order. Per step, gates f, i, o are
+    sigmoids and the cell candidate g a tanh of [x_t, h_{t-1}] times the
+    gate weight plus bias; c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t),
+    from zero states.
 
     After Appleyard et al. (arXiv 1604.01946), the input projection of
     every token is one product and the time loop carries only ``h @ W_h``.
     Segments are packed longest first: step t advances token t of every
     segment longer than t, a prefix of the carried state, so the loop runs
-    once per position of the longest segment, without padding. The
-    backward closure walks the same visits in reverse, then forms the
-    weight gradient as one product. ``W_x`` and ``W_h`` are row views of
-    the stacked gate weight, not rebuilt copies; the weight still holds
-    its forward values when the tape runs.
+    once per position of the longest segment, without padding. The three
+    gradient functions share one reverse sweep over the same visits, run
+    by the first of them; the weight gradient is then one product.
+    ``W_x`` and ``W_h`` are row views of the stacked gate weight, not
+    rebuilt copies; the weight still holds its forward values when the
+    tape runs.
     """
     weight, bias = params.weight, params.bias
     d, embed_dim = params.feature_dim, params.embed_dim
@@ -98,31 +102,32 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
     visits = first[np.arange(n) - offsets[step_of]] + (-step_of if reverse else step_of)
 
     w_x, w_h = weight.data[:embed_dim], weight.data[embed_dim:]
-    pre_x = seq.data[visits] @ w_x
-    pre_x += bias.data
-    gates = np.empty((n, 4 * d))  # f, i, g, o side by side, in visit order
+    gates = seq.data[visits] @ w_x  # f, i, g, o side by side, in visit order
+    gates += bias.data
     cs, out_data = np.empty((n, d)), np.empty((n, d))
     h = c = np.zeros((batch[0], d))
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         active = hi - lo
-        z = pre_x[lo:hi] + h[:active] @ w_h
-        gate = gates[lo:hi]
-        gate[:] = _sigmoid(z)
-        gate[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
-        f, i, g, o = (gate[:, k * d:(k + 1) * d] for k in range(4))
+        z = gates[lo:hi]
+        z += h[:active] @ w_h
+        gate = _sigmoid(z)
+        np.tanh(z[:, 2 * d:3 * d], out=gate[:, 2 * d:3 * d])
+        z[:] = gate
+        f, i, g, o = (z[:, k * d:(k + 1) * d] for k in range(4))
         c = cs[lo:hi] = f * c[:active] + i * g
         h = out_data[visits[lo:hi]] = o * np.tanh(c)
 
-    inputs = (seq, weight, bias)
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    tape = T._wants_tape(*inputs)
-    if tape is None:
-        return out
+    swept = False
 
-    def sweep() -> None:
-        if out.grad is None:
-            return
-        dz = np.empty((n, 4 * d))
+    def dz(grad: np.ndarray) -> np.ndarray:
+        """The gate pre-activation gradients, in visit order. The first call
+        sweeps back through time and writes them over ``gates``, step t's
+        rows once step t has read them; the tape runs backward once, so
+        nothing reads the activations after."""
+        nonlocal swept
+        if swept:
+            return gates
+        swept = True
         dh_next = dc_next = np.zeros((0, d))
         for t in range(batch.size - 1, -1, -1):
             lo, hi = offsets[t], offsets[t + 1]
@@ -130,41 +135,32 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
             f, i, g, o = (gates[lo:hi, k * d:(k + 1) * d] for k in range(4))
             c_prev = cs[offsets[t - 1]:offsets[t - 1] + active] if t else np.zeros((active, d))
             tanh_c = np.tanh(cs[lo:hi])
-            dh = out.grad[visits[lo:hi]]
+            dh = grad[visits[lo:hi]]
             dh[:carried] += dh_next
             dc = dh * (o * (1.0 - tanh_c * tanh_c))
             dc[:carried] += dc_next
-            # dz = (dc, dc, dc, dh) times each gate's local derivative
-            dz[lo:hi] = np.hstack((dc * (c_prev * (f * (1.0 - f))), dc * (g * (i * (1.0 - i))),
-                                   dc * (i * (1.0 - g * g)), dh * (tanh_c * (o * (1.0 - o)))))
-            dh_next = dz[lo:hi] @ w_h.T
             dc_next = dc * f
-        if seq.requires_grad:
-            dx = np.empty(seq.shape)
-            dx[visits] = dz @ w_x.T
-            T._accumulate_owned(seq, dx)
-        if weight.requires_grad:
-            # visit r >= batch[0] follows visit r - batch[t - 1] of its segment;
-            # the first visits start from h = 0 and add nothing to dW_h
-            prev = np.arange(batch[0], n) - np.repeat(batch[:-1], batch[1:])
-            T._accumulate_owned(weight, np.vstack((seq.data[visits].T @ dz,
-                                                   out.data[visits[prev]].T @ dz[batch[0]:])))
-        if bias.requires_grad:
-            T._accumulate_owned(bias, dz.sum(axis=0, keepdims=True))
+            # dz = (dc, dc, dc, dh) times each gate's local derivative
+            gates[lo:hi] = np.hstack((dc * (c_prev * (f * (1.0 - f))), dc * (g * (i * (1.0 - i))),
+                                      dc * (i * (1.0 - g * g)), dh * (tanh_c * (o * (1.0 - o)))))
+            dh_next = gates[lo:hi] @ w_h.T
+        return gates
 
-    tape.record(sweep)
-    return out
+    def seq_grad(grad: np.ndarray) -> np.ndarray:
+        dx = np.empty(seq.shape)
+        dx[visits] = dz(grad) @ w_x.T
+        return dx
 
+    def weight_grad(grad: np.ndarray) -> np.ndarray:
+        # visit r >= batch[0] follows visit r - batch[t - 1] of its segment;
+        # the first visits start from h = 0 and add nothing to dW_h
+        prev = np.arange(batch[0], n) - np.repeat(batch[:-1], batch[1:])
+        dz_all = dz(grad)
+        return np.vstack((seq.data[visits].T @ dz_all,
+                          out_data[visits[prev]].T @ dz_all[batch[0]:]))
 
-def lstm_forward(params: LstmDirectionParams, seq: Tensor) -> Tensor:
-    """Run the recurrence over sequence rows in temporal order.
-
-    Per step: gates f, i, o are sigmoids and the cell candidate g a tanh
-    of [x_t, h_{t-1}] times the gate weight plus bias; the cell state is
-    c_t = f*c_{t-1} + i*g and the output h_t = o*tanh(c_t), from zero
-    initial states. Returns the outputs, one row per step.
-    """
-    return _run_direction(params, seq, (0,), reverse=False)
+    return T._op(out_data, (seq, weight, bias),
+                 (seq_grad, weight_grad, lambda grad: dz(grad).sum(axis=0, keepdims=True)))
 
 
 def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tensor,

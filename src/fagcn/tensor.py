@@ -7,14 +7,18 @@ Running the tape backwards (reverse recorded order) is therefore a valid
 backpropagation schedule: an operation's output gradient is always
 complete before its step fires.
 
-An operation records through ``_op``: it passes its result, its inputs
-and one gradient function per input (the vector-Jacobian product), and
-``_op`` owns the rest of the protocol. Two steps are written by hand,
-because their input gradients share work that one function per input
-would do twice: ``gather_segment_sum`` gathers the output gradient once
-for both inputs, and ``lstm._run_direction`` runs one reverse sweep
-through time for the sequence and its direction's stacked gate weight
-and bias.
+Every operation records through ``_op``: it passes its result, its
+inputs and one gradient function per input (the vector-Jacobian
+product), and ``_op`` owns the rest of the protocol. Gradient functions
+that share work share it in their closure, as ``lstm._run_direction``'s
+three share one reverse sweep through time.
+
+The two gathered segment products are each other's transpose, like the
+SDDMM/SpMM pair of graph message passing: ``_dots`` forms one dot
+product per gathered row and ``_sums`` one weighted sum of gathered rows
+per segment. ``gather_dot`` runs ``_dots`` forward and ``_sums`` for the
+gradient of its per-segment operand; ``gather_segment_sum`` runs
+``_sums`` forward and ``_dots`` for the gradient of its weights.
 
 Vectors are represented as 1-row matrices throughout.
 """
@@ -78,15 +82,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _new(data: Array, requires_grad: bool) -> Tensor:
-    # fast construction for op outputs, which are always well-formed
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out.requires_grad = requires_grad
-    return out
-
-
 def _accumulate_owned(t: Tensor, g: Array) -> None:
     # for gradients freshly allocated for exactly this tensor; stores the
     # buffer directly instead of copying
@@ -146,16 +141,6 @@ class Tape:
             self._steps.pop()()
 
 
-def _wants_tape(*inputs: Tensor) -> Tape | None:
-    tapes = _ACTIVE.tapes
-    if not tapes:
-        return None
-    for t in inputs:
-        if t.requires_grad:
-            return tapes[-1]
-    return None
-
-
 def _op(data: Array, inputs: Sequence[Tensor],
         grads: Sequence[Callable[[Array], Array]]) -> Tensor:
     """The result ``data`` of an op on ``inputs``, recorded on the active tape.
@@ -163,11 +148,13 @@ def _op(data: Array, inputs: Sequence[Tensor],
     ``grads[k]`` maps the output gradient to input k's gradient contribution
     (its vector-Jacobian product) and must return a new array, which the
     input then owns. It is called only for an input that requires a
-    gradient, and only once the output has received one.
+    gradient, and only once the output has received one, in input order
+    within one step, so the first can do work that all of them share.
     """
-    out = _new(data, any(t.requires_grad for t in inputs))
-    tape = _wants_tape(*inputs)
-    if tape is not None:
+    out = Tensor.__new__(Tensor)  # op results are well-formed: skip __init__'s checks
+    out.data, out.grad = data, None
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    if out.requires_grad and _ACTIVE.tapes:
 
         def step() -> None:
             g = out.grad
@@ -177,7 +164,7 @@ def _op(data: Array, inputs: Sequence[Tensor],
                 if t.requires_grad:
                     _accumulate_owned(t, grad(g))
 
-        tape.record(step)
+        _ACTIVE.tapes[-1].record(step)
     return out
 
 
@@ -335,58 +322,58 @@ def segment_softmax(x: Tensor, starts: Sequence[int]) -> Tensor:
     return _op(y, (x,), (lambda g: y * (g - np.add.reduceat(g * y, starts)[seg]),))
 
 
-GATHER_BLOCK = 8192  # entries (64 KiB of float64) per gathered block in gather_dot
+GATHER_BLOCK = 8192  # entries (64 KiB of float64) per gathered block in _dots
 
 
-def gather_dot(a: Tensor, a_rows: Sequence[int], b: Tensor, b_rows: Sequence[int]) -> Tensor:
-    """Column whose row t is the dot product of a[a_rows[t]] and b[b_rows[t]].
+def _dots(x: Array, idx: Array, y: Array, seg: Array) -> Array:
+    """Column whose row t is the dot product of x[idx[t]] and y[seg[t]].
 
-    The forward gathers blocks of at most ``GATHER_BLOCK`` entries. Two
-    whole (len(a_rows) x cols) gathers are large enough that the allocator
-    maps fresh pages for them on some calls and reuses freed ones on
-    others, so the call's time would depend on the heap's state; small
-    blocks are always reused. Each row's dot product is the same either
-    way."""
-    ia, ib = _row_indices(a_rows, a), _row_indices(b_rows, b)
-    if ia.size != ib.size or a.data.shape[1] != b.data.shape[1]:
-        raise ShapeError(f"gather_dot: {ia.size} rows of {a.shape}, {ib.size} of {b.shape}")
-    dots = np.empty((ia.size, 1))
-    step = max(1, GATHER_BLOCK // max(a.cols, 1))
-    for lo in range(0, ia.size, step):
+    Gathers blocks of at most ``GATHER_BLOCK`` entries. Two whole
+    (idx.size x cols) gathers are large enough that the allocator maps
+    fresh pages for them on some calls and reuses freed ones on others,
+    so the call's time would depend on the heap's state; small blocks are
+    always reused. Each row's dot product is the same either way."""
+    dots = np.empty((idx.size, 1))
+    step = max(1, GATHER_BLOCK // max(x.shape[1], 1))
+    for lo in range(0, idx.size, step):
         block = slice(lo, lo + step)
-        np.einsum("ij,ij->i", a.data[ia[block]], b.data[ib[block]], out=dots[block, 0])
-    return _op(dots, (a, b),
-               (lambda g: _scatter_rows(a, ia, b.data[ib], g),
-                lambda g: _scatter_rows(b, ib, a.data[ia], g)))
+        np.einsum("ij,ij->i", x[idx[block]], y[seg[block]], out=dots[block, 0])
+    return dots
+
+
+def _sums(w: Array, x: Array, idx: Array, starts: Array) -> Array:
+    """Row k is the sum of w[t] * x[idx[t]] over the rows t of segment k."""
+    rows = x[idx]
+    rows *= w
+    return np.add.reduceat(rows, starts)
+
+
+def gather_dot(x: Tensor, rows: Sequence[int], y: Tensor, starts: Sequence[int]) -> Tensor:
+    """Column whose row t is the dot product of x[rows[t]] and y[k], for
+    the rows t of segment k: ``y`` holds one row per segment."""
+    idx = _row_indices(rows, x)
+    starts, seg = _segments(starts, idx.size)
+    if y.data.shape != (starts.size, x.data.shape[1]):
+        raise ShapeError(f"gather_dot: {starts.size} segments of {x.shape} rows, y {y.shape}")
+    x_data, y_data = x.data, y.data
+    return _op(_dots(x_data, idx, y_data, seg), (x, y),
+               (lambda g: _scatter_rows(x, idx, y_data[seg], g),
+                lambda g: _sums(g, x_data, idx, starts)))
 
 
 def gather_segment_sum(weights: Tensor, x: Tensor, rows: Sequence[int],
                        starts: Sequence[int]) -> Tensor:
     """Row k is the sum of weights[t] * x[rows[t]] over the rows t of segment k.
-    The gathered rows live only inside the forward and backward steps, so
-    the tape keeps no (len(rows) x cols) matrix alive. Its step is its own,
-    not ``_op``'s: both input gradients read one gather of the output
-    gradient."""
+    The gathered rows live only inside the forward and backward kernels,
+    so the tape keeps no (len(rows) x cols) matrix alive."""
     idx = _row_indices(rows, x)
     if weights.data.shape != (idx.size, 1):
         raise ShapeError(f"weights of shape {weights.shape} do not fit {idx.size} gathered rows")
     starts, seg = _segments(starts, idx.size)
-    out = _new(np.add.reduceat(weights.data * x.data[idx], starts),
-               weights.requires_grad or x.requires_grad)
-    tape = _wants_tape(weights, x)
-    if tape is not None:
-
-        def step() -> None:
-            if out.grad is None:
-                return
-            g = out.grad[seg]
-            if weights.requires_grad:
-                _accumulate_owned(weights, np.einsum("ij,ij->i", g, x.data[idx])[:, None])
-            if x.requires_grad:
-                _accumulate_owned(x, _scatter_rows(x, idx, g, weights.data))
-
-        tape.record(step)
-    return out
+    w_data, x_data = weights.data, x.data
+    return _op(_sums(w_data, x_data, idx, starts), (weights, x),
+               (lambda g: _dots(x_data, idx, g, seg),
+                lambda g: _scatter_rows(x, idx, g[seg], w_data)))
 
 
 # ---------------------------------------------------------------------------

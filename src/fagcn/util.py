@@ -1,5 +1,5 @@
-"""Small shared helpers: rounding, seeded RNG streams, text-file lines,
-file digests, atomic writes."""
+"""Small shared helpers: rounding, seeded RNG streams, integer fields,
+text-file lines, file digests, atomic writes."""
 
 from __future__ import annotations
 
@@ -29,6 +29,15 @@ def derive_rng(seed: int, stream: str) -> np.random.Generator:
         raise ConfigError(f"seeds must be >= 0, got {seed}")
     tag = zlib.crc32(stream.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)))
+
+
+def require_ascii_ints(text: str) -> str:
+    """``text``, if ``int`` can read its whitespace-separated fields only as
+    ASCII ``-?[0-9]+``, else ValueError: ``int`` alone also reads ``1_0``,
+    ``+3`` and non-ASCII digits such as ``١٠``."""
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return text
 
 
 def text_lines(path, error: type[Exception]):

@@ -84,6 +84,20 @@ class TestTrainCommand:
         assert manifest["config"]["seed"] == 99
 
 
+    @pytest.mark.parametrize("node_id", ["0_1", "+1", "١"])
+    def test_non_ascii_integer_edge_id_is_data_error(self, dataset, config_path, tmp_path,
+                                                     capsys, node_id):
+        # int() reads each of these as node 1, which is in the corpus
+        edges = Path(dataset["edges"])
+        lines = edges.read_text(encoding="utf-8").splitlines()
+        edges.write_text("\n".join(lines + [f"{node_id} 2"]) + "\n", encoding="utf-8")
+        assert cmd_train(config_path, edges, dataset["content"], tmp_path / "run",
+                         quiet=True) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{edges}:{len(lines) + 1}: " in err[0]
+        assert not (tmp_path / "run").exists()
+
+
 class TestEvalCommand:
     def test_roundtrip_matches_manifest(self, dataset, config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -406,7 +420,7 @@ class TestDatasetsEntryPoint:
         assert sorted(os.listdir(tmp_path / "data")) == ["content.tsv", "edges.txt"]
         assert capsys.readouterr().out.startswith("wrote ")
 
-    @pytest.mark.parametrize("seed", ["1.5", "x", "", "-3", "+3"])
+    @pytest.mark.parametrize("seed", ["1.5", "x", "", "-3", "+3", "1_0", "٣"])
     def test_bad_seed_is_input_error(self, tmp_path, capsys, seed):
         assert fagcn.datasets.main([str(tmp_path / "data"), seed]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -1,5 +1,7 @@
 """Content loading, vocabulary, embeddings init, and train/test splits."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,16 @@ class TestLoadCorpus:
         path = write_content(tmp_path, "0\tx\ta\n7\ty\t \n")
         with pytest.raises(DataError, match="7"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("node_id", ["1_0", "+3", "١٠", "٣"])
+    def test_node_id_must_be_ascii_digits(self, tmp_path, node_id):
+        path = write_content(tmp_path, f"0\tx\ta\n{node_id}\ty\tb\n")
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}:2: ")):
+            load_corpus(path)
+
+    def test_negative_node_id_is_read(self, tmp_path):
+        corpus, _ = load_corpus(write_content(tmp_path, "-12\tx\ta\n"))
+        assert corpus.node_ids == [-12]
 
     def test_idempotent(self, tmp_path):
         path = write_content(tmp_path, "0\tx\ta b\n1\ty\tb c d\n")

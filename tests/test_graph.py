@@ -1,6 +1,7 @@
 """Graph structure, neighborhoods, and the normalized adjacency against
 a dense hand-written oracle."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,14 @@ class TestEdgeFiles:
         path = tmp_path / "edges.txt"
         path.write_text("a b\n", encoding="utf-8")
         with pytest.raises(DataError):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("node_id", ["1_0", "+3", "١٠", "٣"])
+    def test_node_ids_must_be_ascii_digits(self, tmp_path, node_id):
+        # int() would read "1_0" and "١٠" as 10, silently joining node 10
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 -1\n{node_id} 2\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}:2: ")):
             load_edge_list(path)
 
     def test_build_graph_maps_external_ids(self):

@@ -1,12 +1,14 @@
 """Recurrent encoder against a scalar hand-trace and an independent
 step-by-step recurrence oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fagcn.tensor as T
 from fagcn.errors import ShapeError
-from fagcn.lstm import LstmDirectionParams, bilstm_encode, lstm_forward
+from fagcn.lstm import LstmDirectionParams, _run_direction, bilstm_encode
 from fagcn.model import ModelParams
 from fagcn.tensor import Tape, Tensor
 
@@ -52,6 +54,11 @@ def params_arrays(params: LstmDirectionParams) -> dict[str, np.ndarray]:
     return arrays
 
 
+def forward_direction(params: LstmDirectionParams, seq: Tensor) -> Tensor:
+    """One forward direction over all rows of ``seq`` as one sequence."""
+    return _run_direction(params, seq, (0,), reverse=False)
+
+
 def zero_params(embed_dim: int, feature_dim: int) -> LstmDirectionParams:
     return LstmDirectionParams(weight=Tensor(np.zeros((embed_dim + feature_dim, 4 * feature_dim))),
                                bias=Tensor(np.zeros((1, 4 * feature_dim))))
@@ -61,7 +68,7 @@ class TestLstmForward:
     def test_zero_parameters_give_zero_outputs(self, rng):
         params = zero_params(3, 4)
         seq = Tensor(rng.standard_normal((5, 3)))
-        np.testing.assert_array_equal(lstm_forward(params, seq).data, np.zeros((5, 4)))
+        np.testing.assert_array_equal(forward_direction(params, seq).data, np.zeros((5, 4)))
 
     def test_scalar_hand_trace(self):
         # 1-dim gates with hand-set weights; expected values computed by
@@ -71,26 +78,44 @@ class TestLstmForward:
             weight=Tensor([[0.5, -0.4, 0.7, 0.1],
                            [0.25, 0.3, -0.2, 0.6]]),
             bias=Tensor([[0.1, 0.2, 0.0, -0.3]]))
-        h = lstm_forward(params, Tensor([[0.3]]))
+        h = forward_direction(params, Tensor([[0.3]]))
         assert abs(h.item() - 0.046410583479716876) < 1e-12
 
     def test_matches_independent_recurrence(self, rng):
         params = random_params(3, 4, rng)
         seq = rng.standard_normal((5, 3))
-        outputs = lstm_forward(params, Tensor(seq))
+        outputs = forward_direction(params, Tensor(seq))
         expected = oracle_recurrence(params_arrays(params), seq)
         np.testing.assert_allclose(outputs.data, np.array(expected), atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         params = random_params(3, 4, rng)
         with pytest.raises(Exception, match="dim"):
-            lstm_forward(params, Tensor(rng.standard_normal((2, 5))))
+            forward_direction(params, Tensor(rng.standard_normal((2, 5))))
 
     def test_outputs_strictly_inside_unit_box(self, rng):
         params = random_params(2, 3, rng)
-        outputs = lstm_forward(params, Tensor(rng.standard_normal((8, 2)) * 5))
+        outputs = forward_direction(params, Tensor(rng.standard_normal((8, 2)) * 5))
         assert outputs.shape == (8, 3)
         assert np.all(np.abs(outputs.data) < 1.0)
+
+    def test_one_direction_holds_one_gate_buffer(self, rng):
+        # the input projection is written into the gate buffer and the
+        # reverse sweep writes its gradients over it, so forward plus
+        # backward peaks well below three (tokens x 4 feature_dim) buffers
+        n, d = 20000, 16
+        params = random_params(4, d, rng)
+        seq = Tensor(rng.standard_normal((n, 4)))
+        probe = T.constant(rng.standard_normal((n, d)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = _run_direction(params, seq, np.arange(0, n, 10), reverse=False)
+                tape.backward(T.sum_all(T.mul(probe, out)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * n * 4 * d * 8
 
 
 class TestBilstmEncode:
@@ -98,7 +123,7 @@ class TestBilstmEncode:
         fwd = random_params(3, 4, rng)
         seq = Tensor(rng.standard_normal((4, 3)))
         encoded = bilstm_encode(fwd, zero_params(3, 4), seq)
-        forward_only = lstm_forward(fwd, seq)
+        forward_only = forward_direction(fwd, seq)
         np.testing.assert_allclose(encoded.data, forward_only.data, atol=1e-15)
 
     def test_single_token_sums_both_directions(self, rng):
@@ -106,7 +131,7 @@ class TestBilstmEncode:
         bwd = random_params(3, 4, rng)
         seq = Tensor(rng.standard_normal((1, 3)))
         encoded = bilstm_encode(fwd, bwd, seq)
-        expected = lstm_forward(fwd, seq).data + lstm_forward(bwd, seq).data
+        expected = forward_direction(fwd, seq).data + forward_direction(bwd, seq).data
         np.testing.assert_allclose(encoded.data, expected, atol=1e-15)
 
     def test_palindrome_with_tied_directions_is_row_symmetric(self, rng):
@@ -119,7 +144,7 @@ class TestBilstmEncode:
 
     def test_empty_sequence_rejected(self, rng):
         fwd = random_params(3, 4, rng)
-        for encode in (lambda s: bilstm_encode(fwd, fwd, s), lambda s: lstm_forward(fwd, s)):
+        for encode in (lambda s: bilstm_encode(fwd, fwd, s), lambda s: forward_direction(fwd, s)):
             with pytest.raises(ShapeError, match="empty"):
                 encode(Tensor(np.zeros((0, 3))))
 
@@ -128,13 +153,13 @@ class TestBilstmEncode:
         # backward outputs only at j <= k
         fwd = random_params(3, 4, rng)
         seq = rng.standard_normal((5, 3))
-        base_f = lstm_forward(fwd, Tensor(seq)).data
-        base_b = lstm_forward(fwd, Tensor(seq[::-1])).data
+        base_f = forward_direction(fwd, Tensor(seq)).data
+        base_b = forward_direction(fwd, Tensor(seq[::-1])).data
         k = 2
         bumped = seq.copy()
         bumped[k] += 0.5
-        new_f = lstm_forward(fwd, Tensor(bumped)).data
-        new_b = lstm_forward(fwd, Tensor(bumped[::-1])).data
+        new_f = forward_direction(fwd, Tensor(bumped)).data
+        new_b = forward_direction(fwd, Tensor(bumped[::-1])).data
         for j in range(5):
             forward_changed = not np.allclose(base_f[j], new_f[j], atol=1e-14)
             assert forward_changed == (j >= k)

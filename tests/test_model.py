@@ -574,6 +574,32 @@ class TestFullModelGradients:
         assert self.worst_error(variant, graph, noisy) < 1e-4
 
 
+@pytest.mark.parametrize("variant", ["none", "self", "context", "baseline_gcn"])
+def test_every_tape_record_is_made_by_op(monkeypatch, variant):
+    graph, corpus, _ = synthetic_citation(num_classes=2, nodes_per_class=5)
+    rng = np.random.default_rng(0)
+    if variant == "baseline_gcn":
+        params = BaselineParams.init(corpus.vocab_size, 2, hidden_dim=3, rng=rng)
+    else:
+        params = ModelParams.init(corpus.vocab_size, 2, 4, 4, 3, variant, rng)
+    labels = LabelMatrix.build(corpus.labels, 2, train_idx=[0, 3, 6])
+    tape, made = Tape(), []
+    op = T._op
+
+    def counted(data, inputs, grads):
+        before = len(tape)
+        out = op(data, inputs, grads)
+        made.append(len(tape) - before)
+        return out
+
+    monkeypatch.setattr(T, "_op", counted)
+    with tape:
+        z = params.bind(graph, corpus, GraphOperators.build(graph))(
+            training=True, dropout_lstm=0.5, dropout_gcn=0.5, rng=rng)
+        loss(z, labels, params, 5e-3, 5e-4)
+    assert len(tape) > 0 and sum(made) == len(tape)
+
+
 class TestExportAttention:
     def test_uniform_weights_for_none_variant(self):
         graph, corpus, _ = four_node_fixture()

@@ -228,32 +228,37 @@ class TestSegmentOps:
         np.testing.assert_allclose(out.data[:, 0], [0.5, 0.5, 1.0], atol=1e-15)
 
     def test_gather_dot_matches_loop(self, rng):
-        a, b = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
-        a_rows, b_rows = [3, 0, 0, 2, 3], [1, 1, 0, 0, 1]
-        out = T.gather_dot(Tensor(a), a_rows, Tensor(b), b_rows).data
-        expected = [[sum(a[i, k] * b[j, k] for k in range(3))] for i, j in zip(a_rows, b_rows)]
-        np.testing.assert_allclose(out, expected, atol=1e-14)
+        x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
+        out = T.gather_dot(Tensor(x), rows, Tensor(y), STARTS).data
+        bounds = STARTS + [9]
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for t in range(lo, hi):
+                expected = sum(x[rows[t], j] * y[k, j] for j in range(3))
+                np.testing.assert_allclose(out[t, 0], expected, atol=1e-14)
 
     def test_gather_dot_blocks_match_one_whole_gather(self, rng):
         # 3.5 blocks of rows, so the last block is partial
         cols = 16
-        rows = 7 * T.GATHER_BLOCK // (2 * cols)
-        a, b = rng.standard_normal((50, cols)), rng.standard_normal((9, cols))
-        a_rows, b_rows = rng.integers(0, 50, rows), rng.integers(0, 9, rows)
-        out = T.gather_dot(Tensor(a), a_rows, Tensor(b), b_rows).data
-        np.testing.assert_array_equal(out[:, 0], np.einsum("ij,ij->i", a[a_rows], b[b_rows]))
+        n_rows = 7 * T.GATHER_BLOCK // (2 * cols)
+        x, y = rng.standard_normal((50, cols)), rng.standard_normal((9, cols))
+        rows, seg = rng.integers(0, 50, n_rows), np.arange(n_rows) * 9 // n_rows
+        starts = np.searchsorted(seg, np.arange(9))
+        out = T.gather_dot(Tensor(x), rows, Tensor(y), starts).data
+        np.testing.assert_array_equal(out[:, 0], np.einsum("ij,ij->i", x[rows], y[seg]))
 
     def test_gather_dot_never_gathers_all_rows_at_once(self, rng):
         # the context-attention shape: 5,100 (pair, token) rows of width 80
-        a, b = rng.standard_normal((300, 80)), rng.standard_normal((100, 80))
-        a_rows, b_rows = rng.integers(0, 300, 5100), np.sort(rng.integers(0, 100, 5100))
+        # in 100 center segments
+        x, y = rng.standard_normal((300, 80)), rng.standard_normal((100, 80))
+        rows, starts = rng.integers(0, 300, 5100), np.arange(0, 5100, 51)
         tracemalloc.start()
         try:
-            T.gather_dot(Tensor(a), a_rows, Tensor(b), b_rows)
+            T.gather_dot(Tensor(x), rows, Tensor(y), starts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < a[a_rows].nbytes / 2
+        assert peak < x[rows].nbytes / 2
 
     def test_gather_segment_sum_matches_loop(self, rng):
         w, x = rng.standard_normal((9, 1)), rng.standard_normal((4, 3))
@@ -267,20 +272,42 @@ class TestSegmentOps:
     def test_backward_matches_finite_differences(self, rng):
         scores = Tensor(rng.standard_normal((9, 1)))
         check_gradients(lambda: T.segment_softmax(scores, STARTS), [scores])
-        a, b = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((2, 3)))
-        check_gradients(lambda: T.gather_dot(a, [3, 0, 0, 2, 3], b, [1, 1, 0, 0, 1]), [a, b])
-        w, x = Tensor(rng.standard_normal((9, 1))), Tensor(rng.standard_normal((4, 3)))
+        x, y = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((5, 3)))
         rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
+        check_gradients(lambda: T.gather_dot(x, rows, y, STARTS), [x, y])
+        w = Tensor(rng.standard_normal((9, 1)))
         check_gradients(lambda: T.gather_segment_sum(w, x, rows, STARTS), [w, x])
+
+    def test_gather_dot_key_gradient_is_a_segment_sum(self, rng):
+        # d sum(g * gather_dot(x, rows, y, starts)) / dy = gather_segment_sum(g, x, rows, starts)
+        x, y, g = (rng.standard_normal(shape) for shape in ((4, 3), (5, 3), (9, 1)))
+        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
+        key = Tensor(y)
+        with Tape() as tape:
+            tape.backward(T.sum_all(T.mul(T.constant(g), T.gather_dot(T.constant(x), rows,
+                                                                       key, STARTS))))
+        expected = T.gather_segment_sum(T.constant(g), T.constant(x), rows, STARTS).data
+        np.testing.assert_array_equal(key.grad, expected)
+
+    def test_gather_segment_sum_weight_gradient_is_a_gather_dot(self, rng):
+        # d sum(dY * gather_segment_sum(w, x, rows, starts)) / dw = gather_dot(x, rows, dY, starts)
+        w, x, dy = (rng.standard_normal(shape) for shape in ((9, 1), (4, 3), (5, 3)))
+        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
+        weights = Tensor(w)
+        with Tape() as tape:
+            tape.backward(T.sum_all(T.mul(T.constant(dy), T.gather_segment_sum(
+                weights, T.constant(x), rows, STARTS))))
+        expected = T.gather_dot(T.constant(x), rows, T.constant(dy), STARTS).data
+        np.testing.assert_array_equal(weights.grad, expected)
 
     def test_chained_backward_matches_finite_differences(self, rng):
         # the attention pattern: scores -> segment softmax -> weighted sum
         x = Tensor(rng.standard_normal((4, 3)))
-        keys = Tensor(rng.standard_normal((2, 3)))
+        keys = Tensor(rng.standard_normal((5, 3)))
         rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
 
         def mixed():
-            scores = T.gather_dot(x, rows, keys, [0, 0, 1, 1, 1, 0, 1, 1, 0])
+            scores = T.gather_dot(x, rows, keys, STARTS)
             return T.gather_segment_sum(T.segment_softmax(scores, STARTS), x, rows, STARTS)
 
         check_gradients(mixed, [x, keys])
@@ -311,11 +338,13 @@ class TestSegmentOps:
         with pytest.raises(ShapeError):
             T.gather_segment_sum(Tensor(np.ones((2, 1))), x, [0, 3], [0])
         with pytest.raises(ShapeError):
-            T.gather_dot(x, [0, 1], x, [0])
+            T.gather_dot(x, [0, 1, 2], x, [0])
         with pytest.raises(ShapeError):
-            T.gather_dot(x, [0], Tensor(np.ones((2, 3))), [0])
+            T.gather_dot(x, [0], Tensor(np.ones((1, 3))), [0])
         with pytest.raises(ShapeError):
-            T.gather_dot(x, [-1], x, [0])
+            T.gather_dot(x, [-1], Tensor(np.ones((1, 2))), [0])
+        with pytest.raises(ShapeError):
+            T.gather_dot(x, [0, 1], Tensor(np.ones((1, 2))), [0, 1])
 
 
 class TestTape:
@@ -380,8 +409,8 @@ OPS = {
     "sum_all": lambda a, b, row: T.sum_all(a),
     "frobenius_sq": lambda a, b, row: T.frobenius_sq(a),
     "segment_softmax": lambda a, b, row: T.segment_softmax(a, [0, 1]),
-    "gather_dot": lambda a, b, row: T.gather_dot(a, [0, 2, 2], b, [1, 1, 3]),
-    "gather_dot_self": lambda a, b, row: T.gather_dot(a, [0, 2, 2], a, [1, 1, 3]),
+    "gather_dot": lambda a, b, row: T.gather_dot(a, [0, 2, 2, 1, 3], b, [0, 1, 3, 4]),
+    "gather_dot_self": lambda a, b, row: T.gather_dot(a, [0, 2, 2, 1, 3], a, [0, 1, 3, 4]),
     "gather_segment_sum": lambda a, b, row: T.gather_segment_sum(
         T.transpose(row), a, [3, 0, 3], [0, 2]),
 }
