@@ -33,7 +33,7 @@ from .graph import build_graph, load_edge_list
 from .model import export_attention
 from .noise import sweep, sweep_rows_to_csv
 from .training import ExperimentConfig, check_type, evaluate, train
-from .util import atomic_write_text, derive_rng, sha256_file
+from .util import atomic_write_text, derive_rng, require_ascii_ints, sha256_file
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -231,13 +231,19 @@ def cmd_export_attention(checkpoint_path, edges_path, content_path, node_id: int
     return EXIT_OK
 
 
+def ascii_int(text: str) -> int:
+    """argparse ``type`` for the integer options: ASCII ``-?[0-9]+`` only,
+    so ``1_0``, ``+3`` and non-ASCII digits exit 2 as ``abc`` does."""
+    return int(require_ascii_ints(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fagcn",
         description="Feature-attention graph convolution experiments")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=ascii_int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=ascii_int, default=1,
                         help="worker threads for sweep cells; faster only with "
                              "OPENBLAS_NUM_THREADS=1 (1.5-2.0x on 2 threads of a "
                              "2-vCPU host, 1.3-1.4x slower with BLAS unpinned)")
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--edges", required=True)
     p_eval.add_argument("--content", required=True)
-    p_eval.add_argument("--split-seed", type=int, required=True)
+    p_eval.add_argument("--split-seed", type=ascii_int, required=True)
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis")
     p_sweep.add_argument("--config", required=True)
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.add_argument("--checkpoint", required=True)
     p_att.add_argument("--edges", required=True)
     p_att.add_argument("--content", required=True)
-    p_att.add_argument("--node", type=int, required=True, help="external node id")
+    p_att.add_argument("--node", type=ascii_int, required=True, help="external node id")
     p_att.add_argument("--out", required=True, help="output JSON")
 
     return parser

@@ -9,7 +9,9 @@ Attention weighs them in one (pair, token) layout for every variant, and
 layer1 projects them to hidden width before it sums them per center: Â(XW).
 Both convolutions and the baseline propagate over the (center, member)
 pairs of ``graph.pairs``, with one coefficient per pair; no n x n matrix
-is built.
+is built. The baseline's constant first product Â·BoW is summed from the
+bag of words' nonzero entries only, as Kipf & Welling keep those
+features sparse, so it never gathers a pair's whole vocabulary row.
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ class BaselineParams:
     def bind(self, graph: Graph, corpus: ContentCorpus,
              operators: GraphOperators) -> Callable[..., Tensor]:
         """The baseline has no dropout, so the training keywords are
-        ignored; the constant Â·BoW is built once per binding."""
+        ignored. The constant Â·BoW is built once per binding, from the
+        bag of words' nonzero entries (``PairOperator.propagate_constant``)."""
         norm_adj = operators.norm_adj
-        propagated = norm_adj.propagate(T.constant(bag_of_words(corpus, corpus.vocab_size)))
+        propagated = norm_adj.propagate_constant(bag_of_words(corpus, corpus.vocab_size))
 
         def run(**_training_keywords) -> Tensor:
             return _baseline_head(norm_adj, propagated, self.conv1_weight, self.conv2_weight)
@@ -194,6 +197,33 @@ class PairOperator:
             raise ShapeError(f"a graph of {self.graph.n} nodes cannot propagate {x.shape}")
         _, members, indptr = self.graph.pairs
         return T.gather_segment_sum(T.constant(self.data[:, None]), x, members, indptr[:-1])
+
+    def propagate_constant(self, x: np.ndarray) -> np.ndarray:
+        """``propagate`` for a constant array, from x's nonzero entries
+        only: each pair p = (c, m) and nonzero x[m, v] add ``data[p] *
+        x[m, v]`` at (c, v), in pair order, with one ``np.bincount``. Work
+        and memory grow with pairs times nonzeros per node, not with
+        pairs times x's width."""
+        if x.shape[0] != self.graph.n:
+            raise ShapeError(f"a graph of {self.graph.n} nodes cannot propagate {x.shape}")
+        centers, members, _ = self.graph.pairs
+        n, width = x.shape
+        # row-major, so each node's hits are one run; numpy finds the nonzeros
+        # of a bool mask several times faster than those of a float array
+        hits = np.flatnonzero(x != 0)
+        nodes, cols = np.divmod(hits, width)
+        values = x.ravel()[hits]
+        per_node = np.bincount(nodes, minlength=n)
+        counts = per_node[members]  # pair p takes over node members[p]'s run
+        pair = np.repeat(np.arange(members.size), counts)
+        # entry k belongs to pair[k] and is hit (start of members[pair[k]]'s
+        # run) + (k - start of pair[k]'s share)
+        entry = np.repeat((np.cumsum(per_node) - per_node)[members] - (np.cumsum(counts) - counts),
+                          counts)
+        entry += np.arange(entry.size)
+        out = np.bincount((centers * width)[pair] + cols[entry],
+                          self.data[pair] * values[entry], minlength=n * width)
+        return out.reshape(n, width)
 
 
 @dataclass
@@ -341,17 +371,22 @@ def baseline_gcn_forward(norm_adj: PairOperator, bow: Tensor,
     """Two-layer GCN on static bag-of-words features.
 
     Z = softmax(norm_adj @ relu(norm_adj @ bow @ W) @ W'); both layers
-    use the same normalized adjacency.
+    use the same normalized adjacency. ``bow`` is a constant, so its
+    product norm_adj @ bow is built from its nonzero entries
+    (``PairOperator.propagate_constant``), as ``BaselineParams.bind``
+    builds it, and carries no gradient.
     """
-    return _baseline_head(norm_adj, norm_adj.propagate(bow), conv1_weight, conv2_weight)
+    return _baseline_head(norm_adj, norm_adj.propagate_constant(bow.data),
+                          conv1_weight, conv2_weight)
 
 
-def _baseline_head(norm_adj: PairOperator, propagated: Tensor,
+def _baseline_head(norm_adj: PairOperator, propagated: np.ndarray,
                    conv1_weight: Tensor, conv2_weight: Tensor) -> Tensor:
     # the baseline past its constant first product norm_adj @ bow, which
     # ``BaselineParams.bind`` computes once per binding; its second layer
     # is ``layer2`` without dropout
-    return classify(layer2(norm_adj, T.matmul(propagated, conv1_weight), conv2_weight))
+    hidden = T.matmul(T.constant(propagated), conv1_weight)
+    return classify(layer2(norm_adj, hidden, conv2_weight))
 
 
 def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,

@@ -14,8 +14,8 @@ import fagcn.cli
 import fagcn.datasets
 import fagcn.training
 from fagcn.checkpoint import load_checkpoint, save_checkpoint
-from fagcn.cli import (cmd_eval, cmd_export_attention, cmd_sweep, cmd_train,
-                       main)
+from fagcn.cli import (build_parser, cmd_eval, cmd_export_attention, cmd_sweep,
+                       cmd_train, main)
 from fagcn.datasets import two_cluster_fixture, write_dataset
 
 
@@ -433,6 +433,35 @@ class TestDatasetsEntryPoint:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert (tmp_path / "taken").read_text(encoding="utf-8") == "keep"
+
+
+# argv reaching each integer option, with {} where its value goes
+INT_OPTIONS = {
+    "--seed": ["--seed", "{}", "train", "--config", "c", "--edges", "e",
+               "--content", "t", "--out", "o"],
+    "--threads": ["--threads", "{}", "sweep", "--config", "c", "--spec", "s", "--out", "o"],
+    "--split-seed": ["eval", "--checkpoint", "k", "--edges", "e", "--content", "t",
+                     "--split-seed", "{}"],
+    "--node": ["export-attention", "--checkpoint", "k", "--edges", "e", "--content", "t",
+               "--node", "{}", "--out", "o"],
+}
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("value", ["1_0", "+3", "٣", "abc"])
+    @pytest.mark.parametrize("option", INT_OPTIONS)
+    def test_only_ascii_digits_parse(self, option, value, capsys):
+        argv = [arg.format(value) for arg in INT_OPTIONS[option]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["3", "-3", "007"])
+    @pytest.mark.parametrize("option", INT_OPTIONS)
+    def test_ascii_integers_parse_as_before(self, option, value):
+        args = build_parser().parse_args([arg.format(value) for arg in INT_OPTIONS[option]])
+        assert getattr(args, option[2:].replace("-", "_")) == int(value)
 
 
 class TestEntryPoint:

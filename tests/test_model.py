@@ -283,11 +283,36 @@ class TestPairOperator:
             np.testing.assert_allclose(op.propagate(Tensor(x)).data,
                                        graph.dense(op.data) @ x, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def constants(n: int, rng) -> dict[str, np.ndarray]:
+        """Constant arrays for ``propagate_constant``: dense and sparse,
+        binary and real, with all-zero rows and columns."""
+        sparse = rng.standard_normal((n, 7)) * (rng.random((n, 7)) < 0.3)
+        sparse[::2] = 0.0
+        sparse[:, [1, 4]] = 0.0
+        return {"binary": rng.integers(0, 2, size=(n, 5)).astype(float),
+                "real": rng.standard_normal((n, 3)),
+                "zero-rows-and-columns": sparse,
+                "all-zero": np.zeros((n, 4)),
+                "no-columns": np.zeros((n, 0))}
+
+    @pytest.mark.parametrize("name", PAIR_GRAPHS)
+    def test_constant_product_matches_the_dense_product(self, name, rng):
+        graph = PAIR_GRAPHS[name]
+        ops = GraphOperators.build(graph)
+        for x in self.constants(graph.n, rng).values():
+            np.testing.assert_allclose(ops.norm_adj.propagate_constant(x),
+                                       normalized_adjacency(graph) @ x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ops.support.propagate_constant(x),
+                                       graph.dense(1.0) @ x, rtol=0, atol=1e-12)
+
     def test_row_count_must_match_the_graph(self):
         op = GraphOperators.build(Graph(3, [(0, 1)])).norm_adj
         for rows in (2, 4):
             with pytest.raises(ShapeError):
                 op.propagate(Tensor(np.ones((rows, 2))))
+            with pytest.raises(ShapeError):
+                op.propagate_constant(np.ones((rows, 2)))
 
     def test_gradients_through_layer2(self, rng):
         norm_adj = GraphOperators.build(PAIR_GRAPHS["isolated-nodes"]).norm_adj
@@ -353,6 +378,16 @@ class TestNoDenseMatrix:
         config = ExperimentConfig(hidden_dim=2, epochs=1, variant="baseline_gcn")
         dataset_split = split(corpus.n, config.train_fraction, np.random.default_rng(0))
         assert self.peak(lambda: train(config, graph, corpus, dataset_split)) < self.BOUND
+
+    def test_baseline_bind_on_a_wide_vocabulary(self):
+        # 3,000 nodes x 1,030 terms: one n x vocab float64 array is 23.6 MiB.
+        # Gathering every pair's whole vocabulary row peaked at 9.4 of them
+        graph, corpus, _ = synthetic_citation(3, 1000, filler_vocab=1000)
+        ops = GraphOperators.build(graph)
+        params = BaselineParams.init(corpus.vocab_size, corpus.num_classes, hidden_dim=2,
+                                     rng=np.random.default_rng(0))
+        array_bytes = corpus.n * corpus.vocab_size * 8
+        assert self.peak(lambda: params.bind(graph, corpus, ops)) < 3 * array_bytes
 
 
 class TestClassify:
@@ -530,6 +565,19 @@ class TestBaselineGcn:
                                  params.conv1_weight, params.conv2_weight)
         expected = straightline_baseline(arrays_of(params), graph.adjacency, bow)
         np.testing.assert_allclose(z.data, expected, atol=1e-12)
+
+    def test_bind_builds_the_forward_constant_bit_for_bit(self):
+        # perfbench replays training through baseline_gcn_forward, so its
+        # probabilities must equal the bound model's exactly
+        graph, corpus, _ = synthetic_citation(3, 20)
+        ops = GraphOperators.build(graph)
+        params = BaselineParams.init(corpus.vocab_size, corpus.num_classes, hidden_dim=4,
+                                     rng=np.random.default_rng(3))
+        bound = params.bind(graph, corpus, ops)()
+        direct = baseline_gcn_forward(ops.norm_adj,
+                                      T.constant(bag_of_words(corpus, corpus.vocab_size)),
+                                      params.conv1_weight, params.conv2_weight)
+        assert bound.data.tobytes() == direct.data.tobytes()
 
     def test_bag_of_words_is_binary_presence(self):
         corpus = ContentCorpus(node_ids=[0, 1], contents=[[0, 0, 2], [1]],

@@ -1,7 +1,8 @@
 """Property tests over generated inputs: node relabeling permutes the
 model's output rows, zero noise changes nothing, checkpoints and datasets
 survive a write and a load unchanged, and arbitrary bytes or JSON fed to
-the loaders fail only with the package's own errors.
+the loaders fail only with the package's own errors. The baseline's
+constant product from nonzero entries equals the dense product.
 
 Examples are derived from the test source, not drawn at random, so every
 run checks the same cases.
@@ -22,8 +23,8 @@ from fagcn.cli import cmd_sweep
 from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus
 from fagcn.datasets import write_dataset
 from fagcn.errors import ConfigError, DataError, FagcnError
-from fagcn.graph import Graph, build_graph, load_edge_list
-from fagcn.model import ModelParams, forward, init_for_variant
+from fagcn.graph import Graph, build_graph, load_edge_list, normalized_adjacency
+from fagcn.model import GraphOperators, ModelParams, forward, init_for_variant
 from fagcn.noise import inject_noise
 from fagcn.training import VARIANTS, ExperimentConfig
 
@@ -75,6 +76,28 @@ class TestNoNoise:
         _, contents, _ = case
         corpus = corpus_of(contents)
         assert inject_noise(corpus, 0.0, np.random.default_rng(seed)) == corpus
+
+
+@st.composite
+def graphs_with_constants(draw):
+    """A graph of 1-12 nodes and an n x 0-6 array of zeros, ones and reals."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=30))
+    width = draw(st.integers(0, 6))
+    entry = st.just(0.0) | st.just(1.0) | st.floats(-1e3, 1e3)
+    x = draw(st.lists(entry, min_size=n * width, max_size=n * width))
+    return Graph(n, edges), np.array(x, dtype=float).reshape(n, width)
+
+
+class TestConstantProduct:
+    @FEW
+    @given(case=graphs_with_constants())
+    def test_matches_the_dense_product(self, case):
+        graph, x = case
+        product = GraphOperators.build(graph).norm_adj.propagate_constant(x)
+        np.testing.assert_allclose(product, normalized_adjacency(graph) @ x,
+                                   rtol=1e-12, atol=1e-12)
 
 
 def load_bytes(loader, raw: bytes) -> None:
