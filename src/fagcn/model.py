@@ -337,24 +337,32 @@ def forward(params: ModelParams, graph: Graph, corpus: ContentCorpus, *,
 
 def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
          l2_feature: float, l2_node: float) -> Tensor:
-    """Cross-entropy over labeled nodes plus the two L2 penalties.
+    """Cross-entropy over labeled nodes plus the two L2 penalties, as one
+    taped op.
 
     The penalties cover exactly the two stacked LSTM gate weights (feature
     term) and the two convolution weights (node term); biases, embeddings and
     attention parameters are not regularized. Probabilities are clamped
-    at 1e-12 before the log.
+    at 1e-12 before the log. For an output gradient g, z gets -g Y / z where
+    z > 1e-12 and 0 elsewhere (Y the masked one-hot labels), and a weight W
+    penalized by λ gets 2 g λ W.
     """
     if l2_feature < 0 or l2_node < 0:
         raise ConfigError("regularization weights must be non-negative")
-    masked = T.constant(labels.masked())
-    total = T.scale(T.sum_all(T.mul(masked, T.safe_log(z))), -1.0)
-    if l2_feature > 0:
-        for w in params.feature_reg_terms():
-            total = T.add(total, T.scale(T.frobenius_sq(w), l2_feature))
-    if l2_node > 0:
-        for w in params.node_reg_terms():
-            total = T.add(total, T.scale(T.frobenius_sq(w), l2_node))
-    return total
+    masked, z_data = labels.masked(), z.data
+    if z_data.shape != masked.shape:
+        raise ShapeError(f"probabilities {z.shape} do not fit labels {masked.shape}")
+    clamped = np.maximum(z_data, 1e-12)
+    total = float((masked * np.log(clamped)).sum()) * -1.0
+    inputs = [z]
+    grads = [lambda g: np.full(z_data.shape, -g[0, 0]) * masked * (z_data > 1e-12) / clamped]
+    for lam, terms in ((l2_feature, params.feature_reg_terms()),
+                       (l2_node, params.node_reg_terms())):
+        for w in terms if lam > 0 else ():
+            total += float((w.data * w.data).sum()) * lam
+            inputs.append(w)
+            grads.append(lambda g, w_data=w.data, lam=lam: (2.0 * (g[0, 0] * lam)) * w_data)
+    return T._op(np.array([[total]]), inputs, grads)
 
 
 def bag_of_words(corpus: ContentCorpus, vocab_size: int) -> np.ndarray:

@@ -11,7 +11,9 @@ Every operation records through ``_op``: it passes its result, its
 inputs and one gradient function per input (the vector-Jacobian
 product), and ``_op`` owns the rest of the protocol. Gradient functions
 that share work share it in their closure, as ``lstm._run_direction``'s
-three share one reverse sweep through time.
+three share one reverse sweep through time. Two ops are recorded outside
+this module, each as one step: ``lstm._run_direction``, a whole
+recurrence, and ``model.loss``, the cross-entropy with both L2 penalties.
 
 The two gathered segment products are each other's transpose, like the
 SDDMM/SpMM pair of graph message passing: ``_dots`` forms one dot
@@ -39,8 +41,8 @@ class Tensor:
     """A 2-D float64 matrix with an optional same-shape gradient slot.
 
     ``requires_grad=False`` marks constants (per-pair graph coefficients,
-    label masks, bag-of-words inputs): no gradient is ever accumulated into
-    them and operations with only constant inputs are not recorded.
+    bag-of-words inputs): no gradient is ever accumulated into them and
+    operations with only constant inputs are not recorded.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -206,10 +208,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # unary operations
 # ---------------------------------------------------------------------------
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    return _op(x.data * factor, (x,), (lambda g: g * factor,))
-
-
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     return _op(y, (x,), (lambda g: g * (1.0 - y * y),))
@@ -226,13 +224,6 @@ def rowwise_softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
     return _op(y, (x,), (lambda g: y * (g - (g * y).sum(axis=1, keepdims=True)),))
-
-
-def safe_log(x: Tensor, floor: float = 1e-12) -> Tensor:
-    """Natural log with inputs clamped at ``floor`` so log(0) cannot occur."""
-    x_data = x.data
-    clamped = np.maximum(x_data, floor)
-    return _op(np.log(clamped), (x,), (lambda g: g * (x_data > floor) / clamped,))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -291,13 +282,6 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Sum every entry into a 1x1 tensor."""
     return _op(np.array([[x.data.sum()]]), (x,), (lambda g: np.full(x.data.shape, g[0, 0]),))
-
-
-def frobenius_sq(x: Tensor) -> Tensor:
-    """Squared Frobenius norm as a 1x1 tensor."""
-    x_data = x.data
-    return _op(np.array([[float((x_data * x_data).sum())]]), (x,),
-               (lambda g: (2.0 * g[0, 0]) * x_data,))
 
 
 # ---------------------------------------------------------------------------

@@ -154,13 +154,21 @@ def init_params(config: ExperimentConfig, corpus: ContentCorpus,
 
 
 def _node_indices(name: str, idx, n: int) -> np.ndarray:
-    """``idx`` as an index array, or a ConfigError unless every entry is an
-    int in [0, n)."""
+    """``idx`` as an index array, or a ConfigError unless it is non-empty
+    and every entry is an int in [0, n)."""
     idx = np.asarray(list(idx))
-    if idx.size and (idx.ndim != 1 or idx.dtype.kind not in "iu"
-                     or idx.min() < 0 or idx.max() >= n):
+    if not idx.size:
+        raise ConfigError(f"the {name} set is empty")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n:
         raise ConfigError(f"{name} indices must be ints in [0, {n})")
     return idx
+
+
+def _accuracy(z: np.ndarray, corpus: ContentCorpus, test_idx: np.ndarray) -> float:
+    """Fraction of the nodes ``test_idx`` whose argmax class in ``z`` is the label."""
+    if not np.isfinite(z).all():
+        raise NumericError("class probabilities are not finite")
+    return float(np.mean(np.argmax(z[test_idx], axis=1) == np.asarray(corpus.labels)[test_idx]))
 
 
 def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentCorpus, *,
@@ -182,20 +190,14 @@ def evaluate(params: ModelParams | BaselineParams, graph: Graph, corpus: Content
     mode regardless of how the parameters were trained.
     """
     test_idx = _node_indices("test", test_idx, corpus.n)
-    if not test_idx.size:
-        raise ConfigError("evaluate needs a non-empty test set")
-    z = predict(params, graph, corpus, layer1_normalize=layer1_normalize,
-                operators=operators)
-    if not np.isfinite(z).all():
-        raise NumericError("class probabilities are not finite")
-    predictions = np.argmax(z[test_idx], axis=1)
-    actual = np.asarray(corpus.labels)[test_idx]
-    return float(np.mean(predictions == actual))
+    return _accuracy(predict(params, graph, corpus, layer1_normalize=layer1_normalize,
+                             operators=operators), corpus, test_idx)
 
 
 def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
           dataset_split: DatasetSplit) -> tuple[ModelParams | BaselineParams, TrainHistory]:
-    """Full training loop: forward, loss, backward, Adam, per epoch.
+    """Full training loop: forward, loss, backward, Adam, per epoch, then
+    the test accuracy from the same binding in evaluation mode.
 
     All parameter groups are updated jointly. Deterministic for a fixed
     config and seed: initialization and dropout draw from independent
@@ -229,9 +231,8 @@ def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
             tape.backward(epoch_loss)
         adam_step(named, state, config.lr)
         history.losses.append(value)
-    history.test_accuracy = evaluate(params, graph, corpus, test_idx,
-                                     layer1_normalize=config.layer1_normalize,
-                                     operators=operators)
+    z = run(training=False, layer1_normalize=config.layer1_normalize)
+    history.test_accuracy = _accuracy(z.data, corpus, test_idx)
     return params, history
 
 

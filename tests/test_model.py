@@ -436,6 +436,67 @@ class TestLoss:
         labels = LabelMatrix.build(corpus.labels, 2, train_idx=[0, 1, 2])
         assert loss(z, labels, params, 5e-3, 5e-4).item() >= 0.0
 
+    @staticmethod
+    def penalized(variant: str) -> tuple[ModelParams | BaselineParams, list[Tensor]]:
+        if variant == "baseline_gcn":
+            _, corpus, _ = four_node_fixture()
+            params = BaselineParams.init(corpus.vocab_size, 2, hidden_dim=3,
+                                         rng=np.random.default_rng(2))
+        else:
+            params = fixture_params(variant, seed=2)
+        return params, params.feature_reg_terms() + params.node_reg_terms()
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context", "baseline_gcn"])
+    def test_records_one_tape_step(self, variant):
+        graph, corpus, _ = four_node_fixture()
+        params, _ = self.penalized(variant)
+        labels = LabelMatrix.build(corpus.labels, 2, train_idx=[0, 2])
+        with Tape() as tape:
+            z = params.bind(graph, corpus, GraphOperators.build(graph))(training=False)
+            before = len(tape)
+            loss(z, labels, params, 5e-3, 5e-4)
+            assert len(tape) == before + 1
+
+    @pytest.mark.parametrize("variant", ["context", "baseline_gcn"])
+    def test_gradients_match_the_closed_forms(self, variant):
+        # an output gradient of 3 reaches z as -3 Y / z and each penalized
+        # weight W as 2 * 3 * lambda * W
+        params, weights = self.penalized(variant)
+        z_raw = np.array([[0.7, 0.3], [0.0, 1.0], [0.2, 0.8], [1e-13, 1.0]])
+        z = Tensor(z_raw)
+        labels = LabelMatrix.build([0, 1, 0, 0], 2, train_idx=[0, 1, 3])
+        with Tape() as tape:
+            out = loss(z, labels, params, 5e-3, 5e-4)
+            tape.backward(T.sum_all(T.mul(T.constant([[3.0]]), out)))
+        expected = np.zeros((4, 2))
+        expected[0, 0], expected[1, 1] = -3.0 / 0.7, -3.0
+        np.testing.assert_allclose(z.grad, expected, rtol=1e-15)
+        lambdas = [5e-3] * len(params.feature_reg_terms()) + [5e-4] * len(params.node_reg_terms())
+        for w, lam in zip(weights, lambdas):
+            np.testing.assert_allclose(w.grad, 6.0 * lam * w.data, rtol=1e-15)
+
+    @pytest.mark.parametrize("variant", ["context", "baseline_gcn"])
+    def test_gradients_share_no_memory(self, rng, variant):
+        params, weights = self.penalized(variant)
+        z = Tensor(rng.random((4, 2)) + 0.05)
+        labels = LabelMatrix.build([0, 1, 0, 1], 2, train_idx=[0, 1, 3])
+        with Tape() as tape:
+            tape.backward(loss(z, labels, params, 5e-3, 5e-4))
+        tensors = [z, *weights]
+        for t in tensors:
+            before = [u.grad.copy() for u in tensors]
+            t.grad += 1.0
+            for u, grad in zip(tensors, before):
+                if u is not t:
+                    np.testing.assert_array_equal(u.grad, grad)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 2)])
+    def test_probabilities_must_fit_the_labels(self, shape):
+        params = fixture_params("none")
+        labels = LabelMatrix.build([0, 1, 0, 1], 2, train_idx=[0])
+        with pytest.raises(ShapeError):
+            loss(Tensor(np.full(shape, 0.5)), labels, params, 5e-3, 5e-4)
+
 
 class TestForwardOracleEquivalence:
     @pytest.mark.parametrize("variant", ["none", "self", "context"])

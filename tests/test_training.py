@@ -11,7 +11,7 @@ from fagcn.corpus import DatasetSplit, split
 from fagcn.datasets import two_cluster_fixture
 from fagcn.errors import ConfigError, NumericError
 from fagcn.graph import Graph
-from fagcn.model import BaselineParams
+from fagcn.model import BaselineParams, ModelParams
 from fagcn.corpus import ContentCorpus
 from fagcn.tensor import Tensor
 from fagcn.training import (AdamState, ExperimentConfig, RepeatResult, adam_step,
@@ -174,6 +174,34 @@ class TestTrain:
         with pytest.raises(ConfigError, match=match):
             train(small_config(), graph, corpus, DatasetSplit(train_idx, test_idx))
 
+    @pytest.mark.parametrize("train_idx, test_idx, match", [
+        ((), tuple(range(8)), "train set is empty"),  # only the L2 terms would train
+        ((0, 1, 2), (), "test set is empty"),         # used to fail after the last epoch
+    ])
+    def test_empty_sets_fail_before_any_epoch(self, monkeypatch, train_idx, test_idx, match):
+        graph, corpus, _ = two_cluster_fixture()
+        monkeypatch.setattr("fagcn.training.loss", lambda *args: pytest.fail("ran an epoch"))
+        with pytest.raises(ConfigError, match=match):
+            train(small_config(), graph, corpus, DatasetSplit(train_idx, test_idx))
+
+    @pytest.mark.parametrize("variant, layer1_normalize", [
+        ("self", False), ("context", True), ("baseline_gcn", False)])
+    def test_binds_once_and_scores_as_evaluate(self, monkeypatch, variant, layer1_normalize):
+        graph, corpus, _ = two_cluster_fixture()
+        config = small_config(variant=variant, layer1_normalize=layer1_normalize)
+        params_type = BaselineParams if variant == "baseline_gcn" else ModelParams
+        bind, binds = params_type.bind, []
+
+        def counted(self, *args):
+            binds.append(args)
+            return bind(self, *args)
+
+        monkeypatch.setattr(params_type, "bind", counted)
+        params, history = train(config, graph, corpus, fixture_split())
+        assert len(binds) == 1
+        assert history.test_accuracy == evaluate(params, graph, corpus, fixture_split().test_idx,
+                                                 layer1_normalize=layer1_normalize)
+
 
 class TestEvaluate:
     def test_all_correct(self):
@@ -222,7 +250,7 @@ class TestEvaluate:
     def test_empty_test_set(self):
         graph, corpus, _ = two_cluster_fixture()
         params = init_params(small_config(), corpus, derive_rng(0, "init"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="test set is empty"):
             evaluate(params, graph, corpus, [])
 
     # -1 would silently score node 7; 99 and 1.5 used to raise IndexError
