@@ -18,9 +18,13 @@ recurrence, and ``model.loss``, the cross-entropy with both L2 penalties.
 The two gathered segment products are each other's transpose, like the
 SDDMM/SpMM pair of graph message passing: ``_dots`` forms one dot
 product per gathered row and ``_sums`` one weighted sum of gathered rows
-per segment. ``gather_dot`` runs ``_dots`` forward and ``_sums`` for the
-gradient of its per-segment operand; ``gather_segment_sum`` runs
-``_sums`` forward and ``_dots`` for the gradient of its weights.
+per segment; both gather in blocks of ``GATHER_BLOCK`` entries.
+``gather_dot`` runs ``_dots`` forward and ``_sums`` for both gradients:
+over its segments for the per-segment operand, and over its rows sorted
+by gathered row for the gathered operand. ``gather_segment_sum`` runs
+``_sums`` forward and ``_dots`` for the gradient of its weights; its
+gathered operand and ``take_rows`` scatter with one bincount
+(``_scatter_rows``), which beats a sort on their narrow or small rows.
 
 Vectors are represented as 1-row matrices throughout.
 """
@@ -252,8 +256,17 @@ def transpose(x: Tensor) -> Tensor:
     return _op(x.data.T.copy(), (x,), (lambda g: g.T.copy(),))
 
 
+def _integers(values: Sequence[int], what: str) -> Array:
+    # an intp array of values; refuses floats and bools, which a cast to
+    # intp would truncate or read as 0 and 1
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ShapeError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.intp, copy=False)
+
+
 def _row_indices(indices: Sequence[int], x: Tensor) -> Array:
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = _integers(indices, "row indices")
     if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0])):
         raise ShapeError(f"row indices out of range for {x.shape}")
     return idx
@@ -291,7 +304,7 @@ def sum_all(x: Tensor) -> Tensor:
 def _segments(starts: Sequence[int], total: int) -> tuple[Array, Array]:
     """Segment k holds rows starts[k] up to starts[k + 1] (the last up to
     ``total``), and none is empty. Returns the starts and each row's segment."""
-    starts = np.asarray(starts, dtype=np.intp)
+    starts = _integers(starts, "segment starts")
     lengths = np.diff(starts, append=total)
     if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or np.any(lengths <= 0):
         raise ShapeError(f"segment starts must rise strictly from 0 to below {total}")
@@ -306,7 +319,7 @@ def segment_softmax(x: Tensor, starts: Sequence[int]) -> Tensor:
     return _op(y, (x,), (lambda g: y * (g - np.add.reduceat(g * y, starts)[seg]),))
 
 
-GATHER_BLOCK = 8192  # entries (64 KiB of float64) per gathered block in _dots
+GATHER_BLOCK = 8192  # entries (64 KiB of float64) per gathered block in _dots and _sums
 
 
 def _dots(x: Array, idx: Array, y: Array, seg: Array) -> Array:
@@ -326,10 +339,41 @@ def _dots(x: Array, idx: Array, y: Array, seg: Array) -> Array:
 
 
 def _sums(w: Array, x: Array, idx: Array, starts: Array) -> Array:
-    """Row k is the sum of w[t] * x[idx[t]] over the rows t of segment k."""
-    rows = x[idx]
-    rows *= w
-    return np.add.reduceat(rows, starts)
+    """Row k is the sum of w[t] * x[idx[t]] over the rows t of segment k.
+
+    Gathers blocks of at most ``GATHER_BLOCK`` entries, as ``_dots`` does.
+    A block holds whole segments, so each segment that fits in one is
+    summed exactly as one ``np.add.reduceat`` over all rows sums it; a
+    longer segment is summed in block-sized pieces."""
+    sums = np.empty((starts.size, x.shape[1]))
+    step = max(1, GATHER_BLOCK // max(x.shape[1], 1))
+    bounds = np.append(starts, idx.size)
+    k = 0
+    while k < starts.size:
+        lo = bounds[k]
+        j = np.searchsorted(bounds, lo + step, side="right") - 1  # segments k..j-1 fit
+        if j > k:
+            rows = x[idx[lo:bounds[j]]]
+            rows *= w[lo:bounds[j]]
+            np.add.reduceat(rows, starts[k:j] - lo, out=sums[k:j])
+        else:
+            j, hi = k + 1, bounds[k + 1]
+            sums[k] = _sums(w[lo:hi], x, idx[lo:hi], np.arange(0, hi - lo, step)).sum(axis=0)
+        k = j
+    return sums
+
+
+def _sums_by_target(w: Array, x: Array, idx: Array, targets: Array,
+                    shape: tuple[int, int]) -> Array:
+    """An array of ``shape`` whose row r is the sum of w[t] * x[idx[t]] over
+    the t with targets[t] == r: ``_sums`` over the rows stably sorted by
+    target, so each distinct target is one segment, summed in row order."""
+    order = np.argsort(targets, kind="stable")
+    targets = targets[order]
+    firsts = np.flatnonzero(np.diff(targets, prepend=-1))
+    out = np.zeros(shape)
+    out[targets[firsts]] = _sums(w[order], x, idx[order], firsts)
+    return out
 
 
 def gather_dot(x: Tensor, rows: Sequence[int], y: Tensor, starts: Sequence[int]) -> Tensor:
@@ -341,7 +385,7 @@ def gather_dot(x: Tensor, rows: Sequence[int], y: Tensor, starts: Sequence[int])
         raise ShapeError(f"gather_dot: {starts.size} segments of {x.shape} rows, y {y.shape}")
     x_data, y_data = x.data, y.data
     return _op(_dots(x_data, idx, y_data, seg), (x, y),
-               (lambda g: _scatter_rows(x, idx, y_data[seg], g),
+               (lambda g: _sums_by_target(g, y_data, seg, idx, x_data.shape),
                 lambda g: _sums(g, x_data, idx, starts)))
 
 

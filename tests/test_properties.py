@@ -2,7 +2,8 @@
 model's output rows, zero noise changes nothing, checkpoints and datasets
 survive a write and a load unchanged, and arbitrary bytes or JSON fed to
 the loaders fail only with the package's own errors. The baseline's
-constant product from nonzero entries equals the dense product.
+constant product from nonzero entries equals the dense product, and the
+blocked gathered kernels equal their whole-array references.
 
 Examples are derived from the test source, not drawn at random, so every
 run checks the same cases.
@@ -13,11 +14,13 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fagcn.tensor as T
 from fagcn.checkpoint import DIMS, load_checkpoint, save_checkpoint
 from fagcn.cli import cmd_sweep
 from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus
@@ -98,6 +101,76 @@ class TestConstantProduct:
         product = GraphOperators.build(graph).norm_adj.propagate_constant(x)
         np.testing.assert_allclose(product, normalized_adjacency(graph) @ x,
                                    rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def gathered_segments(draw, fit: bool):
+    """A gather block of a few entries, x (rows x cols), and segments of
+    gathered row indices, with weights. Every segment fits in one block
+    when ``fit``; otherwise one or more are longer than a block."""
+    block, cols = draw(st.integers(1, 24)), draw(st.integers(1, 4))
+    step = max(1, block // cols)
+    longest = step if fit else 3 * step + 2
+    lengths = draw(st.lists(st.integers(1, longest), min_size=1, max_size=8))
+    if not fit:
+        at = draw(st.integers(0, len(lengths) - 1))
+        lengths[at] = draw(st.integers(step + 1, longest))
+    n = draw(st.integers(1, 8))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=sum(lengths),
+                                 max_size=sum(lengths))), dtype=np.intp)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    starts = np.cumsum(lengths) - lengths
+    return (block, rng.standard_normal((n, cols)), idx, starts,
+            rng.standard_normal((len(lengths), cols)), rng.standard_normal((idx.size, 1)))
+
+
+class GatherLog(np.ndarray):
+    """An array that logs the row count of every gather taken from it."""
+
+    def __getitem__(self, key):
+        rows = super().__getitem__(key)
+        self.gathered.append(len(rows))
+        return np.asarray(rows)
+
+
+class TestGatheredKernels:
+    @FEW
+    @given(case=gathered_segments(fit=False))
+    def test_gather_dot_feature_gradient_matches_add_at(self, case):
+        # repeated rows, rows never gathered, single-row segments and
+        # more entries than one block
+        block, x, idx, starts, y, g = case
+        xt = T.Tensor(x)
+        with mock.patch.object(T, "GATHER_BLOCK", block), T.Tape() as tape:
+            out = T.gather_dot(xt, idx, T.constant(y), starts)
+            tape.backward(T.sum_all(T.mul(T.constant(g), out)))
+        seg = np.repeat(np.arange(starts.size), np.diff(starts, append=idx.size))
+        expected = np.zeros_like(x)
+        np.add.at(expected, idx, g * y[seg])
+        np.testing.assert_allclose(xt.grad, expected, rtol=1e-12, atol=1e-12)
+        never = np.setdiff1d(np.arange(x.shape[0]), idx)
+        assert not xt.grad[never].any()
+
+    @FEW
+    @given(case=gathered_segments(fit=True))
+    def test_blocked_sums_equal_one_reduceat_when_segments_fit(self, case):
+        block, x, idx, starts, _, w = case
+        with mock.patch.object(T, "GATHER_BLOCK", block):
+            sums = T._sums(w, x, idx, starts)
+        assert sums.tobytes() == np.add.reduceat(x[idx] * w, starts).tobytes()
+
+    @FEW
+    @given(case=gathered_segments(fit=False))
+    def test_blocked_sums_match_one_reduceat_when_segments_span_blocks(self, case):
+        block, x, idx, starts, _, w = case
+        logged = x.view(GatherLog)
+        logged.gathered = []
+        with mock.patch.object(T, "GATHER_BLOCK", block):
+            sums = T._sums(w, logged, idx, starts)
+        np.testing.assert_allclose(sums, np.add.reduceat(x[idx] * w, starts),
+                                   rtol=1e-12, atol=1e-12)
+        assert sum(logged.gathered) == idx.size
+        assert max(logged.gathered) <= max(1, block // x.shape[1])
 
 
 def load_bytes(loader, raw: bytes) -> None:

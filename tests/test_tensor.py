@@ -260,6 +260,51 @@ class TestSegmentOps:
             tracemalloc.stop()
         assert peak < x[rows].nbytes / 2
 
+    def test_gather_dot_backward_never_gathers_all_rows_at_once(self, rng):
+        # the feature gradient sums over rows sorted by target, in blocks;
+        # a bincount scatter would hold a whole y[seg] gather and its flat index
+        x, y = Tensor(rng.standard_normal((300, 80))), Tensor(rng.standard_normal((100, 80)))
+        rows, starts = rng.integers(0, 300, 5100), np.arange(0, 5100, 51)
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(T.constant(rng.standard_normal((5100, 1))),
+                                   T.gather_dot(x, rows, y, starts)))
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < x.data[rows].nbytes / 2
+
+    def test_gather_segment_sum_never_gathers_all_rows_at_once(self, rng):
+        w, x = rng.standard_normal((5100, 1)), rng.standard_normal((300, 80))
+        rows, starts = rng.integers(0, 300, 5100), np.arange(0, 5100, 51)
+        tracemalloc.start()
+        try:
+            T.gather_segment_sum(Tensor(w), Tensor(x), rows, starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x[rows].nbytes / 2
+
+    def test_gather_dot_feature_gradient_across_real_blocks(self, rng):
+        # 3.5 blocks of entries in segments longer than one block, so both
+        # operands' gradients sum some segments in pieces
+        cols = 16
+        n_rows = 7 * T.GATHER_BLOCK // (2 * cols)
+        x, y, g = (rng.standard_normal(shape) for shape in ((50, cols), (3, cols), (n_rows, 1)))
+        rows, starts = rng.integers(0, 45, n_rows), [0, n_rows // 3, 2 * n_rows // 3]
+        xt, yt = Tensor(x), Tensor(y)
+        with Tape() as tape:
+            tape.backward(T.sum_all(T.mul(T.constant(g), T.gather_dot(xt, rows, yt, starts))))
+        seg = np.repeat(np.arange(3), np.diff(starts, append=n_rows))
+        expected = np.zeros_like(x)
+        np.add.at(expected, rows, g * y[seg])
+        np.testing.assert_allclose(xt.grad, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(xt.grad[45:], 0.0)
+        np.testing.assert_allclose(yt.grad, np.add.reduceat(g * x[rows], starts),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_gather_segment_sum_matches_loop(self, rng):
         w, x = rng.standard_normal((9, 1)), rng.standard_normal((4, 3))
         rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
@@ -328,6 +373,34 @@ class TestSegmentOps:
         with pytest.raises(ShapeError):
             T.gather_segment_sum(Tensor(np.ones((9, 1))), Tensor(np.ones((2, 2))),
                                  [0] * 9, starts)
+
+    @pytest.mark.parametrize("indices", [[0.5, 1.9], [True, False], np.array([0.0, 1.0])],
+                             ids=["fractional", "bool", "integral-floats"])
+    def test_indices_must_be_integers(self, rng, indices):
+        # a cast would gather rows 0 and 1 for [0.5, 1.9], and 1 and 0 for
+        # [True, False]
+        x, w = Tensor(rng.standard_normal((3, 2))), Tensor(np.ones((2, 1)))
+        with pytest.raises(ShapeError, match="integers"):
+            T.take_rows(x, indices)
+        with pytest.raises(ShapeError, match="integers"):
+            T.gather_dot(x, indices, Tensor(np.ones((1, 2))), [0])
+        with pytest.raises(ShapeError, match="integers"):
+            T.gather_segment_sum(w, x, indices, [0])
+
+    @pytest.mark.parametrize("starts", [[0.0, 1.7], [0.0, 1.0], [False, True]],
+                             ids=["fractional", "integral-floats", "bool"])
+    def test_segment_starts_must_be_integers(self, rng, starts):
+        # a cast would run [0.0, 1.7] as [0, 1]
+        with pytest.raises(ShapeError, match="integers"):
+            T.gather_segment_sum(Tensor(np.ones((2, 1))), Tensor(np.ones((3, 2))), [0, 1], starts)
+        with pytest.raises(ShapeError, match="integers"):
+            T.segment_softmax(Tensor(np.ones((2, 1))), starts)
+
+    def test_empty_and_unsigned_indices_are_accepted(self, rng):
+        x = Tensor(rng.standard_normal((3, 2)))
+        assert T.take_rows(x, []).shape == (0, 2)
+        np.testing.assert_array_equal(T.take_rows(x, np.array([2, 0], dtype=np.uint8)).data,
+                                      x.data[[2, 0]])
 
     def test_misaligned_operands_are_shape_errors(self, rng):
         x = Tensor(rng.standard_normal((3, 2)))
