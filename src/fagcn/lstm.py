@@ -1,15 +1,15 @@
 """Bidirectional LSTM encoder producing one dense semantic vector per
 token occurrence in a node's content.
 
-The encoder runs on the segment layout: the token rows of every node are
-stacked in one matrix, node i's from row ``starts[i]``, and each
-direction encodes all of them in one taped operation.
+The encoder runs on the segment layout: the tokens of every node are
+stacked in one array, node i's from entry ``starts[i]``, and the
+embedding lookup, both directions and their sum are one taped operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,47 +63,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[int],
-                   reverse: bool) -> Tensor:
-    """Run the recurrence over each segment of ``seq`` (rows ``starts[k]``
-    up to the next start; last to first when ``reverse``) as one taped
-    operation; outputs come back in row order. Per step, gates f, i, o are
-    sigmoids and the cell candidate g a tanh of [x_t, h_{t-1}] times the
-    gate weight plus bias; c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t),
-    from zero states.
+def _run_direction(params: LstmDirectionParams, x: np.ndarray, visits: np.ndarray,
+                   batch: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The recurrence over the rows of ``x``, advanced in the order
+    ``visits``, and the function that maps its output gradient to the
+    gradients of ``x``, the weight and the bias. Outputs come back in row
+    order. Per step, gates f, i, o are sigmoids and the cell candidate g a
+    tanh of [x_t, h_{t-1}] times the gate weight plus bias; c_t = f*c_{t-1}
+    + i*g and h_t = o*tanh(c_t), from zero states.
 
     After Appleyard et al. (arXiv 1604.01946), the input projection of
     every token is one product and the time loop carries only ``h @ W_h``.
-    Segments are packed longest first: step t advances token t of every
-    segment longer than t, a prefix of the carried state, so the loop runs
-    once per position of the longest segment, without padding. The three
-    gradient functions share one reverse sweep over the same visits, run
-    by the first of them; the weight gradient is then one product.
-    ``W_x`` and ``W_h`` are row views of the stacked gate weight, not
-    rebuilt copies; the weight still holds its forward values when the
-    tape runs.
+    Step t advances the first ``batch[t]`` carried states, one visit each,
+    so the loop runs once per position of the longest sequence, without
+    padding. The three gradients come from one reverse sweep over the same
+    visits; the weight gradient is then one product. ``W_x`` and ``W_h``
+    are row views of the stacked gate weight, not rebuilt copies; the
+    weight still holds its forward values when the tape runs.
     """
-    weight, bias = params.weight, params.bias
-    d, embed_dim = params.feature_dim, params.embed_dim
-    if seq.cols != embed_dim:
-        raise ShapeError(
-            f"sequence width {seq.cols} does not match embedding dim {embed_dim}")
-    n = seq.rows
-    if n < 1:
-        raise ShapeError("cannot encode an empty token sequence")
-    starts, _ = T._segments(starts, n)
-    lengths = np.diff(starts, append=n)
-    order = np.argsort(-lengths, kind="stable")
-    batch = starts.size - np.cumsum(np.bincount(lengths))[:-1]  # segments per step
+    d, embed_dim, n = params.feature_dim, params.embed_dim, x.shape[0]
     offsets = np.concatenate(([0], np.cumsum(batch)))
-    step_of = np.repeat(np.arange(batch.size), batch)
-    first = starts[order] + (lengths[order] - 1 if reverse else 0)
-    # visits[r] is the row of seq that visit r (step step_of[r]) advances
-    visits = first[np.arange(n) - offsets[step_of]] + (-step_of if reverse else step_of)
-
-    w_x, w_h = weight.data[:embed_dim], weight.data[embed_dim:]
-    gates = seq.data[visits] @ w_x  # f, i, g, o side by side, in visit order
-    gates += bias.data
+    w_x, w_h = params.weight.data[:embed_dim], params.weight.data[embed_dim:]
+    gates = x[visits] @ w_x  # f, i, g, o side by side, in visit order
+    gates += params.bias.data
     cs, out_data = np.empty((n, d)), np.empty((n, d))
     h = c = np.zeros((batch[0], d))
     for lo, hi in zip(offsets[:-1], offsets[1:]):
@@ -117,17 +99,10 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
         c = cs[lo:hi] = f * c[:active] + i * g
         h = out_data[visits[lo:hi]] = o * np.tanh(c)
 
-    swept = False
-
-    def dz(grad: np.ndarray) -> np.ndarray:
-        """The gate pre-activation gradients, in visit order. The first call
-        sweeps back through time and writes them over ``gates``, step t's
-        rows once step t has read them; the tape runs backward once, so
-        nothing reads the activations after."""
-        nonlocal swept
-        if swept:
-            return gates
-        swept = True
+    def gradients(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gradients of x, the weight and the bias. The sweep writes the
+        gate pre-activation gradients over ``gates``, step t's rows once
+        step t has read them, so this runs once: the tape runs backward once."""
         dh_next = dc_next = np.zeros((0, d))
         for t in range(batch.size - 1, -1, -1):
             lo, hi = offsets[t], offsets[t + 1]
@@ -144,36 +119,62 @@ def _run_direction(params: LstmDirectionParams, seq: Tensor, starts: Sequence[in
             gates[lo:hi] = np.hstack((dc * (c_prev * (f * (1.0 - f))), dc * (g * (i * (1.0 - i))),
                                       dc * (i * (1.0 - g * g)), dh * (tanh_c * (o * (1.0 - o)))))
             dh_next = gates[lo:hi] @ w_h.T
-        return gates
-
-    def seq_grad(grad: np.ndarray) -> np.ndarray:
-        dx = np.empty(seq.shape)
-        dx[visits] = dz(grad) @ w_x.T
-        return dx
-
-    def weight_grad(grad: np.ndarray) -> np.ndarray:
-        # visit r >= batch[0] follows visit r - batch[t - 1] of its segment;
+        dx = np.empty(x.shape)
+        dx[visits] = gates @ w_x.T
+        # visit r >= batch[0] follows visit r - batch[t - 1] of its sequence;
         # the first visits start from h = 0 and add nothing to dW_h
         prev = np.arange(batch[0], n) - np.repeat(batch[:-1], batch[1:])
-        dz_all = dz(grad)
-        return np.vstack((seq.data[visits].T @ dz_all,
-                          out_data[visits[prev]].T @ dz_all[batch[0]:]))
+        return (dx, np.vstack((x[visits].T @ gates, out_data[visits[prev]].T @ gates[batch[0]:])),
+                gates.sum(axis=0, keepdims=True))
 
-    return T._op(out_data, (seq, weight, bias),
-                 (seq_grad, weight_grad, lambda grad: dz(grad).sum(axis=0, keepdims=True)))
+    return out_data, gradients
 
 
-def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tensor,
-                  starts: Sequence[int] = (0,)) -> Tensor:
-    """Encode token-embedding sequences with both directions combined.
+def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Tensor,
+                  tokens: Sequence[int], starts: Sequence[int] = (0,)) -> Tensor:
+    """Encode token sequences with both directions combined, as one taped
+    operation over ``table`` and both directions' weights.
 
-    ``seq`` holds one sequence per segment, each from its row of
-    ``starts`` up to the next; the default is one sequence of all rows.
-    The backward direction runs over each sequence reversed; the two
-    per-position outputs are combined by elementwise sum, giving one row
-    per token in original order.
+    Row t of ``table`` embeds token t. ``tokens`` holds one sequence per
+    segment, each from its entry of ``starts`` up to the next (by default
+    one sequence of all tokens). The backward direction runs over each
+    sequence reversed, and the two outputs are summed per position: one
+    row per token, in original order. Sequences are packed longest first:
+    step t advances token t of every sequence longer than t. The table's
+    gradient scatters the sum of both directions' input gradients.
     """
     if fwd.embed_dim != bwd.embed_dim or fwd.feature_dim != bwd.feature_dim:
         raise ShapeError("forward/backward parameter dimensions disagree")
-    return T.add(_run_direction(fwd, seq, starts, reverse=False),
-                 _run_direction(bwd, seq, starts, reverse=True))
+    if table.cols != fwd.embed_dim:
+        raise ShapeError(
+            f"sequence width {table.cols} does not match embedding dim {fwd.embed_dim}")
+    idx = T._row_indices(tokens, table)
+    n = idx.size
+    if n < 1:
+        raise ShapeError("cannot encode an empty token sequence")
+    starts, _ = T._segments(starts, n)
+    lengths = np.diff(starts, append=n)
+    order = np.argsort(-lengths, kind="stable")
+    batch = starts.size - np.cumsum(np.bincount(lengths))[:-1]  # sequences per step
+    step_of = np.repeat(np.arange(batch.size), batch)
+    # visit r, at step step_of[r], advances sequence lane[r]
+    lane = order[np.arange(n) - np.repeat(np.cumsum(batch) - batch, batch)]
+    x = table.data[idx]
+    ahead, grads_f = _run_direction(fwd, x, starts[lane] + step_of, batch)
+    behind, grads_b = _run_direction(bwd, x, starts[lane] + lengths[lane] - 1 - step_of, batch)
+    pending, done = [grads_f, grads_b], []
+
+    def swept(grad: np.ndarray) -> list[np.ndarray]:
+        # dx, dW, db of the forward direction, then of the backward one; each
+        # direction's activations are freed once its gradients are out
+        while pending:
+            done.extend(pending.pop(0)(grad))
+        return done
+
+    def table_grad(grad: np.ndarray) -> np.ndarray:
+        dx = swept(grad)[0]
+        dx += done[3]
+        return T._scatter_rows(table, idx, dx)
+
+    return T._op(ahead + behind, (table, fwd.weight, fwd.bias, bwd.weight, bwd.bias),
+                 (table_grad, *(lambda grad, k=k: swept(grad)[k] for k in (1, 2, 4, 5))))

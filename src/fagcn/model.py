@@ -71,14 +71,6 @@ class ModelParams:
     def variant(self) -> str:
         return self.attention.variant
 
-    @property
-    def vocab_size(self) -> int:
-        return self.embeddings.rows
-
-    @property
-    def num_classes(self) -> int:
-        return self.conv2_weight.cols
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         names: list[tuple[str, Tensor]] = [("embeddings", self.embeddings)]
         names += self.lstm_fwd.named_parameters("lstm_fwd")
@@ -129,14 +121,6 @@ class BaselineParams:
 
         return run
 
-    @property
-    def vocab_size(self) -> int:
-        return self.conv1_weight.rows
-
-    @property
-    def num_classes(self) -> int:
-        return self.conv2_weight.cols
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("baseline.conv1_weight", self.conv1_weight),
                 ("baseline.conv2_weight", self.conv2_weight)]
@@ -160,24 +144,18 @@ def init_for_variant(variant: str, vocab_size: int, num_classes: int, embed_dim:
 
 @dataclass
 class LabelMatrix:
-    """One-hot labels for all nodes plus the labeled-node index set."""
+    """The one-hot labels of the labeled nodes: an n x classes matrix whose
+    rows for all other nodes are zero."""
 
-    onehot: np.ndarray
-    train_idx: tuple[int, ...]
+    masked: np.ndarray
 
     @classmethod
     def build(cls, labels: Sequence[int], num_classes: int,
               train_idx: Sequence[int]) -> "LabelMatrix":
-        onehot = np.zeros((len(labels), num_classes))
-        onehot[np.arange(len(labels)), labels] = 1.0
-        return cls(onehot=onehot, train_idx=tuple(int(i) for i in train_idx))
-
-    def masked(self) -> np.ndarray:
-        """One-hot rows for labeled nodes, zero rows elsewhere."""
-        out = np.zeros_like(self.onehot)
-        idx = list(self.train_idx)
-        out[idx] = self.onehot[idx]
-        return out
+        masked = np.zeros((len(labels), num_classes))
+        idx = [int(i) for i in train_idx]
+        masked[idx, [labels[i] for i in idx]] = 1.0
+        return cls(masked=masked)
 
 
 @dataclass(frozen=True)
@@ -249,8 +227,7 @@ def encode_nodes(params: ModelParams, corpus: ContentCorpus, *,
     start at ``corpus.starts[i]``, with dropout applied in training mode.
     """
     tokens = np.fromiter(chain.from_iterable(corpus.contents), dtype=np.intp)
-    seq = T.take_rows(params.embeddings, tokens)
-    h = bilstm_encode(params.lstm_fwd, params.lstm_bwd, seq, corpus.starts)
+    h = bilstm_encode(params.lstm_fwd, params.lstm_bwd, params.embeddings, tokens, corpus.starts)
     return T.dropout(h, dropout_lstm, rng, training)
 
 
@@ -349,7 +326,7 @@ def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
     """
     if l2_feature < 0 or l2_node < 0:
         raise ConfigError("regularization weights must be non-negative")
-    masked, z_data = labels.masked(), z.data
+    masked, z_data = labels.masked, z.data
     if z_data.shape != masked.shape:
         raise ShapeError(f"probabilities {z.shape} do not fit labels {masked.shape}")
     clamped = np.maximum(z_data, 1e-12)

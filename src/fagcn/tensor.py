@@ -10,10 +10,11 @@ complete before its step fires.
 Every operation records through ``_op``: it passes its result, its
 inputs and one gradient function per input (the vector-Jacobian
 product), and ``_op`` owns the rest of the protocol. Gradient functions
-that share work share it in their closure, as ``lstm._run_direction``'s
-three share one reverse sweep through time. Two ops are recorded outside
-this module, each as one step: ``lstm._run_direction``, a whole
-recurrence, and ``model.loss``, the cross-entropy with both L2 penalties.
+that share work share it in their closure, as ``lstm.bilstm_encode``'s
+five share both directions' sweeps back through time. Two ops are
+recorded outside this module, each as one step: ``lstm.bilstm_encode``,
+the embedding lookup and both whole recurrences, and ``model.loss``, the
+cross-entropy with both L2 penalties.
 
 The two gathered segment products are each other's transpose, like the
 SDDMM/SpMM pair of graph message passing: ``_dots`` forms one dot
@@ -23,8 +24,9 @@ per segment; both gather in blocks of ``GATHER_BLOCK`` entries.
 over its segments for the per-segment operand, and over its rows sorted
 by gathered row for the gathered operand. ``gather_segment_sum`` runs
 ``_sums`` forward and ``_dots`` for the gradient of its weights; its
-gathered operand and ``take_rows`` scatter with one bincount
-(``_scatter_rows``), which beats a sort on their narrow or small rows.
+gathered operand, ``take_rows`` and the encoder's embedding table scatter
+with one bincount (``_scatter_rows``), which beats a sort on their narrow
+or small rows.
 
 Vectors are represented as 1-row matrices throughout.
 """
@@ -190,20 +192,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op(a_data @ b_data, (a, b), (lambda g: g @ b_data.T, lambda g: a_data.T @ g))
 
 
-def _same_shape(a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"elementwise operands differ in shape: {a.shape} and {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
-    _same_shape(a, b)
-    return _op(a.data + b.data, (a, b), (lambda g: g.copy(), lambda g: g.copy()))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product of two tensors of one shape."""
-    _same_shape(a, b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"elementwise operands differ in shape: {a.shape} and {b.shape}")
     a_data, b_data = a.data, b.data
     return _op(a_data * b_data, (a, b), (lambda g: g * b_data, lambda g: g * a_data))
 

@@ -116,13 +116,15 @@ class AdamState:
         self.step_count = 0
 
 
-def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
+def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update from the accumulated gradients."""
     state.step_count += 1
     t = state.step_count
-    scale1 = 1.0 / (1.0 - beta1 ** t)
-    scale2 = 1.0 / (1.0 - beta2 ** t)
+    scale1 = 1.0 / (1.0 - BETA1 ** t)
+    scale2 = 1.0 / (1.0 - BETA2 ** t)
     for name, p in named_params:
         g = p.grad
         if g is None:
@@ -134,11 +136,11 @@ def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState, lr: floa
             m = state.moment1[name] = np.zeros_like(p.data)
             state.moment2[name] = np.zeros_like(p.data)
         v = state.moment2[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m * scale1) / (np.sqrt(v * scale2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m * scale1) / (np.sqrt(v * scale2) + EPS)
 
 
 def _check_inputs(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus) -> None:
@@ -149,8 +151,13 @@ def _check_inputs(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus)
 
 def init_params(config: ExperimentConfig, corpus: ContentCorpus,
                 rng: np.random.Generator) -> ModelParams | BaselineParams:
-    return init_for_variant(config.variant, corpus.vocab_size, corpus.num_classes,
-                            config.embed_dim, config.feature_dim, config.hidden_dim, rng)
+    try:
+        return init_for_variant(config.variant, corpus.vocab_size, corpus.num_classes,
+                                config.embed_dim, config.feature_dim, config.hidden_dim, rng)
+    except (MemoryError, ValueError):  # numpy refuses arrays of such sizes
+        raise ConfigError("the configured dimensions are too large to hold: embed_dim "
+                          f"{config.embed_dim}, feature_dim {config.feature_dim}, "
+                          f"hidden_dim {config.hidden_dim}") from None
 
 
 def _node_indices(name: str, idx, n: int) -> np.ndarray:

@@ -14,18 +14,20 @@ from fagcn.model import BaselineParams, ModelParams
 from fagcn.training import ExperimentConfig
 
 
+_, CORPUS, _ = four_node_fixture()
+TERMS = [f"t{k}" for k in range(CORPUS.vocab_size)]  # placeholder names, one per id
+LABELS = [f"c{k}" for k in range(CORPUS.num_classes)]
+
+
 def model_params(variant: str = "context") -> ModelParams:
     """Weights of the shapes the default config implies."""
-    _, corpus, _ = four_node_fixture()
     c = ExperimentConfig()
-    return ModelParams.init(corpus.vocab_size, corpus.num_classes, c.embed_dim,
+    return ModelParams.init(CORPUS.vocab_size, CORPUS.num_classes, c.embed_dim,
                             c.feature_dim, c.hidden_dim, variant, np.random.default_rng(7))
 
 
 def save(path, config: dict, params) -> None:
-    """Save with placeholder term and label names, one per id."""
-    save_checkpoint(path, config, params, [f"t{k}" for k in range(params.vocab_size)],
-                    [f"c{k}" for k in range(params.num_classes)])
+    save_checkpoint(path, config, params, TERMS, LABELS)
 
 
 def edit_header(path, edit) -> None:
@@ -48,8 +50,8 @@ class TestRoundtrip:
         save(path, config, params)
         loaded_config, loaded, terms, labels = load_checkpoint(path)
         assert loaded_config.to_dict() == config
-        assert terms == [f"t{k}" for k in range(params.vocab_size)]
-        assert labels == [f"c{k}" for k in range(params.num_classes)]
+        assert terms == TERMS
+        assert labels == LABELS
         assert isinstance(loaded, ModelParams)
         for (name_a, a), (name_b, b) in zip(params.named_parameters(),
                                             loaded.named_parameters()):

@@ -65,6 +65,21 @@ class TestTrainCommand:
                          quiet=True)
         assert code == 2
 
+    @pytest.mark.parametrize("dims", [{"embed_dim": 10 ** 15},
+                                      {"hidden_dim": 10 ** 20, "variant": "baseline_gcn"}],
+                             ids=["beyond-memory", "beyond-array-limit"])
+    def test_dimensions_too_large_to_hold_are_input_errors(self, dataset, tmp_path, capsys,
+                                                           dims):
+        # sizes beyond the address space, which numpy refuses before allocating
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"epochs": 1, **dims}), encoding="utf-8")
+        code = cmd_train(big, dataset["edges"], dataset["content"], tmp_path / "run",
+                         quiet=True)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: the configured dimensions are too large")
+        assert err.count("\n") == 1
+
     def test_rerun_outputs_are_byte_identical(self, dataset, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cmd_train(config_path, dataset["edges"], dataset["content"], out_a,
@@ -240,6 +255,19 @@ class TestSweepCommand:
             "axis": "noise-replace", "values": [0.3, 0.9], "variants": ["self"], "seeds": [1]})
         out = tmp_path / "noise.csv"
         assert cmd_sweep(config_path, spec, out, quiet=True) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_dimensions_too_large_to_hold_are_input_errors(self, dataset, config_path,
+                                                           tmp_path, capsys, threads):
+        spec = self.write_spec(tmp_path, dataset, {
+            "axis": "d_h", "values": [10 ** 20], "variants": ["baseline_gcn"], "seeds": [1]})
+        out = tmp_path / "out.csv"
+        assert main(["--quiet", "--threads", threads, "sweep", "--config", str(config_path),
+                     "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the configured dimensions are too large")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_sweep_reruns_identically(self, dataset, config_path, tmp_path):

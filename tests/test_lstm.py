@@ -54,9 +54,16 @@ def params_arrays(params: LstmDirectionParams) -> dict[str, np.ndarray]:
     return arrays
 
 
-def forward_direction(params: LstmDirectionParams, seq: Tensor) -> Tensor:
+def forward_direction(params: LstmDirectionParams, seq: Tensor) -> np.ndarray:
     """One forward direction over all rows of ``seq`` as one sequence."""
-    return _run_direction(params, seq, (0,), reverse=False)
+    n = seq.rows
+    return _run_direction(params, seq.data, np.arange(n), np.ones(n, dtype=np.intp))[0]
+
+
+def encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tensor,
+           starts=(0,)) -> Tensor:
+    """Both directions over ``seq`` as the embedding table, row t token t."""
+    return bilstm_encode(fwd, bwd, seq, np.arange(seq.rows), starts)
 
 
 def zero_params(embed_dim: int, feature_dim: int) -> LstmDirectionParams:
@@ -68,7 +75,7 @@ class TestLstmForward:
     def test_zero_parameters_give_zero_outputs(self, rng):
         params = zero_params(3, 4)
         seq = Tensor(rng.standard_normal((5, 3)))
-        np.testing.assert_array_equal(forward_direction(params, seq).data, np.zeros((5, 4)))
+        np.testing.assert_array_equal(forward_direction(params, seq), np.zeros((5, 4)))
 
     def test_scalar_hand_trace(self):
         # 1-dim gates with hand-set weights; expected values computed by
@@ -79,25 +86,25 @@ class TestLstmForward:
                            [0.25, 0.3, -0.2, 0.6]]),
             bias=Tensor([[0.1, 0.2, 0.0, -0.3]]))
         h = forward_direction(params, Tensor([[0.3]]))
-        assert abs(h.item() - 0.046410583479716876) < 1e-12
+        assert abs(h[0, 0] - 0.046410583479716876) < 1e-12
 
     def test_matches_independent_recurrence(self, rng):
         params = random_params(3, 4, rng)
         seq = rng.standard_normal((5, 3))
         outputs = forward_direction(params, Tensor(seq))
         expected = oracle_recurrence(params_arrays(params), seq)
-        np.testing.assert_allclose(outputs.data, np.array(expected), atol=1e-12)
+        np.testing.assert_allclose(outputs, np.array(expected), atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         params = random_params(3, 4, rng)
-        with pytest.raises(Exception, match="dim"):
-            forward_direction(params, Tensor(rng.standard_normal((2, 5))))
+        with pytest.raises(ShapeError, match="dim"):
+            encode(params, params, Tensor(rng.standard_normal((2, 5))))
 
     def test_outputs_strictly_inside_unit_box(self, rng):
         params = random_params(2, 3, rng)
         outputs = forward_direction(params, Tensor(rng.standard_normal((8, 2)) * 5))
         assert outputs.shape == (8, 3)
-        assert np.all(np.abs(outputs.data) < 1.0)
+        assert np.all(np.abs(outputs) < 1.0)
 
     def test_one_direction_holds_one_gate_buffer(self, rng):
         # the input projection is written into the gate buffer and the
@@ -105,16 +112,18 @@ class TestLstmForward:
         # backward peaks well below three (tokens x 4 feature_dim) buffers
         n, d = 20000, 16
         params = random_params(4, d, rng)
-        seq = Tensor(rng.standard_normal((n, 4)))
-        probe = T.constant(rng.standard_normal((n, d)))
+        x = rng.standard_normal((n, 4))
+        probe = rng.standard_normal((n, d))
+        # sequences of 10 rows: step t visits row t of each
+        visits, batch = np.arange(n).reshape(-1, 10).T.ravel(), np.full(10, n // 10)
         tracemalloc.start()
         try:
-            with Tape() as tape:
-                out = _run_direction(params, seq, np.arange(0, n, 10), reverse=False)
-                tape.backward(T.sum_all(T.mul(probe, out)))
+            _, gradients = _run_direction(params, x, visits, batch)
+            gradients = gradients(probe)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert [g.shape for g in gradients] == [x.shape, params.weight.shape, params.bias.shape]
         assert peak < 2.75 * n * 4 * d * 8
 
 
@@ -122,16 +131,15 @@ class TestBilstmEncode:
     def test_zero_backward_params_reduce_to_forward(self, rng):
         fwd = random_params(3, 4, rng)
         seq = Tensor(rng.standard_normal((4, 3)))
-        encoded = bilstm_encode(fwd, zero_params(3, 4), seq)
-        forward_only = forward_direction(fwd, seq)
-        np.testing.assert_allclose(encoded.data, forward_only.data, atol=1e-15)
+        encoded = encode(fwd, zero_params(3, 4), seq)
+        np.testing.assert_allclose(encoded.data, forward_direction(fwd, seq), atol=1e-15)
 
     def test_single_token_sums_both_directions(self, rng):
         fwd = random_params(3, 4, rng)
         bwd = random_params(3, 4, rng)
         seq = Tensor(rng.standard_normal((1, 3)))
-        encoded = bilstm_encode(fwd, bwd, seq)
-        expected = forward_direction(fwd, seq).data + forward_direction(bwd, seq).data
+        encoded = encode(fwd, bwd, seq)
+        expected = forward_direction(fwd, seq) + forward_direction(bwd, seq)
         np.testing.assert_allclose(encoded.data, expected, atol=1e-15)
 
     def test_palindrome_with_tied_directions_is_row_symmetric(self, rng):
@@ -139,27 +147,26 @@ class TestBilstmEncode:
         token = rng.standard_normal(3)
         other = rng.standard_normal(3)
         seq = Tensor(np.vstack([token, other, token]))
-        encoded = bilstm_encode(params, params, seq)
+        encoded = encode(params, params, seq)
         np.testing.assert_allclose(encoded.data, encoded.data[::-1], atol=1e-12)
 
     def test_empty_sequence_rejected(self, rng):
         fwd = random_params(3, 4, rng)
-        for encode in (lambda s: bilstm_encode(fwd, fwd, s), lambda s: forward_direction(fwd, s)):
-            with pytest.raises(ShapeError, match="empty"):
-                encode(Tensor(np.zeros((0, 3))))
+        with pytest.raises(ShapeError, match="empty"):
+            bilstm_encode(fwd, fwd, Tensor(rng.standard_normal((2, 3))), [])
 
     def test_directional_causality(self, rng):
         # perturbing token k moves forward outputs only at j >= k and
         # backward outputs only at j <= k
         fwd = random_params(3, 4, rng)
         seq = rng.standard_normal((5, 3))
-        base_f = forward_direction(fwd, Tensor(seq)).data
-        base_b = forward_direction(fwd, Tensor(seq[::-1])).data
+        base_f = forward_direction(fwd, Tensor(seq))
+        base_b = forward_direction(fwd, Tensor(seq[::-1]))
         k = 2
         bumped = seq.copy()
         bumped[k] += 0.5
-        new_f = forward_direction(fwd, Tensor(bumped)).data
-        new_b = forward_direction(fwd, Tensor(bumped[::-1])).data
+        new_f = forward_direction(fwd, Tensor(bumped))
+        new_b = forward_direction(fwd, Tensor(bumped[::-1]))
         for j in range(5):
             forward_changed = not np.allclose(base_f[j], new_f[j], atol=1e-14)
             assert forward_changed == (j >= k)
@@ -177,13 +184,13 @@ class TestBilstmEncode:
                    + bwd.named_parameters("bwd"))
 
         def run():
-            out = bilstm_encode(fwd, bwd, seq)
+            out = encode(fwd, bwd, seq)
             return T.sum_all(T.mul(T.constant(weights), out)).item()
 
         for _, p in targets:
             p.zero_grad()
         with Tape() as tape:
-            out = bilstm_encode(fwd, bwd, seq)
+            out = encode(fwd, bwd, seq)
             tape.backward(T.sum_all(T.mul(T.constant(weights), out)))
         for name, p in targets:
             expected = numeric_gradient(run, p.data, eps=1e-5)
@@ -192,12 +199,31 @@ class TestBilstmEncode:
             assert np.max(np.abs(got - expected) / denom) < 1e-4, name
 
     @pytest.mark.parametrize("length", [1, 9])
-    def test_one_tape_record_per_direction_and_one_sum(self, rng, length):
+    def test_one_tape_record(self, rng, length):
+        # the lookup, both directions and their sum
         fwd = random_params(3, 4, rng)
-        seq = Tensor(rng.standard_normal((length, 3)))
+        table = Tensor(rng.standard_normal((4, 3)))
         with Tape() as tape:
-            bilstm_encode(fwd, random_params(3, 4, rng), seq)
-        assert len(tape) == 3
+            bilstm_encode(fwd, random_params(3, 4, rng), table, rng.integers(0, 4, size=length))
+        assert len(tape) == 1
+
+    def test_forward_and_backward_copy_no_output_gradient(self, rng):
+        # two gate buffers, each direction's states and outputs, and their
+        # sum: the output gradient reaches both directions uncopied
+        n, d = 20000, 16
+        fwd, bwd = random_params(4, d, rng), random_params(4, d, rng)
+        table = Tensor(rng.standard_normal((50, 4)))
+        tokens = rng.integers(0, 50, size=n)
+        probe = T.constant(rng.standard_normal((n, d)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = bilstm_encode(fwd, bwd, table, tokens, np.arange(0, n, 10))
+                tape.backward(T.sum_all(T.mul(probe, out)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.3 * n * 4 * d * 8
 
 
 RAGGED = [3, 1, 4, 4, 1, 2, 1]  # tied lengths and length-1 segments, unsorted
@@ -212,26 +238,29 @@ class TestPackedSegments:
         fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
         seq = Tensor(rng.standard_normal((sum(RAGGED), 3)))
         starts = ragged_starts()
-        packed = bilstm_encode(fwd, bwd, seq, starts).data
+        packed = encode(fwd, bwd, seq, starts).data
         for lo, length in zip(starts, RAGGED):
-            alone = bilstm_encode(fwd, bwd, Tensor(seq.data[lo:lo + length]))
+            alone = encode(fwd, bwd, Tensor(seq.data[lo:lo + length]))
             np.testing.assert_allclose(packed[lo:lo + length], alone.data, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
+        # repeated token ids within and across sequences, and a table row
+        # no token gathers
         fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
-        seq = Tensor(rng.standard_normal((sum(RAGGED), 3)))
+        table = Tensor(rng.standard_normal((6, 3)))
+        tokens = rng.integers(0, 5, size=sum(RAGGED))
         starts = ragged_starts()
         weights = rng.standard_normal((sum(RAGGED), 4))
-        targets = [("seq", seq)] + fwd.named_parameters("fwd") + bwd.named_parameters("bwd")
+        targets = [("table", table)] + fwd.named_parameters("fwd") + bwd.named_parameters("bwd")
 
         def run():
-            out = bilstm_encode(fwd, bwd, seq, starts)
+            out = bilstm_encode(fwd, bwd, table, tokens, starts)
             return T.sum_all(T.mul(T.constant(weights), out)).item()
 
         for _, p in targets:
             p.zero_grad()
         with Tape() as tape:
-            out = bilstm_encode(fwd, bwd, seq, starts)
+            out = bilstm_encode(fwd, bwd, table, tokens, starts)
             tape.backward(T.sum_all(T.mul(T.constant(weights), out)))
         for name, p in targets:
             expected = numeric_gradient(run, p.data, eps=1e-5)
@@ -243,7 +272,7 @@ class TestPackedSegments:
     def test_bad_starts_are_shape_errors(self, rng, starts):
         fwd = random_params(3, 4, rng)
         with pytest.raises(ShapeError):
-            bilstm_encode(fwd, fwd, Tensor(rng.standard_normal((7, 3))), starts)
+            encode(fwd, fwd, Tensor(rng.standard_normal((7, 3))), starts)
 
 
 class TestParamInit:

@@ -2,8 +2,10 @@
 model's output rows, zero noise changes nothing, checkpoints and datasets
 survive a write and a load unchanged, and arbitrary bytes or JSON fed to
 the loaders fail only with the package's own errors. The baseline's
-constant product from nonzero entries equals the dense product, and the
-blocked gathered kernels equal their whole-array references.
+constant product from nonzero entries equals the dense product, the
+blocked gathered kernels equal their whole-array references, and every
+variant's whole forward pass equals the straight-line oracle, with
+gradients that match central differences.
 
 Examples are derived from the test source, not drawn at random, so every
 run checks the same cases.
@@ -27,9 +29,12 @@ from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus
 from fagcn.datasets import write_dataset
 from fagcn.errors import ConfigError, DataError, FagcnError
 from fagcn.graph import Graph, build_graph, load_edge_list, normalized_adjacency
-from fagcn.model import GraphOperators, ModelParams, forward, init_for_variant
+from fagcn.model import (GraphOperators, LabelMatrix, ModelParams, forward, init_for_variant,
+                         loss)
 from fagcn.noise import inject_noise
 from fagcn.training import VARIANTS, ExperimentConfig
+
+from _oracle import arrays_of, straightline_baseline, straightline_forward
 
 FEW = settings(derandomize=True, max_examples=25, deadline=None)
 VOCAB = 5
@@ -171,6 +176,40 @@ class TestGatheredKernels:
                                    rtol=1e-12, atol=1e-12)
         assert sum(logged.gathered) == idx.size
         assert max(logged.gathered) <= max(1, block // x.shape[1])
+
+
+class TestWholeModel:
+    @FEW
+    @given(case=graphs_with_contents(), variant=st.sampled_from(VARIANTS),
+           layer1_normalize=st.booleans(), block=st.integers(1, 24), seed=st.integers(0, 2 ** 16))
+    def test_forward_matches_the_oracle_and_gradients_check(self, case, variant,
+                                                            layer1_normalize, block, seed):
+        # every blocked kernel path, the long-segment split included, inside
+        # a whole model; repeated tokens and isolated nodes are likely
+        graph, contents, _ = case
+        corpus = corpus_of(contents)
+        rng = np.random.default_rng(seed)
+        params = init_for_variant(variant, VOCAB, 3, 3, 3, 4, rng)
+        adjacency = np.zeros((graph.n, graph.n))
+        for i, j in graph.edges:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+        labels = LabelMatrix.build([i % 3 for i in range(graph.n)], 3, range(graph.n))
+        with mock.patch.object(T, "GATHER_BLOCK", block):
+            run = params.bind(graph, corpus, GraphOperators.build(graph))
+            z = run(layer1_normalize=layer1_normalize).data
+            if variant == "baseline_gcn":
+                bow = np.zeros((graph.n, VOCAB))
+                for i, tokens in enumerate(contents):
+                    bow[i, tokens] = 1.0
+                expected = straightline_baseline(arrays_of(params), adjacency, bow)
+            else:
+                expected = straightline_forward(arrays_of(params), adjacency, contents, variant,
+                                                layer1_normalize)
+            np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12)
+            worst = T.grad_check(
+                lambda: loss(run(layer1_normalize=layer1_normalize), labels, params, 5e-3, 5e-4),
+                params.named_parameters(), eps=1e-5, rng=rng, samples_per_param=4)
+        assert worst < 1e-4
 
 
 def load_bytes(loader, raw: bytes) -> None:
