@@ -3,7 +3,9 @@ splits, and the trainable word-embedding table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,13 +39,14 @@ class Vocabulary:
         return term in self.index
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContentCorpus:
-    """Per-node ordered token-id sequences with class labels.
+    """Per-node ordered token-id sequences with class labels, immutable and
+    checked when built: every node has a token, and its token ids and label
+    are integers in range, else a DataError names the node.
 
     Token order is preserved: contents are sequences fed to a recurrent
-    encoder, not bags. Every node has at least one token (enforced at
-    load time) and ``node_ids`` keeps the external ids so graph edges
+    encoder, not bags. ``node_ids`` keeps the external ids so graph edges
     can be resolved against the same id space.
     """
 
@@ -53,6 +56,25 @@ class ContentCorpus:
     label_names: list[str]
     vocab_size: int
 
+    def __post_init__(self) -> None:
+        if not (len(self.node_ids) == len(self.contents) == len(self.labels)):
+            raise DataError("corpus field lengths disagree")
+        vocab, classes = self.vocab_size, self.num_classes
+        if (all(self.contents)
+                and not [t for t in chain.from_iterable(self.contents)
+                         if type(t) is not int or not 0 <= t < vocab]
+                and not [y for y in self.labels if type(y) is not int or not 0 <= y < classes]):
+            return  # the common case, checked without naming nodes
+        for node_id, tokens, label in zip(self.node_ids, self.contents, self.labels):
+            if not tokens:
+                raise DataError(f"node {node_id} has no content tokens")
+            for what, value, bound in [*(("token id", t, vocab) for t in tokens),
+                                       ("label", label, classes)]:
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise DataError(f"node {node_id}: {what} {value!r} is not an integer")
+                if not 0 <= value < bound:
+                    raise DataError(f"node {node_id}: {what} {value} out of range")
+
     @property
     def n(self) -> int:
         return len(self.contents)
@@ -61,23 +83,15 @@ class ContentCorpus:
     def num_classes(self) -> int:
         return len(self.label_names)
 
-    @property
-    def starts(self) -> np.ndarray:
-        """Row of each node's first token when all contents are concatenated."""
-        return np.cumsum([0] + [len(tokens) for tokens in self.contents[:-1]])
+    @cached_property
+    def tokens(self) -> np.ndarray:
+        """Every node's token ids, concatenated in node order."""
+        return np.fromiter(chain.from_iterable(self.contents), dtype=np.intp)
 
-    def validate(self) -> None:
-        if not (len(self.node_ids) == len(self.contents) == len(self.labels)):
-            raise DataError("corpus field lengths disagree")
-        for node_id, tokens in zip(self.node_ids, self.contents):
-            if not tokens:
-                raise DataError(f"node {node_id} has no content tokens")
-            for t in tokens:
-                if not 0 <= t < self.vocab_size:
-                    raise DataError(f"node {node_id}: token id {t} out of range")
-        for node_id, label in zip(self.node_ids, self.labels):
-            if not 0 <= label < self.num_classes:
-                raise DataError(f"node {node_id}: label {label} out of range")
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Row of each node's first token in ``tokens``."""
+        return np.cumsum([0, *map(len, self.contents)])[:-1]
 
 
 def load_corpus(path) -> tuple[ContentCorpus, Vocabulary]:
@@ -120,11 +134,8 @@ def load_corpus(path) -> tuple[ContentCorpus, Vocabulary]:
 
     if not node_ids:
         raise DataError(f"{path}: no nodes found")
-    corpus = ContentCorpus(node_ids=node_ids, contents=contents,
-                           labels=label_ids, label_names=label_names,
-                           vocab_size=len(vocab))
-    corpus.validate()
-    return corpus, vocab
+    return ContentCorpus(node_ids=node_ids, contents=contents, labels=label_ids,
+                         label_names=label_names, vocab_size=len(vocab)), vocab
 
 
 def init_embeddings(vocab_size: int, embed_dim: int, rng: np.random.Generator) -> np.ndarray:

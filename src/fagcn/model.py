@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -226,9 +225,8 @@ def encode_nodes(params: ModelParams, corpus: ContentCorpus, *,
     Returns one (total tokens x feature_dim) matrix whose rows for node i
     start at ``corpus.starts[i]``, with dropout applied in training mode.
     """
-    tokens = np.fromiter(chain.from_iterable(corpus.contents), dtype=np.intp)
-    h = bilstm_encode(params.lstm_fwd, params.lstm_bwd, params.embeddings, tokens, corpus.starts)
-    return T.dropout(h, dropout_lstm, rng, training)
+    return T.dropout(bilstm_encode(params.lstm_fwd, params.lstm_bwd, params.embeddings,
+                                   corpus.tokens, corpus.starts), dropout_lstm, rng, training)
 
 
 def node_input_features(params: ModelParams, corpus: ContentCorpus, graph: Graph, *,
@@ -344,10 +342,8 @@ def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
 
 def bag_of_words(corpus: ContentCorpus, vocab_size: int) -> np.ndarray:
     """Binary n x vocab_size term-presence matrix."""
-    lengths = [len(tokens) for tokens in corpus.contents]
-    tokens = np.fromiter(chain.from_iterable(corpus.contents), dtype=np.intp)
     bow = np.zeros((corpus.n, vocab_size))
-    bow[np.repeat(np.arange(corpus.n), lengths), tokens] = 1.0
+    bow[np.repeat(np.arange(corpus.n), [*map(len, corpus.contents)]), corpus.tokens] = 1.0
     return bow
 
 

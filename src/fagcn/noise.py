@@ -113,11 +113,10 @@ def sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus, axis: s
     points = [(value, variant) for value in values for variant in variants]
     configs = [dc_replace(config, variant=variant, **({} if noise else {target: value}))
                for value, variant in points]
-    for (value, _), cell_config in zip(points, configs):
-        if noise:
-            _check_ratio(target, value)
-        for seed in seeds:
-            dc_replace(cell_config, seed=seed).validate()
+    for value in values if noise else ():
+        _check_ratio(target, value)
+    for seed in seeds:
+        dc_replace(config, seed=seed)  # checks the seed
 
     def run(k: int, seed: int) -> float:
         value = points[k][0]

@@ -3,6 +3,7 @@ and repeated-trial statistics."""
 
 from __future__ import annotations
 
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -38,9 +39,9 @@ def check_type(name: str, value, kind: str) -> None:
         raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Hyperparameters of one training run.
+    """Hyperparameters of one training run, checked when built and immutable.
 
     Defaults follow the standard setup: 80-dimensional embeddings and
     token features, 40% labeled nodes, dropout 0.2 (encoder) and 0.3
@@ -85,18 +86,17 @@ class ExperimentConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
+    __post_init__ = validate  # every config checks itself when built
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config = cls(**data)
-        config.validate()
-        return config
+        return cls(**data)
 
 
 @dataclass
@@ -143,12 +143,6 @@ def adam_step(named_params: list[tuple[str, Tensor]], state: AdamState, lr: floa
         p.data -= lr * (m * scale1) / (np.sqrt(v * scale2) + EPS)
 
 
-def _check_inputs(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus) -> None:
-    config.validate()
-    if corpus.n != graph.n:
-        raise DataError(f"corpus has {corpus.n} nodes but graph has {graph.n}")
-
-
 def init_params(config: ExperimentConfig, corpus: ContentCorpus,
                 rng: np.random.Generator) -> ModelParams | BaselineParams:
     try:
@@ -158,6 +152,18 @@ def init_params(config: ExperimentConfig, corpus: ContentCorpus,
         raise ConfigError("the configured dimensions are too large to hold: embed_dim "
                           f"{config.embed_dim}, feature_dim {config.feature_dim}, "
                           f"hidden_dim {config.hidden_dim}") from None
+
+
+def _quiet_numerics(fn):
+    """``fn`` with numpy's floating-point warnings off, for code that
+    checks its values for finiteness itself and raises NumericError. The
+    state is set per call, since numpy keeps it per thread and a sweep
+    runs cells on worker threads."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return run
 
 
 def _node_indices(name: str, idx, n: int) -> np.ndarray:
@@ -188,6 +194,7 @@ def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentC
     return run(training=False, layer1_normalize=layer1_normalize).data
 
 
+@_quiet_numerics
 def evaluate(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentCorpus,
              test_idx, *, layer1_normalize: bool = False,
              operators: GraphOperators | None = None) -> float:
@@ -201,6 +208,7 @@ def evaluate(params: ModelParams | BaselineParams, graph: Graph, corpus: Content
                              operators=operators), corpus, test_idx)
 
 
+@_quiet_numerics
 def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
           dataset_split: DatasetSplit) -> tuple[ModelParams | BaselineParams, TrainHistory]:
     """Full training loop: forward, loss, backward, Adam, per epoch, then
@@ -210,7 +218,8 @@ def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
     config and seed: initialization and dropout draw from independent
     substreams of the master seed.
     """
-    _check_inputs(config, graph, corpus)
+    if corpus.n != graph.n:
+        raise DataError(f"corpus has {corpus.n} nodes but graph has {graph.n}")
     train_idx = _node_indices("train", dataset_split.train_idx, corpus.n)
     test_idx = _node_indices("test", dataset_split.test_idx, corpus.n)
     if not set(train_idx.tolist()).isdisjoint(test_idx.tolist()):

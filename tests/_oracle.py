@@ -13,6 +13,21 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def adjacency_of(graph) -> np.ndarray:
+    """The dense 0/1 adjacency matrix, from the graph's edge set alone."""
+    adjacency = np.zeros((graph.n, graph.n))
+    for i, j in graph.edges:
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    return adjacency
+
+
+def normalized_adjacency_of(graph) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 with D the degrees of A + I, from the edge set."""
+    loops = adjacency_of(graph) + np.eye(graph.n)
+    inv_sqrt = 1.0 / np.sqrt(loops.sum(axis=1))
+    return loops * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
 def arrays_of(params) -> dict[str, np.ndarray]:
     """Snapshot named parameters as plain arrays."""
     return {name: t.data.copy() for name, t in params.named_parameters()}

@@ -26,6 +26,16 @@ def dataset(tmp_path):
     return {"content": content_path, "edges": edges_path, "dir": tmp_path}
 
 
+def run_module(*args, **env) -> subprocess.CompletedProcess:
+    """``python -m fagcn.cli *args`` in a fresh process, with the package's
+    source on its path and ``env`` added to its environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "fagcn.cli", *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
 @pytest.fixture
 def config_path(tmp_path):
     config = {"embed_dim": 6, "feature_dim": 6, "hidden_dim": 4,
@@ -441,6 +451,29 @@ class TestErrorBoundary:
         assert cmd_eval(out / "model.ckpt", dataset["edges"], dataset["content"],
                         split_seed=1, quiet=True) == 4
 
+    @pytest.mark.parametrize("command", ["train", "threaded-sweep"])
+    def test_a_numeric_failure_prints_only_its_error_line(self, dataset, tmp_path, command):
+        # the loss overflows in the first epoch; numpy's warnings about it
+        # must not precede the error line, from a sweep's worker threads either
+        config = tmp_path / "diverging.json"
+        config.write_text(json.dumps({"embed_dim": 8, "feature_dim": 8, "hidden_dim": 4,
+                                      "epochs": 5, "seed": 1, "lr": 1e300}), encoding="utf-8")
+        if command == "train":
+            args = ["train", "--config", config, "--edges", dataset["edges"],
+                    "--content", dataset["content"], "--out", tmp_path / "run"]
+        else:
+            spec = tmp_path / "sweep.json"
+            spec.write_text(json.dumps({
+                "axis": "noise-inject", "values": [0, 0.5], "variants": ["self", "baseline_gcn"],
+                "seeds": [1, 2], "content": str(dataset["content"]),
+                "edges": str(dataset["edges"])}), encoding="utf-8")
+            args = ["--threads", "2", "sweep", "--config", config, "--spec", spec,
+                    "--out", tmp_path / "out.csv"]
+        result = run_module("--quiet", *args, OPENBLAS_NUM_THREADS="1")
+        assert result.returncode == 4
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+
 
 class TestDatasetsEntryPoint:
     def test_writes_a_dataset(self, tmp_path, capsys):
@@ -501,13 +534,7 @@ class TestEntryPoint:
         assert code == 0
 
     def test_module_invocation(self, dataset, config_path, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        result = subprocess.run(
-            [sys.executable, "-m", "fagcn.cli", "--quiet", "eval",
-             "--checkpoint", str(tmp_path / "missing.ckpt"),
-             "--edges", str(dataset["edges"]),
-             "--content", str(dataset["content"]),
-             "--split-seed", "1"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        result = run_module("--quiet", "eval", "--checkpoint", tmp_path / "missing.ckpt",
+                            "--edges", dataset["edges"], "--content", dataset["content"],
+                            "--split-seed", "1")
         assert result.returncode == 2

@@ -1,5 +1,6 @@
 """Content loading, vocabulary, embeddings init, and train/test splits."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -131,13 +132,63 @@ class TestSplit:
 
 class TestValidate:
     def test_rejects_out_of_range_token(self):
-        corpus = ContentCorpus(node_ids=[0], contents=[[5]], labels=[0],
-                               label_names=["x"], vocab_size=3)
         with pytest.raises(DataError):
-            corpus.validate()
+            ContentCorpus(node_ids=[0], contents=[[5]], labels=[0],
+                          label_names=["x"], vocab_size=3)
 
     def test_rejects_out_of_range_label(self):
-        corpus = ContentCorpus(node_ids=[0], contents=[[0]], labels=[2],
-                               label_names=["x"], vocab_size=3)
         with pytest.raises(DataError):
-            corpus.validate()
+            ContentCorpus(node_ids=[0], contents=[[0]], labels=[2],
+                          label_names=["x"], vocab_size=3)
+
+    @pytest.mark.parametrize("contents, labels, message", [
+        ([[0], [1]], [0, -1], "label -1 out of range"),
+        ([[0], [1]], [0, 2], "label 2 out of range"),
+        ([[0], [1]], [0, 0.5], "label 0.5 is not an integer"),
+        ([[0], [1]], [0, True], "label True is not an integer"),
+        ([[0], [0.7]], [0, 1], "token id 0.7 is not an integer"),
+        ([[0], [1, "a"]], [0, 1], "token id 'a' is not an integer"),
+        ([[0], [np.int64(5)]], [0, 1], "token id 5 out of range"),
+        ([[0], []], [0, 1], "has no content tokens"),
+    ], ids=["label-negative", "label-class-count", "label-float", "label-bool",
+            "token-float", "token-string", "token-numpy-out-of-range", "empty-content"])
+    def test_a_bad_node_is_named_when_built(self, contents, labels, message):
+        with pytest.raises(DataError, match=f"^node 17:? {re.escape(message)}$"):
+            ContentCorpus(node_ids=[3, 17], contents=contents, labels=labels,
+                          label_names=["a", "b"], vocab_size=2)
+
+    def test_field_lengths_must_agree(self):
+        with pytest.raises(DataError, match="lengths disagree"):
+            ContentCorpus(node_ids=[0, 1], contents=[[0]], labels=[0],
+                          label_names=["a"], vocab_size=1)
+
+    def test_numpy_integers_are_integers(self):
+        corpus = ContentCorpus(node_ids=[0], contents=[[np.int64(1), np.intp(0)]],
+                               labels=[np.int32(0)], label_names=["a"], vocab_size=2)
+        assert corpus.tokens.tolist() == [1, 0]
+
+    def test_corpus_is_immutable(self):
+        corpus = ContentCorpus(node_ids=[0], contents=[[0]], labels=[0],
+                               label_names=["a"], vocab_size=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus.labels = [1]
+
+
+class TestTokenLayout:
+    def test_flat_tokens_and_node_starts(self):
+        corpus = ContentCorpus(node_ids=[5, 6, 7], contents=[[2, 0], [1], [0, 0, 2]],
+                               labels=[0, 0, 0], label_names=["a"], vocab_size=3)
+        assert corpus.tokens.dtype == np.intp
+        assert corpus.tokens.tolist() == [2, 0, 1, 0, 0, 2]
+        assert corpus.starts.tolist() == [0, 2, 3]
+
+    def test_derived_once(self):
+        corpus = ContentCorpus(node_ids=[0], contents=[[0, 1]], labels=[0],
+                               label_names=["a"], vocab_size=2)
+        assert corpus.tokens is corpus.tokens
+        assert corpus.starts is corpus.starts
+
+    def test_empty_corpus(self):
+        corpus = ContentCorpus(node_ids=[], contents=[], labels=[], label_names=["a"],
+                               vocab_size=1)
+        assert corpus.tokens.size == corpus.starts.size == 0

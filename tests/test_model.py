@@ -11,7 +11,7 @@ import fagcn.tensor as T
 from fagcn.corpus import ContentCorpus, split
 from fagcn.datasets import four_node_fixture, synthetic_citation
 from fagcn.errors import ConfigError, ShapeError
-from fagcn.graph import Graph, neighborhood, normalized_adjacency
+from fagcn.graph import Graph, neighborhood
 from fagcn.noise import inject_noise
 from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
                          ModelParams, bag_of_words, baseline_gcn_forward,
@@ -20,8 +20,8 @@ from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
 from fagcn.tensor import Tape, Tensor
 from fagcn.training import ExperimentConfig, train
 
-from _oracle import (arrays_of, straightline_baseline, straightline_forward,
-                     straightline_loss)
+from _oracle import (adjacency_of, arrays_of, normalized_adjacency_of, straightline_baseline,
+                     straightline_forward, straightline_loss)
 
 
 def fixture_params(variant: str, seed: int = 0) -> ModelParams:
@@ -182,7 +182,7 @@ class TestLayer1:
         starts = np.cumsum(lengths) - lengths
         encoded, weights, features = layer1_input(graph, lengths, 4, rng)
         w0 = rng.standard_normal((3, 4))
-        norm = normalized_adjacency(graph)
+        norm = normalized_adjacency_of(graph)
         for normalize in (False, True):
             out = layer1(graph, features, Tensor(w0), normalize=normalize)
             t = 0
@@ -204,7 +204,7 @@ class TestLayer1:
         w0 = rng.standard_normal((2, 4))
         out = layer1(graph, features, Tensor(w0), normalize=True)
         mixed = np.stack([encoded[0:2].mean(axis=0), encoded[2], encoded[3:6].mean(axis=0)])
-        expected = normalized_adjacency(graph) @ mixed @ w0.T
+        expected = normalized_adjacency_of(graph) @ mixed @ w0.T
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_each_pair_row_is_used_once(self, rng):
@@ -252,7 +252,7 @@ class TestLayer2:
         hidden = rng.standard_normal((3, 4))
         w1 = rng.standard_normal((4, 2))
         out = layer2(ops.norm_adj, Tensor(hidden), Tensor(w1))
-        expected = normalized_adjacency(graph) @ np.maximum(0.0, hidden) @ w1
+        expected = normalized_adjacency_of(graph) @ np.maximum(0.0, hidden) @ w1
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -270,9 +270,10 @@ class TestPairOperator:
         graph = PAIR_GRAPHS[name]
         ops = GraphOperators.build(graph)
         assert ops.support.data.shape == ops.norm_adj.data.shape == graph.pairs[1].shape
-        np.testing.assert_array_equal(graph.dense(ops.support.data), graph.dense(1.0))
+        np.testing.assert_array_equal(graph.dense(ops.support.data),
+                                      adjacency_of(graph) + np.eye(graph.n))
         np.testing.assert_array_equal(graph.dense(ops.norm_adj.data),
-                                      normalized_adjacency(graph))
+                                      normalized_adjacency_of(graph))
 
     @pytest.mark.parametrize("name", PAIR_GRAPHS)
     def test_product_matches_the_dense_product(self, name, rng):
@@ -302,9 +303,10 @@ class TestPairOperator:
         ops = GraphOperators.build(graph)
         for x in self.constants(graph.n, rng).values():
             np.testing.assert_allclose(ops.norm_adj.propagate_constant(x),
-                                       normalized_adjacency(graph) @ x, rtol=0, atol=1e-12)
+                                       normalized_adjacency_of(graph) @ x, rtol=0, atol=1e-12)
             np.testing.assert_allclose(ops.support.propagate_constant(x),
-                                       graph.dense(1.0) @ x, rtol=0, atol=1e-12)
+                                       (adjacency_of(graph) + np.eye(graph.n)) @ x,
+                                       rtol=0, atol=1e-12)
 
     def test_row_count_must_match_the_graph(self):
         op = GraphOperators.build(Graph(3, [(0, 1)])).norm_adj
@@ -505,7 +507,7 @@ class TestForwardOracleEquivalence:
         for seed in range(5):
             params = fixture_params(variant, seed=seed)
             z = forward(params, graph, corpus).data
-            expected = straightline_forward(arrays_of(params), graph.adjacency,
+            expected = straightline_forward(arrays_of(params), adjacency_of(graph),
                                             corpus.contents, variant)
             np.testing.assert_allclose(z, expected, atol=1e-12)
 
@@ -513,7 +515,7 @@ class TestForwardOracleEquivalence:
         graph, corpus, _ = four_node_fixture()
         params = fixture_params("context", seed=11)
         z = forward(params, graph, corpus, layer1_normalize=True).data
-        expected = straightline_forward(arrays_of(params), graph.adjacency,
+        expected = straightline_forward(arrays_of(params), adjacency_of(graph),
                                         corpus.contents, "context",
                                         layer1_normalize=True)
         np.testing.assert_allclose(z, expected, atol=1e-12)
@@ -530,7 +532,7 @@ class TestForwardOracleEquivalence:
                                vocab_size=corpus.vocab_size)
         params = fixture_params(variant, seed=17)
         z = forward(params, graph, corpus, layer1_normalize=layer1_normalize).data
-        expected = straightline_forward(arrays_of(params), graph.adjacency, corpus.contents,
+        expected = straightline_forward(arrays_of(params), adjacency_of(graph), corpus.contents,
                                         variant, layer1_normalize=layer1_normalize)
         np.testing.assert_allclose(z, expected, atol=1e-12)
 
@@ -624,7 +626,7 @@ class TestBaselineGcn:
         bow = rng.integers(0, 2, size=(3, 6)).astype(float)
         z = baseline_gcn_forward(ops.norm_adj, T.constant(bow),
                                  params.conv1_weight, params.conv2_weight)
-        expected = straightline_baseline(arrays_of(params), graph.adjacency, bow)
+        expected = straightline_baseline(arrays_of(params), adjacency_of(graph), bow)
         np.testing.assert_allclose(z.data, expected, atol=1e-12)
 
     def test_bind_builds_the_forward_constant_bit_for_bit(self):

@@ -1,7 +1,8 @@
 """Property tests over generated inputs: node relabeling permutes the
 model's output rows, zero noise changes nothing, checkpoints and datasets
 survive a write and a load unchanged, and arbitrary bytes or JSON fed to
-the loaders fail only with the package's own errors. The baseline's
+the loaders fail only with the package's own errors, as does training
+on any corpus that a caller could build. The baseline's
 constant product from nonzero entries equals the dense product, the
 blocked gathered kernels equal their whole-array references, and every
 variant's whole forward pass equals the straight-line oracle, with
@@ -25,16 +26,17 @@ from hypothesis import strategies as st
 import fagcn.tensor as T
 from fagcn.checkpoint import DIMS, load_checkpoint, save_checkpoint
 from fagcn.cli import cmd_sweep
-from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus
+from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus, split
 from fagcn.datasets import write_dataset
 from fagcn.errors import ConfigError, DataError, FagcnError
-from fagcn.graph import Graph, build_graph, load_edge_list, normalized_adjacency
+from fagcn.graph import Graph, build_graph, load_edge_list
 from fagcn.model import (GraphOperators, LabelMatrix, ModelParams, forward, init_for_variant,
                          loss)
 from fagcn.noise import inject_noise
-from fagcn.training import VARIANTS, ExperimentConfig
+from fagcn.training import VARIANTS, ExperimentConfig, train
 
-from _oracle import arrays_of, straightline_baseline, straightline_forward
+from _oracle import (adjacency_of, arrays_of, normalized_adjacency_of, straightline_baseline,
+                     straightline_forward)
 
 FEW = settings(derandomize=True, max_examples=25, deadline=None)
 VOCAB = 5
@@ -104,7 +106,7 @@ class TestConstantProduct:
     def test_matches_the_dense_product(self, case):
         graph, x = case
         product = GraphOperators.build(graph).norm_adj.propagate_constant(x)
-        np.testing.assert_allclose(product, normalized_adjacency(graph) @ x,
+        np.testing.assert_allclose(product, normalized_adjacency_of(graph) @ x,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -190,9 +192,7 @@ class TestWholeModel:
         corpus = corpus_of(contents)
         rng = np.random.default_rng(seed)
         params = init_for_variant(variant, VOCAB, 3, 3, 3, 4, rng)
-        adjacency = np.zeros((graph.n, graph.n))
-        for i, j in graph.edges:
-            adjacency[i, j] = adjacency[j, i] = 1.0
+        adjacency = adjacency_of(graph)
         labels = LabelMatrix.build([i % 3 for i in range(graph.n)], 3, range(graph.n))
         with mock.patch.object(T, "GATHER_BLOCK", block):
             run = params.bind(graph, corpus, GraphOperators.build(graph))
@@ -261,6 +261,46 @@ class TestLoadersRaiseOnlyPackageErrors:
     def test_load_checkpoint_spliced_bytes(self, cut, junk):
         load_bytes(load_checkpoint, VALID_CHECKPOINT[:cut] + junk + VALID_CHECKPOINT[cut + 1:])
         load_bytes(load_checkpoint, VALID_CHECKPOINT[:cut])
+
+
+@st.composite
+def corpus_fields(draw):
+    """Contents and labels of 2-4 nodes, in range, with at most one entry
+    then swapped for any int, float, string or bool, and maybe one node's
+    content emptied."""
+    n = draw(st.integers(2, 4))
+    contents = draw(st.lists(st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=3),
+                             min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    edited = draw(st.sampled_from([None, labels, *contents]))
+    if edited is not None:
+        edited[draw(st.integers(0, len(edited) - 1))] = draw(
+            st.integers(-2, VOCAB + 1) | st.floats(-1, VOCAB) | st.text(max_size=2)
+            | st.booleans())
+    if draw(st.booleans()) and draw(st.booleans()):
+        contents[draw(st.integers(0, n - 1))].clear()
+    return contents, labels
+
+
+class TestProgrammaticCorpora:
+    @FEW
+    @given(fields=corpus_fields(), variant=st.sampled_from(VARIANTS))
+    def test_a_corpus_is_built_or_refused_and_trains_with_package_errors_only(
+            self, fields, variant):
+        contents, labels = fields
+        n = len(contents)
+        try:
+            corpus = ContentCorpus(node_ids=list(range(n)), contents=contents, labels=labels,
+                                   label_names=["a", "b"], vocab_size=VOCAB)
+        except DataError:
+            return
+        config = ExperimentConfig(embed_dim=2, feature_dim=2, hidden_dim=2, epochs=1,
+                                  train_fraction=0.5, variant=variant)
+        try:
+            train(config, Graph(n, [(i, i + 1) for i in range(n - 1)]), corpus,
+                  split(n, 0.5, np.random.default_rng(0)))
+        except FagcnError:
+            pass
 
 
 JSON = st.recursive(

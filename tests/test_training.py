@@ -1,6 +1,7 @@
 """Training loop: Adam behavior, determinism, evaluation rules, and
 repeated-trial statistics."""
 
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,7 +10,7 @@ import pytest
 
 from fagcn.corpus import DatasetSplit, split
 from fagcn.datasets import two_cluster_fixture
-from fagcn.errors import ConfigError, NumericError
+from fagcn.errors import ConfigError, DataError, NumericError
 from fagcn.graph import Graph
 from fagcn.model import BaselineParams, ModelParams
 from fagcn.corpus import ContentCorpus
@@ -59,6 +60,14 @@ class TestExperimentConfig:
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             small_config(**bad).validate()
+
+    def test_a_replaced_copy_checks_itself(self):
+        with pytest.raises(ConfigError, match="lr must be positive"):
+            dataclasses.replace(ExperimentConfig(), lr=-1)
+
+    def test_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExperimentConfig().lr = 1.0
 
 
 class TestAdam:
@@ -156,6 +165,21 @@ class TestTrain:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
+    @pytest.mark.parametrize("field, value", [
+        ("labels", -1), ("labels", 2), ("labels", 0.5), ("contents", 0.7)])
+    def test_a_corrupt_corpus_never_reaches_training(self, field, value):
+        # node 0 is a training node whose first token is id 0: unchecked, a
+        # label -1 trains as the last class and a token 0.7 as token 0, and
+        # labels 2 and 0.5 fail in numpy's indexing
+        graph, corpus, _ = two_cluster_fixture()
+        first = corpus.contents[0]
+        edit = {"labels": [value, *corpus.labels[1:]],
+                "contents": [[value, *first[1:]], *corpus.contents[1:]]}[field]
+        config = small_config(variant="none", embed_dim=4, feature_dim=4, hidden_dim=3,
+                              epochs=2)
+        with pytest.raises(DataError, match="^node 0: "):
+            train(config, graph, dataclasses.replace(corpus, **{field: edit}), fixture_split())
+
     def test_graph_corpus_size_mismatch(self):
         _, corpus, _ = two_cluster_fixture()
         with pytest.raises(Exception, match="nodes"):
@@ -243,9 +267,8 @@ class TestEvaluate:
                                label_names=["a", "b"], vocab_size=2)
         params = BaselineParams(conv1_weight=Tensor(np.full((2, 2), 1e300)),
                                 conv2_weight=Tensor(np.full((2, 2), 1e300)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="not finite"):
-                evaluate(params, graph, corpus, [0, 1])
+        with pytest.raises(NumericError, match="not finite"):
+            evaluate(params, graph, corpus, [0, 1])
 
     def test_empty_test_set(self):
         graph, corpus, _ = two_cluster_fixture()
