@@ -42,8 +42,9 @@ class Vocabulary:
 @dataclass(frozen=True)
 class ContentCorpus:
     """Per-node ordered token-id sequences with class labels, immutable and
-    checked when built: every node has a token, and its token ids and label
-    are integers in range, else a DataError names the node.
+    checked when built: the vocabulary size is an int >= 1, every node has a
+    token, and its token ids and label are integers in range, else a
+    DataError names the node.
 
     Token order is preserved: contents are sequences fed to a recurrent
     encoder, not bags. ``node_ids`` keeps the external ids so graph edges
@@ -59,6 +60,9 @@ class ContentCorpus:
     def __post_init__(self) -> None:
         if not (len(self.node_ids) == len(self.contents) == len(self.labels)):
             raise DataError("corpus field lengths disagree")
+        if (isinstance(self.vocab_size, bool) or not isinstance(self.vocab_size, (int, np.integer))
+                or self.vocab_size < 1):
+            raise DataError(f"vocabulary size must be an int >= 1, got {self.vocab_size!r}")
         vocab, classes = self.vocab_size, self.num_classes
         if (all(self.contents)
                 and not [t for t in chain.from_iterable(self.contents)

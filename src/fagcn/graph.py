@@ -2,7 +2,8 @@
 convolution layers. A ``Graph`` stores one form of its edges, ``pairs``
 (the CSR layout of I + A), and its degrees; the edge set and the
 per-pair coefficients of the normalized adjacency are derived from
-``pairs``. The convolutions propagate over the pairs; the dense n x n
+``pairs``, as is ``pair_sweep``, the order the convolutions propagate
+over the pairs in (see ``tensor.Sweep``). The dense n x n
 forms (``Graph.dense``, ``Graph.adjacency``, ``normalized_adjacency``)
 are references for checks only."""
 
@@ -15,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .tensor import Sweep
 from .util import require_ascii_ints, text_lines
 
 
@@ -26,9 +28,9 @@ class Graph:
     from ``indptr[i]`` to ``indptr[i + 1]``; and ``degree`` (float64,
     self-pair not counted). Input edges are deduplicated and symmetrized;
     input self-loops add nothing. Lazy views: ``edges``, the set of
-    ``(i, j)`` with i < j, and the dense ``adjacency`` (zero diagonal),
-    which no training or evaluation code reads: it is a reference for
-    checks, like ``dense``.
+    ``(i, j)`` with i < j; ``pair_sweep``; and the dense ``adjacency``
+    (zero diagonal), which no training or evaluation code reads: it is a
+    reference for checks, like ``dense``.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -60,6 +62,19 @@ class Graph:
         centers, members, _ = self.pairs
         upper = centers < members
         return frozenset(zip(centers[upper].tolist(), members[upper].tolist()))
+
+    @cached_property
+    def pair_sweep(self) -> tuple[Sweep, np.ndarray, np.ndarray]:
+        """The pairs as a sweep over their centers, longest closed
+        neighbourhood first (``tensor.Sweep``); each swept pair's member;
+        and each swept pair's mirror, the index of (m, c) for pair (c, m).
+        The pairs are sorted by center, then member, so sorting them by
+        member, then center (the unique keys m * n + c) lists the mirrors
+        in pair order."""
+        centers, members, indptr = self.pairs
+        sweep = Sweep.of(indptr[:-1], members.size)
+        mirrors = np.argsort(members * self.n + centers)
+        return sweep, members[sweep.entries], mirrors[sweep.entries]
 
     @cached_property
     def adjacency(self) -> np.ndarray:

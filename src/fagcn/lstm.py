@@ -139,9 +139,11 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
     segment, each from its entry of ``starts`` up to the next (by default
     one sequence of all tokens). The backward direction runs over each
     sequence reversed, and the two outputs are summed per position: one
-    row per token, in original order. Sequences are packed longest first:
-    step t advances token t of every sequence longer than t. The table's
-    gradient scatters the sum of both directions' input gradients.
+    row per token, in original order. Sequences are packed longest first
+    (``tensor.packed``): step t advances token t of every sequence longer
+    than t. The table's gradient scatters the sum of both directions'
+    input gradients. With no tape recording, each direction's buffers are
+    freed once its output is taken.
     """
     if fwd.embed_dim != bwd.embed_dim or fwd.feature_dim != bwd.feature_dim:
         raise ShapeError("forward/backward parameter dimensions disagree")
@@ -154,14 +156,13 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
         raise ShapeError("cannot encode an empty token sequence")
     starts, _ = T._segments(starts, n)
     lengths = np.diff(starts, append=n)
-    order = np.argsort(-lengths, kind="stable")
-    batch = starts.size - np.cumsum(np.bincount(lengths))[:-1]  # sequences per step
-    step_of = np.repeat(np.arange(batch.size), batch)
-    # visit r, at step step_of[r], advances sequence lane[r]
-    lane = order[np.arange(n) - np.repeat(np.cumsum(batch) - batch, batch)]
+    batch, lane, step = T.packed(lengths)
     x = table.data[idx]
-    ahead, grads_f = _run_direction(fwd, x, starts[lane] + step_of, batch)
-    behind, grads_b = _run_direction(bwd, x, starts[lane] + lengths[lane] - 1 - step_of, batch)
+    inputs = (table, fwd.weight, fwd.bias, bwd.weight, bwd.bias)
+    ahead, grads_f = _run_direction(fwd, x, starts[lane] + step, batch)
+    if not T._recording(inputs):
+        grads_f = None  # frees the forward direction's buffers before the reverse runs
+    behind, grads_b = _run_direction(bwd, x, starts[lane] + lengths[lane] - 1 - step, batch)
     pending, done = [grads_f, grads_b], []
 
     def swept(grad: np.ndarray) -> list[np.ndarray]:
@@ -176,5 +177,5 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
         dx += done[3]
         return T._scatter_rows(table, idx, dx)
 
-    return T._op(ahead + behind, (table, fwd.weight, fwd.bias, bwd.weight, bwd.bias),
+    return T._op(ahead + behind, inputs,
                  (table_grad, *(lambda grad, k=k: swept(grad)[k] for k in (1, 2, 4, 5))))

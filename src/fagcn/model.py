@@ -9,15 +9,22 @@ Attention weighs them in one (pair, token) layout for every variant, and
 layer1 projects them to hidden width before it sums them per center: Â(XW).
 Both convolutions and the baseline propagate over the (center, member)
 pairs of ``graph.pairs``, with one coefficient per pair; no n x n matrix
-is built. The baseline's constant first product Â·BoW is summed from the
-bag of words' nonzero entries only, as Kipf & Welling keep those
-features sparse, so it never gathers a pair's whole vocabulary row.
+is built. Layer2 and the baseline's second layer run the GCN step Â·H of
+Kipf & Welling (``PairOperator.propagate``) as a sweep over the centers
+packed longest closed neighbourhood first: step k adds every center's
+k-th pair at once, and the few hubs left once fewer centers remain than
+steps have run finish in one segment sum. Its input gradient is the same
+sweep with each pair (c, m) taking the coefficient of (m, c), as the
+pairs are symmetric; neither direction holds a pairs x width array. The
+baseline's constant first product Â·BoW is summed from the bag of words'
+nonzero entries only, as Kipf & Welling keep those features sparse, so
+it never gathers a pair's whole vocabulary row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -25,7 +32,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionParams, token_weights
 from .corpus import ContentCorpus, init_embeddings
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .graph import Graph, check_node, normalized_coefficients
 from .lstm import LstmDirectionParams, bilstm_encode
 from .tensor import Tensor
@@ -162,18 +169,34 @@ class PairOperator:
     """A constant n x n operator stored as one coefficient per (center,
     member) pair of ``graph.pairs``, in that order: ``data`` is the CSR
     value array, as a scipy CSR matrix's ``.data`` is, and every entry
-    off the pairs is zero."""
+    off the pairs is zero.
+
+    ``propagate`` runs over ``graph.pair_sweep``, the pairs packed by
+    center, longest closed neighbourhood first, and built once per graph;
+    the coefficients are put in its order, and in its transpose's, once
+    per operator."""
 
     graph: Graph
     data: np.ndarray
 
+    @cached_property
+    def _swept(self) -> tuple[np.ndarray, np.ndarray]:
+        # the coefficient columns in the order of the graph's pair sweep:
+        # each pair's own, and its mirror's (those of the transpose)
+        sweep, _, mirrors = self.graph.pair_sweep
+        return self.data[sweep.entries, None], self.data[mirrors, None]
+
     def propagate(self, x: Tensor) -> Tensor:
         """The product with ``x``: row c sums ``data[p] * x[members[p]]``
-        over c's pairs p."""
+        over c's pairs p, as one taped op over the graph's pair sweep.
+        Its input gradient is the same sweep with each pair (c, m) taking
+        the coefficient of (m, c): the pairs are symmetric."""
         if x.rows != self.graph.n:
             raise ShapeError(f"a graph of {self.graph.n} nodes cannot propagate {x.shape}")
-        _, members, indptr = self.graph.pairs
-        return T.gather_segment_sum(T.constant(self.data[:, None]), x, members, indptr[:-1])
+        sweep, rows, _ = self.graph.pair_sweep
+        coefs, mirrored = self._swept
+        return T._op(T._swept_sums(coefs, x.data, rows, sweep), (x,),
+                     (lambda g: T._swept_sums(mirrored, g, rows, sweep),))
 
     def propagate_constant(self, x: np.ndarray) -> np.ndarray:
         """``propagate`` for a constant array, from x's nonzero entries
@@ -376,11 +399,19 @@ def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,
 
     For every member of the center's closed neighborhood, lists that
     node's (token string, weight) pairs sorted by descending weight;
-    the "none" variant reports the uniform weights it implies.
+    the "none" variant reports the uniform weights it implies. Numpy's
+    floating-point errors, and encoded rows or weights that are not
+    finite, raise NumericError instead of warning.
     """
     check_node(graph, center)
-    encoded = encode_nodes(params, corpus, training=False)
-    weights, _, segments = token_weights(params.attention, encoded, corpus.starts, graph)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            encoded = encode_nodes(params, corpus, training=False)
+            weights, _, segments = token_weights(params.attention, encoded, corpus.starts, graph)
+    except FloatingPointError as exc:  # saturating gates hide an overflow from the checks below
+        raise NumericError(f"attention export failed: {exc}") from None
+    if not (np.isfinite(encoded.data).all() and np.isfinite(weights.data).all()):
+        raise NumericError("encoded token rows or attention weights are not finite")
     per_segment = np.split(weights.data[:, 0], segments[1:])
     _, members, indptr = graph.pairs
     record = {"center": corpus.node_ids[center], "variant": params.variant, "neighbors": []}

@@ -28,13 +28,20 @@ gathered operand, ``take_rows`` and the encoder's embedding table scatter
 with one bincount (``_scatter_rows``), which beats a sort on their narrow
 or small rows.
 
+A segment sum whose segments are known ahead can instead run as a
+``Sweep``: its segments packed longest first (``packed``, the layout the
+encoder steps its ragged sequences in), so step k adds every segment's
+k-th entry at once and the few longest segments finish in one ``_sums``.
+Graph propagation runs this way, forward and backward
+(``model.PairOperator``).
+
 Vectors are represented as 1-row matrices throughout.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -174,6 +181,11 @@ def _op(data: Array, inputs: Sequence[Tensor],
 
         _ACTIVE.tapes[-1].record(step)
     return out
+
+
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether ``_op`` would record an op on ``inputs`` now."""
+    return bool(_ACTIVE.tapes) and any(t.requires_grad for t in inputs)
 
 
 def constant(data) -> Tensor:
@@ -353,6 +365,76 @@ def _sums(w: Array, x: Array, idx: Array, starts: Array) -> Array:
             sums[k] = _sums(w[lo:hi], x, idx[lo:hi], np.arange(0, hi - lo, step)).sum(axis=0)
         k = j
     return sums
+
+
+def packed(lengths: Array) -> tuple[Array, Array, Array]:
+    """Segments of the given lengths packed longest first, as recurrent
+    kernels batch ragged sequences (Appleyard et al., arXiv 1604.01946):
+    step k advances entry k of each of the ``batch[k]`` segments longer
+    than k. Returns ``(batch, lane, step)``: visit r, in step order,
+    advances segment ``lane[r]`` by its entry ``step[r]``. Each step's
+    lanes are a prefix of one order, longest first, ties in index order."""
+    order = np.argsort(-lengths, kind="stable")
+    batch = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
+    step = np.repeat(np.arange(batch.size), batch)
+    lane = order[np.arange(step.size) - np.repeat(np.cumsum(batch) - batch, batch)]
+    return batch, lane, step
+
+
+class Sweep(NamedTuple):
+    """A segment sum's entries packed longest segment first (``packed``).
+
+    Step k of the sweep adds the k-th entries of the first ``batch[k]``
+    segments of ``order``, so a step's temporaries have at most one row
+    per segment. It stops at the first step where fewer segments remain
+    than steps have run, so a few long segments cost no step each: those
+    left, the longest, finish in one ``_sums`` over their remaining
+    entries, segment j's from ``tail[j]``. ``entries`` lists the entries
+    visited: the swept steps' in step order, then the tail's segment by
+    segment."""
+
+    order: Array
+    batch: Array
+    entries: Array
+    tail: Array
+
+    @classmethod
+    def of(cls, starts: Array, total: int) -> "Sweep":
+        """The sweep over one or more segments that start at ``starts``,
+        the last one ending at ``total``; none may be empty."""
+        lengths = np.diff(starts, append=total)
+        batch, lane, step = packed(lengths)
+        left = np.append(batch, 0)  # segments left at each step
+        stop = np.argmax(left < np.arange(left.size))
+        swept = batch[:stop].sum()
+        hubs = lane[swept:swept + left[stop]]
+        rest = lengths[hubs] - stop
+        tail = np.cumsum(rest) - rest
+        entries = np.concatenate((starts[lane[:swept]] + step[:swept],
+                                  np.repeat(starts[hubs] + stop - tail, rest)
+                                  + np.arange(rest.sum())))
+        return cls(lane[:batch[0]].copy(), batch[:stop].copy(), entries, tail)
+
+
+def _swept_sums(w: Array, x: Array, idx: Array, sweep: Sweep) -> Array:
+    """Row s is the sum of w[e] * x[idx[e]] over the entries e of segment
+    s, with ``w`` and ``idx`` listed in ``sweep.entries`` order. Entries
+    are added one step at a time, in segment order, before the tail's.
+    Each step gathers into one reused buffer, which then holds the result."""
+    shape = (sweep.order.size, x.shape[1])
+    sums, out = np.empty(shape), np.empty(shape)
+    lo = 0
+    for b in sweep.batch:
+        rows = out[:b] if lo else sums
+        np.take(x, idx[lo:lo + b], axis=0, out=rows, mode="clip")  # idx is in range
+        rows *= w[lo:lo + b]
+        if lo:
+            sums[:b] += rows
+        lo += b
+    if sweep.tail.size:
+        sums[:sweep.tail.size] += _sums(w[lo:], x, idx[lo:], sweep.tail)
+    out[sweep.order] = sums
+    return out
 
 
 def _sums_by_target(w: Array, x: Array, idx: Array, targets: Array,

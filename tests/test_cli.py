@@ -474,6 +474,25 @@ class TestErrorBoundary:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: ")
 
+    def test_an_overflowing_attention_export_prints_only_its_error_line(
+            self, dataset, config_path, tmp_path):
+        # weights of 1e300 are finite, so the checkpoint loads; the encoder
+        # overflows, and its saturating gates return finite rows
+        cmd_train(config_path, dataset["edges"], dataset["content"], tmp_path / "run",
+                  quiet=True)
+        checkpoint = tmp_path / "run" / "model.ckpt"
+        config, params, terms, labels = load_checkpoint(checkpoint)
+        for _, tensor in params.named_parameters():
+            tensor.data[:] = 1e300
+        save_checkpoint(checkpoint, config.to_dict(), params, terms, labels)
+        result = run_module("--quiet", "export-attention", "--checkpoint", checkpoint,
+                            "--edges", dataset["edges"], "--content", dataset["content"],
+                            "--node", 0, "--out", tmp_path / "attention.json")
+        assert result.returncode == 4
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert not (tmp_path / "attention.json").exists()
+
 
 class TestDatasetsEntryPoint:
     def test_writes_a_dataset(self, tmp_path, capsys):

@@ -157,6 +157,12 @@ class TestValidate:
             ContentCorpus(node_ids=[3, 17], contents=contents, labels=labels,
                           label_names=["a", "b"], vocab_size=2)
 
+    @pytest.mark.parametrize("vocab_size", [2.5, "3", True, 0, -1, None])
+    def test_vocab_size_must_be_a_positive_int(self, vocab_size):
+        with pytest.raises(DataError, match="^vocabulary size must be an int >= 1"):
+            ContentCorpus(node_ids=[0], contents=[[0]], labels=[0], label_names=["a"],
+                          vocab_size=vocab_size)
+
     def test_field_lengths_must_agree(self):
         with pytest.raises(DataError, match="lengths disagree"):
             ContentCorpus(node_ids=[0, 1], contents=[[0]], labels=[0],

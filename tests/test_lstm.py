@@ -1,11 +1,14 @@
 """Recurrent encoder against a scalar hand-trace and an independent
 step-by-step recurrence oracle."""
 
+import contextlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import fagcn.lstm as lstm
 import fagcn.tensor as T
 from fagcn.errors import ShapeError
 from fagcn.lstm import LstmDirectionParams, _run_direction, bilstm_encode
@@ -224,6 +227,29 @@ class TestBilstmEncode:
         finally:
             tracemalloc.stop()
         assert peak < 4.3 * n * 4 * d * 8
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_without_a_tape_each_direction_is_freed_before_the_next_runs(
+            self, rng, monkeypatch, recording):
+        # evaluation holds one direction's gate, cell and output buffers at
+        # a time; a recording tape keeps both for the backward pass
+        fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
+        table = Tensor(rng.standard_normal((6, 3)))
+        tokens, starts = rng.integers(0, 6, size=9), np.array([0, 4, 5])
+        gradient_fns, alive_at_start = [], []
+
+        def spy(*args):
+            alive_at_start.append([ref() is not None for ref in gradient_fns])
+            out, gradients = _run_direction(*args)
+            gradient_fns.append(weakref.ref(gradients))
+            return out, gradients
+
+        monkeypatch.setattr(lstm, "_run_direction", spy)
+        with Tape() if recording else contextlib.nullcontext():
+            out = bilstm_encode(fwd, bwd, table, tokens, starts)
+        assert alive_at_start == [[], [recording]]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(out.data, bilstm_encode(fwd, bwd, table, tokens, starts).data)
 
 
 RAGGED = [3, 1, 4, 4, 1, 2, 1]  # tied lengths and length-1 segments, unsorted

@@ -10,11 +10,11 @@ import pytest
 import fagcn.tensor as T
 from fagcn.corpus import ContentCorpus, split
 from fagcn.datasets import four_node_fixture, synthetic_citation
-from fagcn.errors import ConfigError, ShapeError
+from fagcn.errors import ConfigError, NumericError, ShapeError
 from fagcn.graph import Graph, neighborhood
 from fagcn.noise import inject_noise
 from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
-                         ModelParams, bag_of_words, baseline_gcn_forward,
+                         ModelParams, PairOperator, bag_of_words, baseline_gcn_forward,
                          classify, encode_nodes, export_attention, forward,
                          layer1, layer2, loss, node_input_features)
 from fagcn.tensor import Tape, Tensor
@@ -339,6 +339,101 @@ class TestPairOperator:
             return loss(z, labels, params, 0.0, 5e-4)
 
         assert T.grad_check(loss_fn, params.named_parameters(), eps=1e-6) < 1e-7
+
+
+def hub_on_ring(n: int) -> Graph:
+    """A ring of n nodes and a hub, node n, joined to each of them."""
+    return Graph(n + 1, [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)])
+
+
+SWEEP_GRAPHS = {
+    **PAIR_GRAPHS,
+    "isolated": Graph(5, []),
+    "star": Graph(2001, [(0, leaf) for leaf in range(1, 2001)]),
+    "hub-on-ring": hub_on_ring(30),
+}
+
+
+def propagated_with_gradient(op: PairOperator, x: np.ndarray,
+                             probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``op.propagate(x)`` and the gradient of sum(probe * it) in x."""
+    xt = Tensor(x)
+    with Tape() as tape:
+        out = op.propagate(xt)
+        tape.backward(T.sum_all(T.mul(T.constant(probe), out)))
+    return out.data, xt.grad
+
+
+class TestPairSweep:
+    """``PairOperator.propagate`` sweeps the pairs, longest closed
+    neighbourhood first, and its input gradient is the same sweep over
+    the transposed coefficients."""
+
+    @pytest.mark.parametrize("name", SWEEP_GRAPHS)
+    def test_forward_and_input_gradient_match_the_dense_oracle(self, name, rng):
+        graph = SWEEP_GRAPHS[name]
+        ops = GraphOperators.build(graph)
+        x, probe = rng.standard_normal((2, graph.n, 3))
+        for op, dense in ((ops.support, adjacency_of(graph) + np.eye(graph.n)),
+                          (ops.norm_adj, normalized_adjacency_of(graph))):
+            out, grad = propagated_with_gradient(op, x, probe)
+            np.testing.assert_allclose(out, dense @ x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grad, dense.T @ probe, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", SWEEP_GRAPHS)
+    def test_an_asymmetric_operator_takes_its_transpose_backward(self, name, rng):
+        graph = SWEEP_GRAPHS[name]
+        centers, members, _ = graph.pairs
+        data = rng.standard_normal(members.size)
+        dense = np.zeros((graph.n, graph.n))
+        dense[centers, members] = data
+        x, probe = rng.standard_normal((2, graph.n, 2))
+        out, grad = propagated_with_gradient(PairOperator(graph, data), x, probe)
+        np.testing.assert_allclose(out, dense @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, dense.T @ probe, rtol=0, atol=1e-12)
+
+    def test_a_star_sweeps_two_steps_and_finishes_its_hub_in_the_tail(self):
+        sweep, _, _ = SWEEP_GRAPHS["star"].pair_sweep
+        assert sweep.batch.tolist() == [2001, 2001]
+        assert sweep.order[0] == 0 and sweep.tail.tolist() == [0]
+
+    def test_the_sweep_runs_while_as_many_centers_remain_as_steps_have_run(self):
+        # a path of 4 nodes: two centers have a third pair, after two steps
+        sweep, _, _ = Graph(4, [(0, 1), (1, 2), (2, 3)]).pair_sweep
+        assert sweep.batch.tolist() == [4, 4, 2] and sweep.tail.size == 0
+
+    def test_a_hub_on_a_ring_finishes_in_the_tail(self):
+        # ring nodes have 4 pairs each; at step 4 only the hub is left
+        sweep, rows, _ = SWEEP_GRAPHS["hub-on-ring"].pair_sweep
+        assert sweep.batch.tolist() == [31] * 4
+        assert sweep.order[0] == 30 and sweep.tail.tolist() == [0]
+        assert rows[4 * 31:].tolist() == list(range(4, 30)) + [30]
+
+    def test_isolated_nodes_sweep_one_step(self):
+        sweep, rows, mirrors = SWEEP_GRAPHS["isolated"].pair_sweep
+        assert sweep.batch.tolist() == [5] and sweep.tail.size == 0
+        assert rows.tolist() == mirrors.tolist() == sweep.order.tolist() == list(range(5))
+
+    def test_holds_no_pairs_by_width_array(self):
+        # 3,000 nodes, 21,000 pairs, width 16: one pairs x width float64
+        # array is 2.69 MB; the first call also builds the sweep
+        rng = np.random.default_rng(5)
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < 9000:
+            i, j = rng.integers(0, 3000, size=2)
+            if i != j:
+                edges.add((min(i, j), max(i, j)))
+        graph = Graph(3000, sorted(edges))
+        assert graph.pairs[1].size == 21000
+        norm_adj = GraphOperators.build(graph).norm_adj
+        x, probe = rng.standard_normal((2, 3000, 16))
+        tracemalloc.start()
+        try:
+            propagated_with_gradient(norm_adj, x, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21000 * 16 * 8
 
 
 class TestNoDenseMatrix:
@@ -741,6 +836,25 @@ class TestExportAttention:
         node2 = next(n for n in record["neighbors"] if n["node"] == 2)
         assert len(node2["weights"]) == 1
         assert node2["weights"][0]["weight"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_overflowing_weights_are_numeric_error(self, variant):
+        # every row the encoder returns is finite: its gates saturate
+        graph, corpus, _ = four_node_fixture()
+        params = fixture_params(variant)
+        for _, tensor in params.named_parameters():
+            tensor.data[:] = 1e300
+        with pytest.raises(NumericError, match="overflow"):
+            export_attention(params, graph, corpus, ["ash", "oak", "elm", "fir", "yew", "bay"],
+                             center=0)
+
+    def test_non_finite_weights_are_numeric_error(self):
+        graph, corpus, _ = four_node_fixture()
+        params = fixture_params("self")
+        params.attention.score_vector.data[:] = np.nan
+        with pytest.raises(NumericError, match="not finite"):
+            export_attention(params, graph, corpus, ["ash", "oak", "elm", "fir", "yew", "bay"],
+                             center=0)
 
     @pytest.mark.parametrize("variant", ["none", "self", "context"])
     def test_weights_per_neighbor_for_every_variant(self, variant):

@@ -3,7 +3,8 @@ model's output rows, zero noise changes nothing, checkpoints and datasets
 survive a write and a load unchanged, and arbitrary bytes or JSON fed to
 the loaders fail only with the package's own errors, as does training
 on any corpus that a caller could build. The baseline's
-constant product from nonzero entries equals the dense product, the
+constant product from nonzero entries and the pair sweep with its
+transpose equal the dense products, the
 blocked gathered kernels equal their whole-array references, and every
 variant's whole forward pass equals the straight-line oracle, with
 gradients that match central differences.
@@ -30,8 +31,8 @@ from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus, split
 from fagcn.datasets import write_dataset
 from fagcn.errors import ConfigError, DataError, FagcnError
 from fagcn.graph import Graph, build_graph, load_edge_list
-from fagcn.model import (GraphOperators, LabelMatrix, ModelParams, forward, init_for_variant,
-                         loss)
+from fagcn.model import (GraphOperators, LabelMatrix, ModelParams, PairOperator, forward,
+                         init_for_variant, loss)
 from fagcn.noise import inject_noise
 from fagcn.training import VARIANTS, ExperimentConfig, train
 
@@ -108,6 +109,37 @@ class TestConstantProduct:
         product = GraphOperators.build(graph).norm_adj.propagate_constant(x)
         np.testing.assert_allclose(product, normalized_adjacency_of(graph) @ x,
                                    rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def graphs_with_pair_data(draw):
+    """A graph of 1-12 nodes, one coefficient per pair, and two n x 0-4
+    arrays; stars and hubs, which finish in the sweep's tail, are likely."""
+    graph, x = draw(graphs_with_constants())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return graph, rng.standard_normal(graph.pairs[1].size), x, rng.standard_normal(x.shape)
+
+
+class TestPairSweep:
+    @FEW
+    @given(case=graphs_with_pair_data())
+    @example(case=(Graph(9, [(0, leaf) for leaf in range(1, 9)]), np.linspace(-1, 1, 25),
+                   np.ones((9, 2)), np.arange(18.0).reshape(9, 2)))
+    def test_propagation_and_its_gradient_match_the_dense_products(self, case):
+        graph, data, x, probe = case
+        centers, members, _ = graph.pairs
+        dense = np.zeros((graph.n, graph.n))
+        dense[centers, members] = data
+        operators = GraphOperators.build(graph)
+        for op, matrix in ((PairOperator(graph, data), dense),
+                           (operators.norm_adj, normalized_adjacency_of(graph)),
+                           (operators.support, adjacency_of(graph) + np.eye(graph.n))):
+            xt = T.Tensor(x)
+            with T.Tape() as tape:
+                out = op.propagate(xt)
+                tape.backward(T.sum_all(T.mul(T.constant(probe), out)))
+            np.testing.assert_allclose(out.data, matrix @ x, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(xt.grad, matrix.T @ probe, rtol=1e-12, atol=1e-12)
 
 
 @st.composite
