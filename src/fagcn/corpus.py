@@ -97,6 +97,21 @@ class ContentCorpus:
         """Row of each node's first token in ``tokens``."""
         return np.cumsum([0, *map(len, self.contents)])[:-1]
 
+    @cached_property
+    def distinct_tokens(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's distinct token ids, ascending, concatenated in node
+        order, and how many each node has: the keys node * vocab_size +
+        token, sorted once, less the repeats."""
+        nodes = np.repeat(np.arange(self.n), np.diff(self.starts, append=self.tokens.size))
+        keys = np.sort(nodes * self.vocab_size + self.tokens)
+        nodes, terms = np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.vocab_size)
+        return terms, np.bincount(nodes, minlength=self.n)
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """``labels`` as an integer array."""
+        return np.array(self.labels, dtype=np.intp)
+
 
 def load_corpus(path) -> tuple[ContentCorpus, Vocabulary]:
     """Load a content file: ``node_id<TAB>label<TAB>token token ...``,

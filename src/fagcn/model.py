@@ -16,9 +16,11 @@ k-th pair at once, and the few hubs left once fewer centers remain than
 steps have run finish in one segment sum. Its input gradient is the same
 sweep with each pair (c, m) taking the coefficient of (m, c), as the
 pairs are symmetric; neither direction holds a pairs x width array. The
-baseline's constant first product Â·BoW is summed from the bag of words'
-nonzero entries only, as Kipf & Welling keep those features sparse, so
-it never gathers a pair's whole vocabulary row.
+baseline's constant first product Â·BoW is summed from each node's
+distinct terms, the bag of words' nonzero entries, as Kipf & Welling keep
+those features sparse. It is built when the baseline binds, in blocks of
+whole centers with one ``np.bincount`` each, and no n x vocab bag of
+words, pairs x vocab gather or array over all pairs' terms is built.
 """
 
 from __future__ import annotations
@@ -117,10 +119,13 @@ class BaselineParams:
     def bind(self, graph: Graph, corpus: ContentCorpus,
              operators: GraphOperators) -> Callable[..., Tensor]:
         """The baseline has no dropout, so the training keywords are
-        ignored. The constant Â·BoW is built once per binding, from the
-        bag of words' nonzero entries (``PairOperator.propagate_constant``)."""
+        ignored. The constant Â·BoW is built once per binding from each
+        node's distinct terms (``ContentCorpus.distinct_tokens``), the bag
+        of words' nonzero entries, in blocks of whole centers
+        (``PairOperator.propagate_nonzeros``); no n x vocab bag of words is
+        built."""
         norm_adj = operators.norm_adj
-        propagated = norm_adj.propagate_constant(bag_of_words(corpus, corpus.vocab_size))
+        propagated = norm_adj.propagate_nonzeros(*corpus.distinct_tokens, corpus.vocab_size)
 
         def run(**_training_keywords) -> Tensor:
             return _baseline_head(norm_adj, propagated, self.conv1_weight, self.conv2_weight)
@@ -182,9 +187,11 @@ class PairOperator:
     @cached_property
     def _swept(self) -> tuple[np.ndarray, np.ndarray]:
         # the coefficient columns in the order of the graph's pair sweep:
-        # each pair's own, and its mirror's (those of the transpose)
+        # each pair's own, and its mirror's (those of the transpose), one
+        # array when the operator is symmetric, as both in training are
         sweep, _, mirrors = self.graph.pair_sweep
-        return self.data[sweep.entries, None], self.data[mirrors, None]
+        coefs, mirrored = self.data[sweep.entries, None], self.data[mirrors, None]
+        return coefs, coefs if np.array_equal(coefs, mirrored) else mirrored
 
     def propagate(self, x: Tensor) -> Tensor:
         """The product with ``x``: row c sums ``data[p] * x[members[p]]``
@@ -199,31 +206,50 @@ class PairOperator:
                      (lambda g: T._swept_sums(mirrored, g, rows, sweep),))
 
     def propagate_constant(self, x: np.ndarray) -> np.ndarray:
-        """``propagate`` for a constant array, from x's nonzero entries
-        only: each pair p = (c, m) and nonzero x[m, v] add ``data[p] *
-        x[m, v]`` at (c, v), in pair order, with one ``np.bincount``. Work
-        and memory grow with pairs times nonzeros per node, not with
-        pairs times x's width."""
+        """``propagate`` for a constant array: ``propagate_nonzeros`` of
+        x's nonzero entries."""
         if x.shape[0] != self.graph.n:
             raise ShapeError(f"a graph of {self.graph.n} nodes cannot propagate {x.shape}")
-        centers, members, _ = self.graph.pairs
-        n, width = x.shape
-        # row-major, so each node's hits are one run; numpy finds the nonzeros
-        # of a bool mask several times faster than those of a float array
+        # numpy finds the nonzeros of a bool mask several times faster than
+        # those of a float array
         hits = np.flatnonzero(x != 0)
-        nodes, cols = np.divmod(hits, width)
-        values = x.ravel()[hits]
-        per_node = np.bincount(nodes, minlength=n)
-        counts = per_node[members]  # pair p takes over node members[p]'s run
-        pair = np.repeat(np.arange(members.size), counts)
-        # entry k belongs to pair[k] and is hit (start of members[pair[k]]'s
-        # run) + (k - start of pair[k]'s share)
-        entry = np.repeat((np.cumsum(per_node) - per_node)[members] - (np.cumsum(counts) - counts),
-                          counts)
-        entry += np.arange(entry.size)
-        out = np.bincount((centers * width)[pair] + cols[entry],
-                          self.data[pair] * values[entry], minlength=n * width)
-        return out.reshape(n, width)
+        nodes, cols = np.divmod(hits, x.shape[1])
+        return self.propagate_nonzeros(cols, np.bincount(nodes, minlength=self.graph.n),
+                                       x.shape[1], x.ravel()[hits])
+
+    def propagate_nonzeros(self, cols: np.ndarray, counts: np.ndarray, width: int,
+                           values: np.ndarray | None = None) -> np.ndarray:
+        """``propagate`` for the constant n x ``width`` array whose nonzero
+        entries are listed row by row: node m's ``counts[m]`` column ids in
+        ``cols`` with their ``values`` (all 1 when omitted). Each pair p =
+        (c, m) and entry (m, v) add ``data[p] * value`` at (c, v), in pair
+        order. The pairs are taken in blocks of whole centers holding at
+        most ``GATHER_BLOCK`` such terms (a bigger center is a block of its
+        own); one ``np.bincount`` writes each block's output rows, so every
+        sum stays inside one block and no array spans all pairs' terms."""
+        n = self.graph.n
+        if counts.shape != (n,):
+            raise ShapeError(f"a graph of {n} nodes cannot propagate {counts.size} rows")
+        centers, members, indptr = self.graph.pairs
+        terms = counts[members]  # pair p takes over node members[p]'s entries
+        ends = np.cumsum(terms)
+        bounds = np.append(0, ends)[indptr]  # terms before each center's pairs
+        # pair p's terms t read the entries shift[p] + t
+        shift = (np.cumsum(counts) - counts)[members] - (ends - terms)
+        out = np.empty((n, width))
+        c = 0
+        while c < n:
+            j = max(c + 1, np.searchsorted(bounds, bounds[c] + T.GATHER_BLOCK, side="right") - 1)
+            lo, hi = indptr[c], indptr[j]
+            k = terms[lo:hi]
+            entry = np.repeat(shift[lo:hi], k) + np.arange(bounds[c], bounds[j])
+            weights = np.repeat(self.data[lo:hi], k)
+            if values is not None:
+                weights *= values[entry]
+            out[c:j] = np.bincount(np.repeat((centers[lo:hi] - c) * width, k) + cols[entry],
+                                   weights, minlength=(j - c) * width).reshape(j - c, width)
+            c = j
+        return out
 
 
 @dataclass
@@ -364,7 +390,9 @@ def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
 
 
 def bag_of_words(corpus: ContentCorpus, vocab_size: int) -> np.ndarray:
-    """Binary n x vocab_size term-presence matrix."""
+    """Binary n x vocab_size term-presence matrix. The model never builds
+    it (``BaselineParams.bind`` reads ``ContentCorpus.distinct_tokens``);
+    it is the dense input of ``baseline_gcn_forward``."""
     bow = np.zeros((corpus.n, vocab_size))
     bow[np.repeat(np.arange(corpus.n), [*map(len, corpus.contents)]), corpus.tokens] = 1.0
     return bow
@@ -377,8 +405,9 @@ def baseline_gcn_forward(norm_adj: PairOperator, bow: Tensor,
     Z = softmax(norm_adj @ relu(norm_adj @ bow @ W) @ W'); both layers
     use the same normalized adjacency. ``bow`` is a constant, so its
     product norm_adj @ bow is built from its nonzero entries
-    (``PairOperator.propagate_constant``), as ``BaselineParams.bind``
-    builds it, and carries no gradient.
+    (``PairOperator.propagate_constant``), bit for bit as
+    ``BaselineParams.bind`` builds it from the corpus's distinct terms,
+    and carries no gradient.
     """
     return _baseline_head(norm_adj, norm_adj.propagate_constant(bow.data),
                           conv1_weight, conv2_weight)

@@ -181,7 +181,7 @@ def _accuracy(z: np.ndarray, corpus: ContentCorpus, test_idx: np.ndarray) -> flo
     """Fraction of the nodes ``test_idx`` whose argmax class in ``z`` is the label."""
     if not np.isfinite(z).all():
         raise NumericError("class probabilities are not finite")
-    return float(np.mean(np.argmax(z[test_idx], axis=1) == np.asarray(corpus.labels)[test_idx]))
+    return float(np.mean(np.argmax(z[test_idx], axis=1) == corpus.label_array[test_idx]))
 
 
 def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentCorpus, *,

@@ -193,8 +193,20 @@ class TestTokenLayout:
                                label_names=["a"], vocab_size=2)
         assert corpus.tokens is corpus.tokens
         assert corpus.starts is corpus.starts
+        assert corpus.distinct_tokens is corpus.distinct_tokens
+        assert corpus.label_array is corpus.label_array
 
     def test_empty_corpus(self):
         corpus = ContentCorpus(node_ids=[], contents=[], labels=[], label_names=["a"],
                                vocab_size=1)
         assert corpus.tokens.size == corpus.starts.size == 0
+        terms, counts = corpus.distinct_tokens
+        assert terms.size == counts.size == corpus.label_array.size == 0
+
+    def test_distinct_tokens_ascend_per_node(self):
+        corpus = ContentCorpus(node_ids=[5, 6, 7], contents=[[2, 0, 2], [1], [0, 0, 0]],
+                               labels=[1, 0, 1], label_names=["a", "b"], vocab_size=3)
+        terms, counts = corpus.distinct_tokens
+        assert terms.tolist() == [0, 2, 1, 0] and counts.tolist() == [2, 1, 1]
+        assert corpus.label_array.dtype == np.intp
+        assert corpus.label_array.tolist() == [1, 0, 1]

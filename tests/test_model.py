@@ -315,6 +315,15 @@ class TestPairOperator:
                 op.propagate(Tensor(np.ones((rows, 2))))
             with pytest.raises(ShapeError):
                 op.propagate_constant(np.ones((rows, 2)))
+            with pytest.raises(ShapeError):
+                op.propagate_nonzeros(np.zeros(rows, dtype=np.intp),
+                                      np.ones(rows, dtype=np.intp), 2)
+
+    def test_symmetric_operators_hold_one_swept_array(self):
+        ops = GraphOperators.build(PAIR_GRAPHS["irregular"])
+        for op in (ops.support, ops.norm_adj):
+            coefs, mirrored = op._swept
+            assert coefs is mirrored
 
     def test_gradients_through_layer2(self, rng):
         norm_adj = GraphOperators.build(PAIR_GRAPHS["isolated-nodes"]).norm_adj
@@ -436,6 +445,58 @@ class TestPairSweep:
         assert peak < 21000 * 16 * 8
 
 
+def summed_in_pair_order(op: PairOperator, x: np.ndarray) -> np.ndarray:
+    """``op``'s product with ``x``, each output row summed one pair at a
+    time in pair order from zero, as a single ``np.bincount`` sums it."""
+    centers, members, _ = op.graph.pairs
+    out = np.zeros(x.shape)
+    for c, m, coef in zip(centers, members, op.data):
+        out[c] += coef * x[m]
+    return out
+
+
+def contents_with_repeats(n: int, vocab: int, rng) -> list[list[int]]:
+    """1-8 tokens per node, drawn with repeats from ``vocab`` terms."""
+    return [rng.integers(0, vocab, size=k).tolist() for k in rng.integers(1, 9, size=n)]
+
+
+class TestConstantProductInBlocks:
+    """``PairOperator.propagate_nonzeros`` over each node's distinct terms
+    sums in blocks of whole centers, and every block size gives the bits
+    of one sum over all pairs in pair order."""
+
+    @staticmethod
+    def product(graph: Graph, contents, vocab: int):
+        corpus = ContentCorpus(node_ids=list(range(graph.n)), contents=contents,
+                               labels=[0] * graph.n, label_names=["x"], vocab_size=vocab)
+        bow = bag_of_words(corpus, vocab)
+        op = GraphOperators.build(graph).norm_adj
+        return op.propagate_nonzeros(*corpus.distinct_tokens, vocab), op, bow
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 24])
+    @pytest.mark.parametrize("name", SWEEP_GRAPHS)
+    def test_every_block_size_matches_the_oracle_bit_for_bit(self, name, block, monkeypatch,
+                                                               rng):
+        graph = SWEEP_GRAPHS[name]
+        monkeypatch.setattr(T, "GATHER_BLOCK", block)
+        product, op, bow = self.product(graph, contents_with_repeats(graph.n, 6, rng), 6)
+        np.testing.assert_allclose(product, normalized_adjacency_of(graph) @ bow,
+                                   rtol=0, atol=1e-12)
+        assert product.tobytes() == summed_in_pair_order(op, bow).tobytes()
+        assert op.propagate_constant(bow).tobytes() == product.tobytes()
+
+    def test_a_hub_bigger_than_a_block_is_a_block_of_its_own(self, rng):
+        graph = SWEEP_GRAPHS["star"]
+        contents = [[0, 0]] + [rng.choice(40, size=6, replace=False).tolist() + [0]
+                               for _ in range(2000)]
+        product, op, bow = self.product(graph, contents, 40)
+        _, members, indptr = graph.pairs
+        assert bow[members[:indptr[1]]].sum() > T.GATHER_BLOCK
+        np.testing.assert_allclose(product, normalized_adjacency_of(graph) @ bow,
+                                   rtol=0, atol=1e-12)
+        assert product.tobytes() == summed_in_pair_order(op, bow).tobytes()
+
+
 class TestNoDenseMatrix:
     """On a 4,000-node ring one n x n float64 matrix is 122 MiB; nothing on
     the training or evaluation path comes near that."""
@@ -476,15 +537,24 @@ class TestNoDenseMatrix:
         dataset_split = split(corpus.n, config.train_fraction, np.random.default_rng(0))
         assert self.peak(lambda: train(config, graph, corpus, dataset_split)) < self.BOUND
 
-    def test_baseline_bind_on_a_wide_vocabulary(self):
-        # 3,000 nodes x 1,030 terms: one n x vocab float64 array is 23.6 MiB.
-        # Gathering every pair's whole vocabulary row peaked at 9.4 of them
+    @classmethod
+    def wide_vocabulary_bind_peak(cls) -> float:
+        """bind's peak on 3,000 nodes x 1,030 terms, in n x vocab float64
+        arrays (23.6 MiB each)."""
         graph, corpus, _ = synthetic_citation(3, 1000, filler_vocab=1000)
         ops = GraphOperators.build(graph)
         params = BaselineParams.init(corpus.vocab_size, corpus.num_classes, hidden_dim=2,
                                      rng=np.random.default_rng(0))
         array_bytes = corpus.n * corpus.vocab_size * 8
-        assert self.peak(lambda: params.bind(graph, corpus, ops)) < 3 * array_bytes
+        return cls.peak(lambda: params.bind(graph, corpus, ops)) / array_bytes
+
+    def test_baseline_bind_on_a_wide_vocabulary(self):
+        # gathering every pair's whole vocabulary row peaked at 9.4 arrays
+        assert self.wide_vocabulary_bind_peak() < 3
+
+    def test_baseline_bind_builds_no_bag_of_words(self):
+        # building the bag of words besides the output peaked at 2.17 arrays
+        assert self.wide_vocabulary_bind_peak() < 1.5
 
 
 class TestClassify:

@@ -111,6 +111,25 @@ class TestConstantProduct:
                                    rtol=1e-12, atol=1e-12)
 
 
+    @FEW
+    @given(case=graphs_with_contents(), block=st.integers(1, 24))
+    def test_distinct_terms_in_blocks_match_the_dense_product(self, case, block):
+        # isolated nodes and repeated tokens are likely; every block size
+        # sums each (center, term) in pair order, as one bincount does
+        graph, contents, _ = case
+        corpus = corpus_of(contents)
+        bow = np.zeros((graph.n, VOCAB))
+        for node, tokens in enumerate(contents):
+            bow[node, tokens] = 1.0
+        op = GraphOperators.build(graph).norm_adj
+        whole = op.propagate_constant(bow)
+        with mock.patch.object(T, "GATHER_BLOCK", block):
+            product = op.propagate_nonzeros(*corpus.distinct_tokens, VOCAB)
+        np.testing.assert_allclose(product, normalized_adjacency_of(graph) @ bow,
+                                   rtol=0, atol=1e-12)
+        assert product.tobytes() == whole.tobytes()
+
+
 @st.composite
 def graphs_with_pair_data(draw):
     """A graph of 1-12 nodes, one coefficient per pair, and two n x 0-4
@@ -326,6 +345,9 @@ class TestProgrammaticCorpora:
                                    label_names=["a", "b"], vocab_size=VOCAB)
         except DataError:
             return
+        terms, counts = corpus.distinct_tokens
+        assert ([part.tolist() for part in np.split(terms, np.cumsum(counts)[:-1])]
+                == [sorted(set(tokens)) for tokens in contents])
         config = ExperimentConfig(embed_dim=2, feature_dim=2, hidden_dim=2, epochs=1,
                                   train_fraction=0.5, variant=variant)
         try:
