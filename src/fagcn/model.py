@@ -9,18 +9,22 @@ Attention weighs them in one (pair, token) layout for every variant, and
 layer1 projects them to hidden width before it sums them per center: Â(XW).
 Both convolutions and the baseline propagate over the (center, member)
 pairs of ``graph.pairs``, with one coefficient per pair; no n x n matrix
-is built. Layer2 and the baseline's second layer run the GCN step Â·H of
-Kipf & Welling (``PairOperator.propagate``) as a sweep over the centers
-packed longest closed neighbourhood first: step k adds every center's
-k-th pair at once, and the few hubs left once fewer centers remain than
-steps have run finish in one segment sum. Its input gradient is the same
-sweep with each pair (c, m) taking the coefficient of (m, c), as the
-pairs are symmetric; neither direction holds a pairs x width array. The
-baseline's constant first product Â·BoW is summed from each node's
-distinct terms, the bag of words' nonzero entries, as Kipf & Welling keep
-those features sparse. It is built when the baseline binds, in blocks of
-whole centers with one ``np.bincount`` each, and no n x vocab bag of
-words, pairs x vocab gather or array over all pairs' terms is built.
+is built. Layer2 and the baseline's second layer multiply by their
+weight first and propagate second, Â(H·W2), as Kipf & Welling order the
+GCN step: the product moves n x classes values instead of n x hidden.
+``PairOperator.propagate`` runs it as a sweep over the centers packed
+longest closed neighbourhood first: step k adds every center's k-th pair
+at once, and the few hubs left once fewer centers remain than steps have
+run finish in one segment sum. Its input gradient is the same sweep with
+each pair (c, m) taking the coefficient of (m, c), as the pairs are
+symmetric; neither direction holds a pairs x width array. The baseline's
+first layer keeps (Â·X)·W1: its Â·X is a constant of the binding, while
+Â(X·W1) would propagate once more per epoch. That constant is summed from
+each node's distinct terms, the bag of words' nonzero entries, as Kipf &
+Welling keep those features sparse. It is built when the baseline binds,
+in blocks of whole centers with one ``np.bincount`` each, and no n x
+vocab bag of words, pairs x vocab gather or array over all pairs' terms
+is built.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ class ModelParams:
         )
 
     def bind(self, graph: Graph, corpus: ContentCorpus,
-             operators: GraphOperators) -> Callable[..., Tensor]:
-        """``forward`` over this graph and corpus."""
-        return partial(forward, self, graph, corpus, operators=operators)
+             operators: GraphOperators | None = None) -> Callable[..., Tensor]:
+        """``forward`` over this graph and corpus (see ``GraphOperators.of``)."""
+        return partial(forward, self, graph, corpus,
+                       operators=GraphOperators.of(graph, operators))
 
     @property
     def variant(self) -> str:
@@ -117,14 +122,14 @@ class BaselineParams:
                    conv2_weight=conv(hidden_dim, num_classes))
 
     def bind(self, graph: Graph, corpus: ContentCorpus,
-             operators: GraphOperators) -> Callable[..., Tensor]:
+             operators: GraphOperators | None = None) -> Callable[..., Tensor]:
         """The baseline has no dropout, so the training keywords are
         ignored. The constant Â·BoW is built once per binding from each
         node's distinct terms (``ContentCorpus.distinct_tokens``), the bag
         of words' nonzero entries, in blocks of whole centers
         (``PairOperator.propagate_nonzeros``); no n x vocab bag of words is
         built."""
-        norm_adj = operators.norm_adj
+        norm_adj = GraphOperators.of(graph, operators).norm_adj
         propagated = norm_adj.propagate_nonzeros(*corpus.distinct_tokens, corpus.vocab_size)
 
         def run(**_training_keywords) -> Tensor:
@@ -264,6 +269,20 @@ class GraphOperators:
         return cls(support=PairOperator(graph, np.ones(graph.pairs[1].size)),
                    norm_adj=PairOperator(graph, normalized_coefficients(graph)))
 
+    @classmethod
+    def of(cls, graph: Graph, operators: "GraphOperators | None") -> "GraphOperators":
+        """``operators``, or those of ``graph`` when None. Operators built
+        for another graph, one that is not ``graph`` and has other pairs,
+        are a ConfigError."""
+        if operators is None:
+            return cls.build(graph)
+        for own in (operators.support.graph, operators.norm_adj.graph):
+            if own is not graph and not all(map(np.array_equal, own.pairs, graph.pairs)):
+                raise ConfigError(f"operators built for a graph of {own.n} nodes and "
+                                  f"{own.pairs[1].size} pairs do not fit this graph of "
+                                  f"{graph.n} nodes and {graph.pairs[1].size} pairs")
+        return operators
+
 
 def encode_nodes(params: ModelParams, corpus: ContentCorpus, *,
                  training: bool = False,
@@ -310,8 +329,7 @@ def layer1(graph: Graph, features: tuple[Tensor, Tensor, np.ndarray, np.ndarray]
     the normalized-adjacency entry.
     """
     encoded, weights, rows, starts = features
-    if operators is None:
-        operators = GraphOperators.build(graph)
+    operators = GraphOperators.of(graph, operators)
     mixer = operators.norm_adj if normalize else operators.support
     _, members, indptr = graph.pairs
     if starts.size != members.size:
@@ -326,13 +344,15 @@ def layer2(norm_adj: PairOperator, hidden: Tensor, conv2_weight: Tensor, *,
            training: bool = False,
            dropout_gcn: float = 0.0,
            rng: np.random.Generator | None = None) -> Tensor:
-    """Second convolution: normalized aggregation of the rectified layer.
+    """Second convolution: normalized aggregation of the rectified layer,
+    Â(relu(H)·W2).
 
-    Dropout is applied to the rectified activations (training mode only)
-    before they are propagated.
+    Dropout is applied to the rectified activations (training mode only).
+    They are multiplied by ``conv2_weight`` before they are propagated, so
+    the propagation, forward and backward, runs at class width.
     """
     active = T.dropout(T.relu(hidden), dropout_gcn, rng, training)
-    return T.matmul(norm_adj.propagate(active), conv2_weight)
+    return norm_adj.propagate(T.matmul(active, conv2_weight))
 
 
 def classify(outputs: Tensor) -> Tensor:
@@ -348,8 +368,7 @@ def forward(params: ModelParams, graph: Graph, corpus: ContentCorpus, *,
             rng: np.random.Generator | None = None,
             operators: GraphOperators | None = None) -> Tensor:
     """Full forward pass producing the n x num_classes probability matrix."""
-    if operators is None:
-        operators = GraphOperators.build(graph)
+    operators = GraphOperators.of(graph, operators)
     features = node_input_features(params, corpus, graph, training=training,
                                    dropout_lstm=dropout_lstm, rng=rng)
     hidden = layer1(graph, features, params.conv1_weight,
@@ -402,12 +421,13 @@ def baseline_gcn_forward(norm_adj: PairOperator, bow: Tensor,
                          conv1_weight: Tensor, conv2_weight: Tensor) -> Tensor:
     """Two-layer GCN on static bag-of-words features.
 
-    Z = softmax(norm_adj @ relu(norm_adj @ bow @ W) @ W'); both layers
-    use the same normalized adjacency. ``bow`` is a constant, so its
-    product norm_adj @ bow is built from its nonzero entries
-    (``PairOperator.propagate_constant``), bit for bit as
-    ``BaselineParams.bind`` builds it from the corpus's distinct terms,
-    and carries no gradient.
+    Z = softmax(norm_adj @ (relu((norm_adj @ bow) @ W) @ W')); both
+    layers use the same normalized adjacency. The second multiplies by W'
+    before it propagates, as ``layer2`` does. The first propagates first:
+    ``bow`` is a constant, so its product norm_adj @ bow is built once,
+    from its nonzero entries (``PairOperator.propagate_constant``), bit for
+    bit as ``BaselineParams.bind`` builds it from the corpus's distinct
+    terms, and carries no gradient.
     """
     return _baseline_head(norm_adj, norm_adj.propagate_constant(bow.data),
                           conv1_weight, conv2_weight)
@@ -416,8 +436,9 @@ def baseline_gcn_forward(norm_adj: PairOperator, bow: Tensor,
 def _baseline_head(norm_adj: PairOperator, propagated: np.ndarray,
                    conv1_weight: Tensor, conv2_weight: Tensor) -> Tensor:
     # the baseline past its constant first product norm_adj @ bow, which
-    # ``BaselineParams.bind`` computes once per binding; its second layer
-    # is ``layer2`` without dropout
+    # ``BaselineParams.bind`` computes once per binding: the first layer is
+    # (norm_adj @ bow) @ W and propagates nothing per epoch, and the second
+    # is ``layer2`` without dropout, norm_adj @ (relu(.) @ W')
     hidden = T.matmul(T.constant(propagated), conv1_weight)
     return classify(layer2(norm_adj, hidden, conv2_weight))
 

@@ -293,15 +293,6 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum every entry into a 1x1 tensor."""
-    return _op(np.array([[x.data.sum()]]), (x,), (lambda g: np.full(x.data.shape, g[0, 0]),))
-
-
-# ---------------------------------------------------------------------------
 # segment operations
 # ---------------------------------------------------------------------------
 

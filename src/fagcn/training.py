@@ -188,8 +188,6 @@ def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentC
             layer1_normalize: bool = False,
             operators: GraphOperators | None = None) -> np.ndarray:
     """Class-probability matrix in evaluation mode (dropout forced off)."""
-    if operators is None:
-        operators = GraphOperators.build(graph)
     run = params.bind(graph, corpus, operators)
     return run(training=False, layer1_normalize=layer1_normalize).data
 
@@ -228,9 +226,8 @@ def train(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
     rng_dropout = derive_rng(config.seed, "dropout")
     params = init_params(config, corpus, rng_init)
     named = params.named_parameters()
-    operators = GraphOperators.build(graph)
     labels = LabelMatrix.build(corpus.labels, corpus.num_classes, dataset_split.train_idx)
-    run = params.bind(graph, corpus, operators)
+    run = params.bind(graph, corpus)
     state = AdamState()
     history = TrainHistory()
     for epoch in range(config.epochs):

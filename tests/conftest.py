@@ -3,6 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+import fagcn.tensor as T
+from fagcn.tensor import Tensor
+
 # When a Hypothesis test fails, the hypothesis plugin imports this module
 # while it writes the report. The import loads libcst, which touches a
 # deprecated name of mypy_extensions; under the "error" warning filter that
@@ -35,3 +38,9 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[k] = orig
         out[k] = (up - down) / (2 * eps)
     return grad
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Every entry of ``x`` summed into a 1x1 tensor, as one taped op: the
+    scalar the tests take gradients of."""
+    return T._op(np.array([[x.data.sum()]]), (x,), (lambda g: np.full(x.data.shape, g[0, 0]),))

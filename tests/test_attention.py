@@ -11,7 +11,7 @@ from fagcn.errors import ConfigError, ShapeError
 from fagcn.graph import Graph
 from fagcn.tensor import Tape, Tensor
 
-from conftest import numeric_gradient
+from conftest import numeric_gradient, sum_all
 
 
 def self_params(vector) -> AttentionParams:
@@ -227,7 +227,7 @@ class TestSimplexAndReductions:
         def objective():
             weights, rows, segments = token_weights(attention, features, starts, graph)
             mixed = T.gather_segment_sum(weights, features, rows, segments)
-            return T.sum_all(T.mul(T.constant(probe), mixed))
+            return sum_all(T.mul(T.constant(probe), mixed))
 
         for _, p in targets:
             p.zero_grad()

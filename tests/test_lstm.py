@@ -15,7 +15,7 @@ from fagcn.lstm import LstmDirectionParams, _run_direction, bilstm_encode
 from fagcn.model import ModelParams
 from fagcn.tensor import Tape, Tensor
 
-from conftest import numeric_gradient
+from conftest import numeric_gradient, sum_all
 
 
 def sigmoid(x):
@@ -188,13 +188,13 @@ class TestBilstmEncode:
 
         def run():
             out = encode(fwd, bwd, seq)
-            return T.sum_all(T.mul(T.constant(weights), out)).item()
+            return sum_all(T.mul(T.constant(weights), out)).item()
 
         for _, p in targets:
             p.zero_grad()
         with Tape() as tape:
             out = encode(fwd, bwd, seq)
-            tape.backward(T.sum_all(T.mul(T.constant(weights), out)))
+            tape.backward(sum_all(T.mul(T.constant(weights), out)))
         for name, p in targets:
             expected = numeric_gradient(run, p.data, eps=1e-5)
             got = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -222,7 +222,7 @@ class TestBilstmEncode:
         try:
             with Tape() as tape:
                 out = bilstm_encode(fwd, bwd, table, tokens, np.arange(0, n, 10))
-                tape.backward(T.sum_all(T.mul(probe, out)))
+                tape.backward(sum_all(T.mul(probe, out)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,13 +281,13 @@ class TestPackedSegments:
 
         def run():
             out = bilstm_encode(fwd, bwd, table, tokens, starts)
-            return T.sum_all(T.mul(T.constant(weights), out)).item()
+            return sum_all(T.mul(T.constant(weights), out)).item()
 
         for _, p in targets:
             p.zero_grad()
         with Tape() as tape:
             out = bilstm_encode(fwd, bwd, table, tokens, starts)
-            tape.backward(T.sum_all(T.mul(T.constant(weights), out)))
+            tape.backward(sum_all(T.mul(T.constant(weights), out)))
         for name, p in targets:
             expected = numeric_gradient(run, p.data, eps=1e-5)
             denom = np.maximum(np.abs(expected), 1.0)

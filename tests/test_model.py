@@ -16,10 +16,11 @@ from fagcn.noise import inject_noise
 from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
                          ModelParams, PairOperator, bag_of_words, baseline_gcn_forward,
                          classify, encode_nodes, export_attention, forward,
-                         layer1, layer2, loss, node_input_features)
+                         init_for_variant, layer1, layer2, loss, node_input_features)
 from fagcn.tensor import Tape, Tensor
-from fagcn.training import ExperimentConfig, train
+from fagcn.training import ExperimentConfig, evaluate, predict, train
 
+from conftest import sum_all
 from _oracle import (adjacency_of, arrays_of, normalized_adjacency_of, straightline_baseline,
                      straightline_forward, straightline_loss)
 
@@ -255,6 +256,30 @@ class TestLayer2:
         expected = normalized_adjacency_of(graph) @ np.maximum(0.0, hidden) @ w1
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
+    def test_propagates_at_class_width_both_ways(self, rng, monkeypatch):
+        # layer2 multiplies by its weight before it propagates, Â(H·W2), so
+        # every sweep, forward and backward, and those of a baseline epoch,
+        # runs on 3 class columns and none on the 16 hidden ones
+        widths = []
+        swept_sums = T._swept_sums
+
+        def recording(w, x, idx, sweep):
+            widths.append(x.shape[1])
+            return swept_sums(w, x, idx, sweep)
+
+        monkeypatch.setattr(T, "_swept_sums", recording)
+        graph, corpus, _ = synthetic_citation(3, 10)
+        hidden = Tensor(rng.standard_normal((graph.n, 16)))
+        w = Tensor(rng.standard_normal((16, 3)))
+        with Tape() as tape:
+            out = layer2(GraphOperators.build(graph).norm_adj, hidden, w,
+                         training=True, dropout_gcn=0.5, rng=rng)
+            tape.backward(sum_all(out))
+        assert widths == [3, 3]
+        config = ExperimentConfig(hidden_dim=16, epochs=1, variant="baseline_gcn")
+        train(config, graph, corpus, split(corpus.n, config.train_fraction, rng))
+        assert widths == [3] * 5  # and the epoch's forward, backward and evaluation
+
 
 PAIR_GRAPHS = {
     "single-node": Graph(1, []),
@@ -332,7 +357,7 @@ class TestPairOperator:
         probe = T.constant(rng.standard_normal((6, 3)))
 
         def loss_fn():
-            return T.sum_all(T.mul(probe, layer2(norm_adj, hidden, w)))
+            return sum_all(T.mul(probe, layer2(norm_adj, hidden, w)))
 
         assert T.grad_check(loss_fn, [("hidden", hidden), ("w", w)], eps=1e-6) < 1e-7
 
@@ -369,7 +394,7 @@ def propagated_with_gradient(op: PairOperator, x: np.ndarray,
     xt = Tensor(x)
     with Tape() as tape:
         out = op.propagate(xt)
-        tape.backward(T.sum_all(T.mul(T.constant(probe), out)))
+        tape.backward(sum_all(T.mul(T.constant(probe), out)))
     return out.data, xt.grad
 
 
@@ -634,7 +659,7 @@ class TestLoss:
         labels = LabelMatrix.build([0, 1, 0, 0], 2, train_idx=[0, 1, 3])
         with Tape() as tape:
             out = loss(z, labels, params, 5e-3, 5e-4)
-            tape.backward(T.sum_all(T.mul(T.constant([[3.0]]), out)))
+            tape.backward(sum_all(T.mul(T.constant([[3.0]]), out)))
         expected = np.zeros((4, 2))
         expected[0, 0], expected[1, 1] = -3.0 / 0.7, -3.0
         np.testing.assert_allclose(z.grad, expected, rtol=1e-15)
@@ -762,6 +787,54 @@ class TestErrorContract:
         with pytest.raises(ConfigError, match="int"):
             export_attention(fixture_params("self"), graph, corpus,
                              ["ash", "oak", "elm", "fir", "yew", "bay"], center=center)
+
+
+class TestOperatorsOfAnotherGraph:
+    """``operators=`` built for another graph is a ConfigError wherever it
+    is accepted; those of a graph with the same pairs are taken."""
+
+    @staticmethod
+    def setting(variant: str):
+        graph, corpus, _ = synthetic_citation(3, 10)
+        params = init_for_variant(variant, corpus.vocab_size, corpus.num_classes, embed_dim=4,
+                                  feature_dim=4, hidden_dim=3, rng=np.random.default_rng(0))
+        other = GraphOperators.build(Graph(graph.n, [(0, 1)]))
+        return graph, corpus, params, other
+
+    @pytest.mark.parametrize("variant", ["none", "baseline_gcn"])
+    def test_evaluate_and_bind_refuse_them(self, variant):
+        graph, corpus, params, other = self.setting(variant)
+        with pytest.raises(ConfigError, match="do not fit"):
+            evaluate(params, graph, corpus, range(corpus.n), operators=other)
+        with pytest.raises(ConfigError, match="do not fit"):
+            params.bind(graph, corpus, other)
+
+    def test_forward_and_layer1_refuse_them(self):
+        graph, corpus, params, other = self.setting("none")
+        with pytest.raises(ConfigError, match="do not fit"):
+            forward(params, graph, corpus, operators=other)
+        features = node_input_features(params, corpus, graph)
+        with pytest.raises(ConfigError, match="do not fit"):
+            layer1(graph, features, params.conv1_weight, operators=other)
+        own = GraphOperators.build(graph)
+        with pytest.raises(ConfigError, match="do not fit"):
+            forward(params, graph, corpus,
+                    operators=GraphOperators(support=own.support, norm_adj=other.norm_adj))
+
+    def test_other_pairs_of_the_same_size_are_refused(self):
+        _, corpus, _ = four_node_fixture()
+        params = fixture_params("none")
+        path, other = Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 1), (1, 2), (1, 3)])
+        assert other.pairs[1].size == path.pairs[1].size
+        with pytest.raises(ConfigError, match="do not fit"):
+            forward(params, path, corpus, operators=GraphOperators.build(other))
+
+    @pytest.mark.parametrize("variant", ["none", "baseline_gcn"])
+    def test_those_of_an_equal_graph_are_taken(self, variant):
+        graph, corpus, params, _ = self.setting(variant)
+        twin = GraphOperators.build(Graph(graph.n, sorted(graph.edges)))
+        np.testing.assert_array_equal(predict(params, graph, corpus, operators=twin),
+                                      predict(params, graph, corpus))
 
 
 class TestBaselineGcn:

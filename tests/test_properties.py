@@ -36,6 +36,7 @@ from fagcn.model import (GraphOperators, LabelMatrix, ModelParams, PairOperator,
 from fagcn.noise import inject_noise
 from fagcn.training import VARIANTS, ExperimentConfig, train
 
+from conftest import sum_all
 from _oracle import (adjacency_of, arrays_of, normalized_adjacency_of, straightline_baseline,
                      straightline_forward)
 
@@ -156,7 +157,7 @@ class TestPairSweep:
             xt = T.Tensor(x)
             with T.Tape() as tape:
                 out = op.propagate(xt)
-                tape.backward(T.sum_all(T.mul(T.constant(probe), out)))
+                tape.backward(sum_all(T.mul(T.constant(probe), out)))
             np.testing.assert_allclose(out.data, matrix @ x, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(xt.grad, matrix.T @ probe, rtol=1e-12, atol=1e-12)
 
@@ -201,7 +202,7 @@ class TestGatheredKernels:
         xt = T.Tensor(x)
         with mock.patch.object(T, "GATHER_BLOCK", block), T.Tape() as tape:
             out = T.gather_dot(xt, idx, T.constant(y), starts)
-            tape.backward(T.sum_all(T.mul(T.constant(g), out)))
+            tape.backward(sum_all(T.mul(T.constant(g), out)))
         seg = np.repeat(np.arange(starts.size), np.diff(starts, append=idx.size))
         expected = np.zeros_like(x)
         np.add.at(expected, idx, g * y[seg])

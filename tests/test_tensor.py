@@ -10,7 +10,7 @@ import fagcn.tensor as T
 from fagcn.errors import ConfigError, NumericError, ShapeError
 from fagcn.tensor import Tape, Tensor
 
-from conftest import numeric_gradient
+from conftest import numeric_gradient, sum_all
 
 
 def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,12 +49,12 @@ class TestMatmul:
             b = Tensor(rng.standard_normal((k, n)))
 
             def run():
-                return float(T.sum_all(T.matmul(a, b)).item())
+                return float(sum_all(T.matmul(a, b)).item())
 
             a.zero_grad()
             b.zero_grad()
             with Tape() as tape:
-                out = T.sum_all(T.matmul(a, b))
+                out = sum_all(T.matmul(a, b))
                 tape.backward(out)
             for t in (a, b):
                 expected = numeric_gradient(run, t.data)
@@ -76,10 +76,10 @@ class TestActivations:
         x = Tensor(rng.standard_normal((3, 4)) + 0.1)  # keep away from relu kink
 
         def run():
-            return T.sum_all(fn(x)).item()
+            return sum_all(fn(x)).item()
 
         with Tape() as tape:
-            tape.backward(T.sum_all(fn(x)))
+            tape.backward(sum_all(fn(x)))
         expected = numeric_gradient(run, x.data)
         np.testing.assert_allclose(x.grad, expected, atol=1e-7)
 
@@ -112,10 +112,10 @@ class TestRowwiseSoftmax:
         w = rng.standard_normal((3, 4))  # weigh entries so the grad is non-trivial
 
         def run():
-            return T.sum_all(T.mul(T.constant(w), T.rowwise_softmax(x))).item()
+            return sum_all(T.mul(T.constant(w), T.rowwise_softmax(x))).item()
 
         with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(T.constant(w), T.rowwise_softmax(x))))
+            tape.backward(sum_all(T.mul(T.constant(w), T.rowwise_softmax(x))))
         expected = numeric_gradient(run, x.data)
         np.testing.assert_allclose(x.grad, expected, atol=1e-8)
 
@@ -150,7 +150,7 @@ class TestDropout:
         x = Tensor(np.ones((10, 10)))
         with Tape() as tape:
             out = T.dropout(x, 0.25, rng, training=True)
-            tape.backward(T.sum_all(out))
+            tape.backward(sum_all(out))
         # gradient is the same mask/scale the forward applied
         np.testing.assert_array_equal((x.grad != 0), (out.data != 0))
         np.testing.assert_allclose(x.grad[x.grad != 0], 1 / 0.75)
@@ -163,14 +163,14 @@ class TestStructuralOps:
         with Tape() as tape:
             out = T.take_rows(x, idx)
             np.testing.assert_array_equal(out.data, x.data[idx])
-            tape.backward(T.sum_all(out))
+            tape.backward(sum_all(out))
         counts = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
         np.testing.assert_array_equal(x.grad, counts[:, None] * np.ones((5, 3)))
 
     def test_take_rows_adds_to_an_existing_gradient(self, rng):
         x = Tensor(rng.standard_normal((4, 2)))
         with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(T.take_rows(x, [3, 3, 0]), T.take_rows(x, [1, 3, 2]))))
+            tape.backward(sum_all(T.mul(T.take_rows(x, [3, 3, 0]), T.take_rows(x, [1, 3, 2]))))
         expected = np.zeros((4, 2))
         np.add.at(expected, [3, 3, 0], x.data[[1, 3, 2]])
         np.add.at(expected, [1, 3, 2], x.data[[3, 3, 0]])
@@ -180,7 +180,7 @@ class TestStructuralOps:
         x = Tensor(rng.standard_normal((2, 5)))
         w = rng.standard_normal((5, 2))
         with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(T.constant(w), T.transpose(x))))
+            tape.backward(sum_all(T.mul(T.constant(w), T.transpose(x))))
         np.testing.assert_array_equal(x.grad, w.T)
 
     @pytest.mark.parametrize("op", [T.mul])
@@ -198,7 +198,7 @@ def check_gradients(objective, inputs: list[Tensor]) -> None:
     for x in inputs:
         x.zero_grad()
     with Tape() as tape:
-        tape.backward(T.sum_all(T.mul(T.constant(probe), objective())))
+        tape.backward(sum_all(T.mul(T.constant(probe), objective())))
     for k, x in enumerate(inputs):
         expected = numeric_gradient(lambda: float((probe * objective().data).sum()), x.data)
         np.testing.assert_allclose(x.grad, expected, atol=1e-7, err_msg=f"input {k}")
@@ -268,7 +268,7 @@ class TestSegmentOps:
         x, y = Tensor(rng.standard_normal((300, 80))), Tensor(rng.standard_normal((100, 80)))
         rows, starts = rng.integers(0, 300, 5100), np.arange(0, 5100, 51)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(T.constant(rng.standard_normal((5100, 1))),
+            loss = sum_all(T.mul(T.constant(rng.standard_normal((5100, 1))),
                                    T.gather_dot(x, rows, y, starts)))
             tracemalloc.start()
             try:
@@ -298,7 +298,7 @@ class TestSegmentOps:
         rows, starts = rng.integers(0, 45, n_rows), [0, n_rows // 3, 2 * n_rows // 3]
         xt, yt = Tensor(x), Tensor(y)
         with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(T.constant(g), T.gather_dot(xt, rows, yt, starts))))
+            tape.backward(sum_all(T.mul(T.constant(g), T.gather_dot(xt, rows, yt, starts))))
         seg = np.repeat(np.arange(3), np.diff(starts, append=n_rows))
         expected = np.zeros_like(x)
         np.add.at(expected, rows, g * y[seg])
@@ -331,7 +331,7 @@ class TestSegmentOps:
         rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
         key = Tensor(y)
         with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(T.constant(g), T.gather_dot(T.constant(x), rows,
+            tape.backward(sum_all(T.mul(T.constant(g), T.gather_dot(T.constant(x), rows,
                                                                        key, STARTS))))
         expected = T.gather_segment_sum(T.constant(g), T.constant(x), rows, STARTS).data
         np.testing.assert_array_equal(key.grad, expected)
@@ -342,7 +342,7 @@ class TestSegmentOps:
         rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
         weights = Tensor(w)
         with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(T.constant(dy), T.gather_segment_sum(
+            tape.backward(sum_all(T.mul(T.constant(dy), T.gather_segment_sum(
                 weights, T.constant(x), rows, STARTS))))
         expected = T.gather_dot(T.constant(x), rows, T.constant(dy), STARTS).data
         np.testing.assert_array_equal(weights.grad, expected)
@@ -362,7 +362,7 @@ class TestSegmentOps:
     def test_constant_weights_get_no_gradient(self, rng):
         w, x = T.constant(np.ones((3, 1))), Tensor(rng.standard_normal((2, 2)))
         with Tape() as tape:
-            tape.backward(T.sum_all(T.gather_segment_sum(w, x, [1, 1, 0], [0, 2])))
+            tape.backward(sum_all(T.gather_segment_sum(w, x, [1, 1, 0], [0, 2])))
         assert w.grad is None
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0]])
 
@@ -427,7 +427,7 @@ class TestTape:
         x = Tensor(rng.standard_normal((2, 2)))
         c = T.constant(rng.standard_normal((2, 2)))
         with Tape() as tape:
-            tape.backward(T.sum_all(T.mul(x, c)))
+            tape.backward(sum_all(T.mul(x, c)))
         assert c.grad is None
         np.testing.assert_array_equal(x.grad, c.data)
 
@@ -436,7 +436,7 @@ class TestTape:
 
         def once():
             with Tape() as tape:
-                tape.backward(T.sum_all(x))
+                tape.backward(sum_all(x))
 
         once()
         first = x.grad.copy()
@@ -448,7 +448,7 @@ class TestTape:
 
     def test_no_tape_means_no_recording(self, rng):
         x = Tensor(rng.standard_normal((2, 2)))
-        T.sum_all(T.mul(x, x))
+        sum_all(T.mul(x, x))
         assert x.grad is None
 
     def test_same_seed_gives_bit_identical_gradients(self):
@@ -456,7 +456,7 @@ class TestTape:
             rng = np.random.default_rng(seed)
             x = Tensor(rng.standard_normal((3, 3)))
             with Tape() as tape:
-                out = T.sum_all(T.dropout(T.tanh(x), 0.3, rng, training=True))
+                out = sum_all(T.dropout(T.tanh(x), 0.3, rng, training=True))
                 tape.backward(out)
             return x.grad
 
@@ -477,7 +477,7 @@ OPS = {
     "dropout": lambda a, b, row: T.dropout(a, 0.5, np.random.default_rng(3), training=True),
     "transpose": lambda a, b, row: T.transpose(a),
     "take_rows": lambda a, b, row: T.take_rows(a, [3, 0, 3]),
-    "sum_all": lambda a, b, row: T.sum_all(a),
+    "sum_all": lambda a, b, row: sum_all(a),
     "segment_softmax": lambda a, b, row: T.segment_softmax(a, [0, 1]),
     "gather_dot": lambda a, b, row: T.gather_dot(a, [0, 2, 2, 1, 3], b, [0, 1, 3, 4]),
     "gather_dot_self": lambda a, b, row: T.gather_dot(a, [0, 2, 2, 1, 3], a, [0, 1, 3, 4]),
@@ -494,7 +494,7 @@ class TestOpContract:
         with Tape() as tape:
             out = OPS[name](a, b, row)
             probe = T.constant(rng.standard_normal(out.shape))
-            tape.backward(T.sum_all(T.mul(probe, out)))
+            tape.backward(sum_all(T.mul(probe, out)))
         tensors = [t for t in (a, b, row, out) if t.grad is not None]
         assert len(tensors) >= 2
         for t in tensors:
@@ -514,7 +514,7 @@ class TestOpContract:
             out = T._op(x.data + c.data, (x, c), (lambda g: g.copy(), never))
             assert T._op(c.data, (c,), (never,)).requires_grad is False
             assert len(tape) == 1
-            tape.backward(T.sum_all(out))
+            tape.backward(sum_all(out))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
         assert c.grad is None
 
@@ -525,7 +525,7 @@ class TestOpContract:
         x = Tensor(rng.standard_normal((2, 3)))
         with Tape() as tape:
             unused = T._op(2.0 * x.data, (x,), (never,))
-            tape.backward(T.sum_all(x))
+            tape.backward(sum_all(x))
         assert unused.grad is None
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
@@ -536,7 +536,7 @@ class TestGradCheck:
         params = [("theta", Tensor(0.1 * np.arange(6.0).reshape(2, 3)))]
 
         def loss_fn():
-            return T.sum_all(params[0][1])
+            return sum_all(params[0][1])
 
         err = T.grad_check(loss_fn, params, eps=eps)
         assert err < 1e-10
@@ -545,7 +545,7 @@ class TestGradCheck:
         theta = Tensor(rng.standard_normal((3, 3)))
 
         def loss_fn():
-            return T.sum_all(T.mul(theta, theta))
+            return sum_all(T.mul(theta, theta))
 
         err = T.grad_check(loss_fn, [("theta", theta)], eps=1e-5)
         assert err < 1e-8
@@ -558,7 +558,7 @@ class TestGradCheck:
         bad = Tensor([[np.inf]])
 
         def loss_fn():
-            return T.sum_all(bad)
+            return sum_all(bad)
 
         with pytest.raises(NumericError):
             T.grad_check(loss_fn, [("bad", bad)], eps=1e-5)
