@@ -19,7 +19,7 @@ from .model import BaselineParams, LabelMatrix, ModelParams, forward, loss
 from .noise import inject_noise, noise_sweep, replace_noise, sweep
 from .tensor import Tape, Tensor, grad_check
 from .training import (AdamState, ExperimentConfig, TrainHistory, adam_step,
-                       evaluate, repeat_experiment, train)
+                       evaluate, train)
 
 __all__ = [
     "__version__",
@@ -33,5 +33,5 @@ __all__ = [
     "inject_noise", "noise_sweep", "replace_noise", "sweep",
     "Tape", "Tensor", "grad_check",
     "AdamState", "ExperimentConfig", "TrainHistory", "adam_step",
-    "evaluate", "repeat_experiment", "train",
+    "evaluate", "train",
 ]

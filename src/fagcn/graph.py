@@ -1,11 +1,11 @@
 """Undirected graph structure and the normalized adjacency used by the
 convolution layers. A ``Graph`` stores one form of its edges, ``pairs``
-(the CSR layout of I + A), and its degrees; the edge set and the
-per-pair coefficients of the normalized adjacency are derived from
+(the CSR layout of I + A), and its degrees; the edge set is derived from
 ``pairs``, as is ``pair_sweep``, the order the convolutions propagate
-over the pairs in (see ``tensor.Sweep``). The dense n x n
-forms (``Graph.dense``, ``Graph.adjacency``, ``normalized_adjacency``)
-are references for checks only."""
+over the pairs in (see ``tensor.Sweep``). The normalized adjacency is
+diag(s)(I + A)diag(s), s = ``normalized_scale``: symmetric, as I + A is.
+The dense n x n forms (``Graph.dense``, ``Graph.adjacency``,
+``normalized_adjacency``) are references for checks only."""
 
 from __future__ import annotations
 
@@ -64,17 +64,13 @@ class Graph:
         return frozenset(zip(centers[upper].tolist(), members[upper].tolist()))
 
     @cached_property
-    def pair_sweep(self) -> tuple[Sweep, np.ndarray, np.ndarray]:
+    def pair_sweep(self) -> tuple[Sweep, np.ndarray]:
         """The pairs as a sweep over their centers, longest closed
-        neighbourhood first (``tensor.Sweep``); each swept pair's member;
-        and each swept pair's mirror, the index of (m, c) for pair (c, m).
-        The pairs are sorted by center, then member, so sorting them by
-        member, then center (the unique keys m * n + c) lists the mirrors
-        in pair order."""
-        centers, members, indptr = self.pairs
+        neighbourhood first (``tensor.Sweep``), and each swept pair's
+        member."""
+        _, members, indptr = self.pairs
         sweep = Sweep.of(indptr[:-1], members.size)
-        mirrors = np.argsort(members * self.n + centers)
-        return sweep, members[sweep.entries], mirrors[sweep.entries]
+        return sweep, members[sweep.entries]
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -114,23 +110,19 @@ def neighborhood(g: Graph, i: int) -> Neighborhood:
     return Neighborhood(center=i, members=tuple(members[indptr[i]:indptr[i + 1]].tolist()))
 
 
-def normalized_coefficients(g: Graph) -> np.ndarray:
-    """The symmetrically normalized adjacency with self-loops, one entry
-    per pair of ``g.pairs``: pair (c, m) holds 1 / sqrt((d_c + 1)(d_m + 1)).
-
-    Degrees for the normalization count the self-loop (D + I), which
-    keeps every row well defined even for isolated nodes: their only
-    entry is 1 on the diagonal.
-    """
-    centers, members, _ = g.pairs
-    inv_sqrt = 1.0 / np.sqrt(g.degree + 1.0)
-    return inv_sqrt[centers] * inv_sqrt[members]
+def normalized_scale(g: Graph) -> np.ndarray:
+    """s = 1 / sqrt(d + 1) per node, of the normalized adjacency with
+    self-loops diag(s)(I + A)diag(s). Counting the self-loop keeps every
+    row defined: an isolated node's one entry, its diagonal, is 1."""
+    return 1.0 / np.sqrt(g.degree + 1.0)
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
-    """``normalized_coefficients`` as a dense n x n matrix, a reference for
-    checks."""
-    return g.dense(normalized_coefficients(g))
+    """diag(s)(I + A)diag(s) for ``normalized_scale`` s, as a dense n x n
+    matrix, a reference for checks."""
+    centers, members, _ = g.pairs
+    scale = normalized_scale(g)
+    return g.dense(scale[centers] * scale[members])
 
 
 def load_edge_list(path) -> list[tuple[int, int]]:

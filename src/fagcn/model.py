@@ -15,16 +15,16 @@ GCN step: the product moves n x classes values instead of n x hidden.
 ``PairOperator.propagate`` runs it as a sweep over the centers packed
 longest closed neighbourhood first: step k adds every center's k-th pair
 at once, and the few hubs left once fewer centers remain than steps have
-run finish in one segment sum. Its input gradient is the same sweep with
-each pair (c, m) taking the coefficient of (m, c), as the pairs are
-symmetric; neither direction holds a pairs x width array. The baseline's
-first layer keeps (Â·X)·W1: its Â·X is a constant of the binding, while
-Â(X·W1) would propagate once more per epoch. That constant is summed from
-each node's distinct terms, the bag of words' nonzero entries, as Kipf &
-Welling keep those features sparse. It is built when the baseline binds,
-in blocks of whole centers with one ``np.bincount`` each, and no n x
-vocab bag of words, pairs x vocab gather or array over all pairs' terms
-is built.
+run finish in one segment sum. A ``PairOperator`` is diag(s)(I + A)diag(s)
+for a per-node scale s, so it is symmetric: its input gradient is the
+same sweep, and neither direction holds a pairs x width array. The
+baseline's first layer keeps (Â·X)·W1: its Â·X is a constant of the
+binding, while Â(X·W1) would propagate once more per epoch. That constant
+is summed from each node's distinct terms, the bag of words' nonzero
+entries, as Kipf & Welling keep those features sparse. It is built when
+the baseline binds, in blocks of whole centers with one ``np.bincount``
+each, and no n x vocab bag of words, pairs x vocab gather or array over
+all pairs' terms is built.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from . import tensor as T
 from .attention import AttentionParams, token_weights
 from .corpus import ContentCorpus, init_embeddings
 from .errors import ConfigError, NumericError, ShapeError
-from .graph import Graph, check_node, normalized_coefficients
+from .graph import Graph, check_node, normalized_scale
 from .lstm import LstmDirectionParams, bilstm_encode
 from .tensor import Tensor
 
@@ -176,39 +176,39 @@ class LabelMatrix:
 
 @dataclass(frozen=True)
 class PairOperator:
-    """A constant n x n operator stored as one coefficient per (center,
-    member) pair of ``graph.pairs``, in that order: ``data`` is the CSR
-    value array, as a scipy CSR matrix's ``.data`` is, and every entry
-    off the pairs is zero.
-
-    ``propagate`` runs over ``graph.pair_sweep``, the pairs packed by
-    center, longest closed neighbourhood first, and built once per graph;
-    the coefficients are put in its order, and in its transpose's, once
-    per operator."""
+    """The constant n x n operator diag(s)(I + A)diag(s) for one ``scale``
+    s per node, held as ``data``: s_c * s_m per (center, member) pair of
+    ``graph.pairs``, in that order, as a scipy CSR matrix holds its values.
+    It is symmetric, its own adjoint. ``propagate`` runs over
+    ``graph.pair_sweep``, built once per graph, with the coefficients put
+    in its order once per operator."""
 
     graph: Graph
-    data: np.ndarray
+    scale: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.scale) != (self.graph.n,):
+            raise ShapeError(f"a graph of {self.graph.n} nodes needs one scale per node, "
+                             f"got shape {np.shape(self.scale)}")
 
     @cached_property
-    def _swept(self) -> tuple[np.ndarray, np.ndarray]:
-        # the coefficient columns in the order of the graph's pair sweep:
-        # each pair's own, and its mirror's (those of the transpose), one
-        # array when the operator is symmetric, as both in training are
-        sweep, _, mirrors = self.graph.pair_sweep
-        coefs, mirrored = self.data[sweep.entries, None], self.data[mirrors, None]
-        return coefs, coefs if np.array_equal(coefs, mirrored) else mirrored
+    def data(self) -> np.ndarray:
+        centers, members, _ = self.graph.pairs
+        return self.scale[centers] * self.scale[members]
+
+    @cached_property
+    def _swept(self) -> np.ndarray:  # the coefficients in the pair sweep's order
+        return self.data[self.graph.pair_sweep[0].entries, None]
 
     def propagate(self, x: Tensor) -> Tensor:
         """The product with ``x``: row c sums ``data[p] * x[members[p]]``
-        over c's pairs p, as one taped op over the graph's pair sweep.
-        Its input gradient is the same sweep with each pair (c, m) taking
-        the coefficient of (m, c): the pairs are symmetric."""
+        over c's pairs p, as one taped op over the graph's pair sweep,
+        which is also its input gradient, as the operator is symmetric."""
         if x.rows != self.graph.n:
             raise ShapeError(f"a graph of {self.graph.n} nodes cannot propagate {x.shape}")
-        sweep, rows, _ = self.graph.pair_sweep
-        coefs, mirrored = self._swept
-        return T._op(T._swept_sums(coefs, x.data, rows, sweep), (x,),
-                     (lambda g: T._swept_sums(mirrored, g, rows, sweep),))
+        sweep, rows = self.graph.pair_sweep
+        product = partial(T._swept_sums, self._swept, idx=rows, sweep=sweep)
+        return T._op(product(x.data), (x,), (product,))
 
     def propagate_constant(self, x: np.ndarray) -> np.ndarray:
         """``propagate`` for a constant array: ``propagate_nonzeros`` of
@@ -266,8 +266,8 @@ class GraphOperators:
 
     @classmethod
     def build(cls, graph: Graph) -> "GraphOperators":
-        return cls(support=PairOperator(graph, np.ones(graph.pairs[1].size)),
-                   norm_adj=PairOperator(graph, normalized_coefficients(graph)))
+        return cls(support=PairOperator(graph, np.ones(graph.n)),
+                   norm_adj=PairOperator(graph, normalized_scale(graph)))
 
     @classmethod
     def of(cls, graph: Graph, operators: "GraphOperators | None") -> "GraphOperators":

@@ -1,5 +1,6 @@
-"""Content-noise interventions and the one sweep driver, over noise
-ratios and hyperparameters alike.
+"""Content-noise interventions and ``sweep``, the one driver of seeded
+experiments, over noise ratios and hyperparameters alike: a repeated
+experiment is a sweep of one value.
 
 Both protocols sample replacement/injection tokens uniformly from the
 corpus's existing vocabulary, so the embedding table (and the baseline's
@@ -9,6 +10,7 @@ measure content corruption, not vocabulary growth.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from .corpus import ContentCorpus
 from .errors import ConfigError
 from .graph import Graph
-from .training import ExperimentConfig, check_type, run_cell, sweep_cells
+from .training import ExperimentConfig, check_type, run_cell
 from .util import derive_rng, round_half_up
 
 PROTOCOLS = ("inject", "replace")
@@ -97,15 +99,26 @@ AXES = {"d_i": "embed_dim", "d_o": "feature_dim", "d_h": "hidden_dim",
         "p": "train_fraction", "noise-inject": "inject", "noise-replace": "replace"}
 
 
+def _listed(name: str, items) -> list:
+    """``items`` as a list; a string or a scalar is a ConfigError."""
+    try:  # a string is iterable, but not a list of values
+        return list(None if isinstance(items, (str, bytes)) else items)
+    except TypeError:
+        raise ConfigError(f"sweep {name} must be a list, got {items!r}") from None
+
+
 def sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus, axis: str,
           values: list, variants: list[str], seeds: list[int],
           max_workers: int = 1) -> list[SweepRow]:
     """Train and evaluate every (value, variant, seed) cell of one axis,
     after validating every value and cell. On a noise axis all variants at
     a (value, seed) see the same corrupted corpus. Cells may run on worker
-    threads; rows come back in (value, variant) order."""
+    threads, each taping its own passes; rows come back in (value, variant)
+    order, with the mean and population std of their seeds' accuracies."""
     if not isinstance(axis, str) or axis not in AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {sorted(AXES)}")
+    values, variants, seeds = map(_listed, ("values", "variants", "seeds"),
+                                  (values, variants, seeds))
     if not (values and variants and seeds):
         raise ConfigError("a sweep needs at least one value, variant and seed")
     target = AXES[axis]
@@ -123,10 +136,16 @@ def sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus, axis: s
         data = corrupt(corpus, target, value, derive_rng(seed, "noise")) if noise else corpus
         return run_cell(configs[k], graph, data, seed)
 
-    results = sweep_cells(run, range(len(points)), seeds, max_workers)
-    return [SweepRow(protocol=target, ratio=value, variant=variant,
-                     mean_accuracy=r.mean, std_accuracy=r.std, seeds=tuple(seeds))
-            for (value, variant), r in zip(points, results)]
+    cells = [(k, seed) for k in range(len(points)) for seed in seeds]
+    if max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            accuracies = list(pool.map(lambda cell: run(*cell), cells))
+    else:
+        accuracies = [run(*cell) for cell in cells]
+    per_point = np.reshape(accuracies, (len(points), len(seeds)))
+    return [SweepRow(protocol=target, ratio=value, variant=variant, seeds=tuple(seeds),
+                     mean_accuracy=float(np.mean(a)), std_accuracy=float(np.std(a)))
+            for (value, variant), a in zip(points, per_point)]
 
 
 def noise_sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,

@@ -1,13 +1,11 @@
 """Experiment configuration, the Adam-driven training loop, evaluation,
-and repeated-trial statistics."""
+and ``run_cell``, one seeded split-train-evaluate run of a sweep."""
 
 from __future__ import annotations
 
 import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -257,48 +255,3 @@ def run_cell(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus,
     cell_split = split(corpus.n, cell_config.train_fraction, derive_rng(seed, "split"))
     _, history = train(cell_config, graph, corpus, cell_split)
     return history.test_accuracy
-
-
-@dataclass
-class RepeatResult:
-    """Aggregated accuracy over several independently seeded runs."""
-
-    mean: float
-    std: float
-    accuracies: list[float]
-
-    @classmethod
-    def of(cls, accuracies: list[float]) -> "RepeatResult":
-        """Sample mean and population standard deviation."""
-        return cls(mean=float(np.mean(accuracies)), std=float(np.std(accuracies)),
-                   accuracies=list(accuracies))
-
-
-def sweep_cells(run: Callable[[Any, int], float], points: Sequence,
-                seeds: Sequence[int], max_workers: int = 1) -> list[RepeatResult]:
-    """The accuracies ``run(point, seed)`` over ``seeds``, aggregated per
-    point in point order. With ``max_workers`` > 1 the cells run on that
-    many threads; each thread tapes its own passes, so the results equal
-    the serial ones."""
-    cells = [(point, seed) for point in points for seed in seeds]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            accuracies = list(pool.map(lambda cell: run(*cell), cells))
-    else:
-        accuracies = [run(*cell) for cell in cells]
-    k = len(seeds)
-    return [RepeatResult.of(accuracies[p * k:(p + 1) * k]) for p in range(len(points))]
-
-
-def repeat_experiment(config: ExperimentConfig, seeds: list[int], graph: Graph,
-                      corpus: ContentCorpus) -> RepeatResult:
-    """Run split+train+evaluate once per seed and aggregate.
-
-    Each seed draws a fresh labeled/unlabeled split and a fresh
-    initialization. Reports the sample mean and the population standard
-    deviation of the test accuracies.
-    """
-    if len(seeds) < 2:
-        raise ConfigError("repeat_experiment needs at least two seeds")
-    return RepeatResult.of([run_cell(config, graph, corpus, seed) for seed in seeds])
-

@@ -12,6 +12,7 @@ import pytest
 
 import fagcn.cli
 import fagcn.datasets
+import fagcn.noise
 import fagcn.training
 from fagcn.checkpoint import load_checkpoint, save_checkpoint
 from fagcn.cli import (build_parser, cmd_eval, cmd_export_attention, cmd_sweep,
@@ -296,13 +297,13 @@ class TestSweepCommand:
         assert main(["--quiet", "sweep", "--config", str(config_path), "--spec", str(spec),
                      "--out", str(serial)]) == 0
         pools = []
-        pool_class = fagcn.training.ThreadPoolExecutor
+        pool_class = fagcn.noise.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             pools.append(max_workers)
             return pool_class(max_workers=max_workers)
 
-        monkeypatch.setattr(fagcn.training, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(fagcn.noise, "ThreadPoolExecutor", recording_pool)
         assert main(["--quiet", "--threads", "2", "sweep", "--config", str(config_path),
                      "--spec", str(spec), "--out", str(threaded)]) == 0
         assert pools == [2]

@@ -344,11 +344,23 @@ class TestPairOperator:
                 op.propagate_nonzeros(np.zeros(rows, dtype=np.intp),
                                       np.ones(rows, dtype=np.intp), 2)
 
-    def test_symmetric_operators_hold_one_swept_array(self):
-        ops = GraphOperators.build(PAIR_GRAPHS["irregular"])
-        for op in (ops.support, ops.norm_adj):
-            coefs, mirrored = op._swept
-            assert coefs is mirrored
+    @pytest.mark.parametrize("scale", [np.ones(2), np.ones(4), np.ones((3, 1)), 1.0],
+                             ids=["too-few", "too-many", "column", "scalar"])
+    def test_a_scale_is_one_value_per_node(self, scale):
+        graph = Graph(3, [(0, 1)])
+        with pytest.raises(ShapeError, match="one scale per node"):
+            PairOperator(graph, scale)
+
+    def test_is_diag_scale_times_the_closed_neighbourhoods_times_diag_scale(self, rng):
+        graph = PAIR_GRAPHS["irregular"]
+        scale = rng.uniform(0.5, 2.0, graph.n)
+        op = PairOperator(graph, scale)
+        np.testing.assert_array_equal(
+            graph.dense(op.data),
+            np.diag(scale) @ (adjacency_of(graph) + np.eye(graph.n)) @ np.diag(scale))
+        x = rng.standard_normal((graph.n, 2))
+        np.testing.assert_allclose(op.propagate(Tensor(x)).data, graph.dense(op.data) @ x,
+                                   rtol=0, atol=1e-12)
 
     def test_gradients_through_layer2(self, rng):
         norm_adj = GraphOperators.build(PAIR_GRAPHS["isolated-nodes"]).norm_adj
@@ -400,8 +412,8 @@ def propagated_with_gradient(op: PairOperator, x: np.ndarray,
 
 class TestPairSweep:
     """``PairOperator.propagate`` sweeps the pairs, longest closed
-    neighbourhood first, and its input gradient is the same sweep over
-    the transposed coefficients."""
+    neighbourhood first, and its input gradient is the same sweep, as
+    every operator is symmetric."""
 
     @pytest.mark.parametrize("name", SWEEP_GRAPHS)
     def test_forward_and_input_gradient_match_the_dense_oracle(self, name, rng):
@@ -414,39 +426,27 @@ class TestPairSweep:
             np.testing.assert_allclose(out, dense @ x, rtol=0, atol=1e-12)
             np.testing.assert_allclose(grad, dense.T @ probe, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", SWEEP_GRAPHS)
-    def test_an_asymmetric_operator_takes_its_transpose_backward(self, name, rng):
-        graph = SWEEP_GRAPHS[name]
-        centers, members, _ = graph.pairs
-        data = rng.standard_normal(members.size)
-        dense = np.zeros((graph.n, graph.n))
-        dense[centers, members] = data
-        x, probe = rng.standard_normal((2, graph.n, 2))
-        out, grad = propagated_with_gradient(PairOperator(graph, data), x, probe)
-        np.testing.assert_allclose(out, dense @ x, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grad, dense.T @ probe, rtol=0, atol=1e-12)
-
     def test_a_star_sweeps_two_steps_and_finishes_its_hub_in_the_tail(self):
-        sweep, _, _ = SWEEP_GRAPHS["star"].pair_sweep
+        sweep, _ = SWEEP_GRAPHS["star"].pair_sweep
         assert sweep.batch.tolist() == [2001, 2001]
         assert sweep.order[0] == 0 and sweep.tail.tolist() == [0]
 
     def test_the_sweep_runs_while_as_many_centers_remain_as_steps_have_run(self):
         # a path of 4 nodes: two centers have a third pair, after two steps
-        sweep, _, _ = Graph(4, [(0, 1), (1, 2), (2, 3)]).pair_sweep
+        sweep, _ = Graph(4, [(0, 1), (1, 2), (2, 3)]).pair_sweep
         assert sweep.batch.tolist() == [4, 4, 2] and sweep.tail.size == 0
 
     def test_a_hub_on_a_ring_finishes_in_the_tail(self):
         # ring nodes have 4 pairs each; at step 4 only the hub is left
-        sweep, rows, _ = SWEEP_GRAPHS["hub-on-ring"].pair_sweep
+        sweep, rows = SWEEP_GRAPHS["hub-on-ring"].pair_sweep
         assert sweep.batch.tolist() == [31] * 4
         assert sweep.order[0] == 30 and sweep.tail.tolist() == [0]
         assert rows[4 * 31:].tolist() == list(range(4, 30)) + [30]
 
     def test_isolated_nodes_sweep_one_step(self):
-        sweep, rows, mirrors = SWEEP_GRAPHS["isolated"].pair_sweep
+        sweep, rows = SWEEP_GRAPHS["isolated"].pair_sweep
         assert sweep.batch.tolist() == [5] and sweep.tail.size == 0
-        assert rows.tolist() == mirrors.tolist() == sweep.order.tolist() == list(range(5))
+        assert rows.tolist() == sweep.order.tolist() == list(range(5))
 
     def test_holds_no_pairs_by_width_array(self):
         # 3,000 nodes, 21,000 pairs, width 16: one pairs x width float64

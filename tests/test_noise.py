@@ -12,7 +12,7 @@ from fagcn.datasets import two_cluster_fixture
 from fagcn.errors import ConfigError
 from fagcn.noise import (_check_ratio, corrupt, inject_noise, noise_sweep,
                          replace_noise, sweep, sweep_rows_to_csv)
-from fagcn.training import ExperimentConfig, RepeatResult, run_cell
+from fagcn.training import ExperimentConfig, run_cell
 from fagcn.util import derive_rng
 
 
@@ -201,6 +201,33 @@ class TestNoiseSweep:
         with pytest.raises(ConfigError, match="at least one"):
             noise_sweep(self.sweep_config(), graph, corpus, "inject", ratios, variants, seeds)
 
+    @pytest.mark.parametrize("protocol", ["inject", "replace"])
+    def test_a_float_array_of_ratios_sweeps_like_the_list(self, protocol):
+        graph, corpus, _ = two_cluster_fixture()
+        args = (self.sweep_config(), graph, corpus, protocol)
+        assert (noise_sweep(*args, np.array([0.1, 0.2]), ["self"], [1])
+                == noise_sweep(*args, [0.1, 0.2], ["self"], [1]))
+
+    @pytest.mark.parametrize("ratios, variants, seeds, match", [
+        (0.5, ["self"], [1], "values must be a list"),
+        (np.float64(0.5), ["self"], [1], "values must be a list"),
+        (np.array(0.5), ["self"], [1], "values must be a list"),
+        ("0.5", ["self"], [1], "values must be a list"),
+        ([0.5], "self", [1], "variants must be a list"),
+        ([0.5], ["self"], 1, "seeds must be a list"),
+        ([0.5], ["self"], b"\x01", "seeds must be a list"),
+        ([0.5], ["self"], np.array([1, 2]), "seed must be of type int"),
+    ], ids=["float", "numpy-float", "0-d-array", "string-values", "string-variants",
+            "int-seeds", "bytes-seeds", "numpy-int-seeds"])
+    def test_a_scalar_or_a_string_for_a_list_is_a_config_error(self, monkeypatch, ratios,
+                                                                variants, seeds, match):
+        graph, corpus, _ = two_cluster_fixture()
+        trained = []
+        monkeypatch.setattr("fagcn.noise.run_cell", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match=match):
+            noise_sweep(self.sweep_config(), graph, corpus, "inject", ratios, variants, seeds)
+        assert trained == []
+
     def test_table_shape_and_order(self):
         graph, corpus, _ = two_cluster_fixture()
         ratios = [0.1, 0.2, 0.3]
@@ -257,8 +284,8 @@ class TestSweep:
                         data = corrupt(corpus, axis[len("noise-"):], value,
                                        derive_rng(seed, "noise"))
                     accuracies.append(run_cell(cell, graph, data, seed))
-                result = RepeatResult.of(accuracies)
-                expected.append((value, variant, result.mean, result.std))
+                expected.append((value, variant, float(np.mean(accuracies)),
+                                 float(np.std(accuracies))))
         assert [(r.ratio, r.variant, r.mean_accuracy, r.std_accuracy) for r in rows] == expected
         assert {r.protocol for r in rows} == {FIELDS.get(axis, axis[len("noise-"):])}
         assert {r.seeds for r in rows} == {(1, 2)}
@@ -305,6 +332,13 @@ class TestSweep:
         args = (["none", "self"], [1, 2])
         assert (noise_sweep(self.config(), graph, corpus, protocol, [0.1, 0.4], *args)
                 == sweep(self.config(), graph, corpus, f"noise-{protocol}", [0.1, 0.4], *args))
+
+    @pytest.mark.parametrize("axis", ["p", "noise-replace"])
+    def test_a_float_array_of_values_sweeps_like_the_list(self, axis):
+        graph, corpus, _ = two_cluster_fixture()
+        args = (["none", "self"], [1, 2])
+        assert (sweep(self.config(), graph, corpus, axis, np.array(VALUES[axis]), *args)
+                == sweep(self.config(), graph, corpus, axis, VALUES[axis], *args))
 
     @pytest.mark.parametrize("axis, values, match", [
         ("warp", [1], "unknown sweep axis"), (["d_h"], [2], "unknown sweep axis"),

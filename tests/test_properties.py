@@ -132,28 +132,26 @@ class TestConstantProduct:
 
 
 @st.composite
-def graphs_with_pair_data(draw):
-    """A graph of 1-12 nodes, one coefficient per pair, and two n x 0-4
+def graphs_with_pair_scales(draw):
+    """A graph of 1-12 nodes, a positive scale per node, and two n x 0-4
     arrays; stars and hubs, which finish in the sweep's tail, are likely."""
     graph, x = draw(graphs_with_constants())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    return graph, rng.standard_normal(graph.pairs[1].size), x, rng.standard_normal(x.shape)
+    return graph, rng.uniform(0.1, 2.0, graph.n), x, rng.standard_normal(x.shape)
 
 
 class TestPairSweep:
     @FEW
-    @given(case=graphs_with_pair_data())
-    @example(case=(Graph(9, [(0, leaf) for leaf in range(1, 9)]), np.linspace(-1, 1, 25),
+    @given(case=graphs_with_pair_scales())
+    @example(case=(Graph(9, [(0, leaf) for leaf in range(1, 9)]), np.linspace(0.5, 2, 9),
                    np.ones((9, 2)), np.arange(18.0).reshape(9, 2)))
     def test_propagation_and_its_gradient_match_the_dense_products(self, case):
-        graph, data, x, probe = case
-        centers, members, _ = graph.pairs
-        dense = np.zeros((graph.n, graph.n))
-        dense[centers, members] = data
+        graph, scale, x, probe = case
+        closed = adjacency_of(graph) + np.eye(graph.n)
         operators = GraphOperators.build(graph)
-        for op, matrix in ((PairOperator(graph, data), dense),
+        for op, matrix in ((PairOperator(graph, scale), np.diag(scale) @ closed @ np.diag(scale)),
                            (operators.norm_adj, normalized_adjacency_of(graph)),
-                           (operators.support, adjacency_of(graph) + np.eye(graph.n))):
+                           (operators.support, closed)):
             xt = T.Tensor(x)
             with T.Tape() as tape:
                 out = op.propagate(xt)

@@ -1,5 +1,5 @@
 """Training loop: Adam behavior, determinism, evaluation rules, and
-repeated-trial statistics."""
+repeated experiments as one-value sweeps."""
 
 import dataclasses
 import sys
@@ -13,10 +13,11 @@ from fagcn.datasets import two_cluster_fixture
 from fagcn.errors import ConfigError, DataError, NumericError
 from fagcn.graph import Graph
 from fagcn.model import BaselineParams, ModelParams
+from fagcn.noise import sweep
 from fagcn.corpus import ContentCorpus
 from fagcn.tensor import Tensor
-from fagcn.training import (AdamState, ExperimentConfig, RepeatResult, adam_step,
-                            evaluate, init_params, repeat_experiment, run_cell, train)
+from fagcn.training import (AdamState, ExperimentConfig, adam_step, evaluate, init_params,
+                            run_cell, train)
 from fagcn.util import derive_rng
 
 
@@ -291,31 +292,33 @@ class TestEvaluate:
                 == evaluate(params, graph, corpus, list(range(8))))
 
 
-class TestRepeatExperiment:
+class TestRepeatedExperiment:
+    """A repeated experiment is a sweep of one value, such as axis ``p`` at
+    the config's own train_fraction: each seed draws its own split and
+    initialization."""
+
+    @staticmethod
+    def repeated(config: ExperimentConfig, seeds: list[int], max_workers: int = 1):
+        graph, corpus, _ = two_cluster_fixture()
+        [row] = sweep(config, graph, corpus, "p", [config.train_fraction], [config.variant],
+                      seeds, max_workers)
+        assert (row.protocol, row.ratio, row.variant, row.seeds) == (
+            "train_fraction", config.train_fraction, config.variant, tuple(seeds))
+        return row
+
     def test_identical_seeds_give_zero_std(self):
-        graph, corpus, _ = two_cluster_fixture()
-        result = repeat_experiment(small_config(epochs=10), [7, 7, 7], graph, corpus)
-        assert result.std == 0.0
-        assert len(set(result.accuracies)) == 1
+        assert self.repeated(small_config(epochs=10), [7, 7, 7]).std_accuracy == 0.0
 
-    def test_distinct_seeds(self):
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_gives_the_mean_and_std_of_train_per_seed(self, max_workers):
         graph, corpus, _ = two_cluster_fixture()
-        result = repeat_experiment(small_config(epochs=10), [1, 2, 3, 4, 5],
-                                   graph, corpus)
-        assert 0.0 <= result.mean <= 1.0
-        assert result.std >= 0.0
-        assert len(result.accuracies) == 5
-
-    def test_accuracies_are_run_cell_per_seed(self):
-        graph, corpus, _ = two_cluster_fixture()
-        config = small_config(epochs=4)
-        result = repeat_experiment(config, [3, 8], graph, corpus)
-        assert result.accuracies == [run_cell(config, graph, corpus, seed) for seed in (3, 8)]
-        assert result == RepeatResult.of(result.accuracies)
-        assert (result.mean, result.std) == (float(np.mean(result.accuracies)),
-                                             float(np.std(result.accuracies)))
-
-    def test_needs_at_least_two_seeds(self):
-        graph, corpus, _ = two_cluster_fixture()
-        with pytest.raises(ConfigError):
-            repeat_experiment(small_config(), [1], graph, corpus)
+        config, seeds = small_config(epochs=4), [3, 8, 11]
+        accuracies = []
+        for seed in seeds:
+            cell = dataclasses.replace(config, seed=seed)
+            cell_split = split(corpus.n, cell.train_fraction, derive_rng(seed, "split"))
+            accuracies.append(train(cell, graph, corpus, cell_split)[1].test_accuracy)
+        row = self.repeated(config, seeds, max_workers)
+        assert (row.mean_accuracy, row.std_accuracy) == (float(np.mean(accuracies)),
+                                                         float(np.std(accuracies)))
+        assert accuracies == [run_cell(config, graph, corpus, seed) for seed in seeds]
