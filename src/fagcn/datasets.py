@@ -19,22 +19,24 @@ from .corpus import ContentCorpus, Vocabulary
 from .graph import Graph
 
 
+INDICATIVE_TOKENS, INDICATIVE_VOCAB = 2, 10
+INTRA_LINKS, INTER_LINK_PROB = 3, 0.2
+
+
 def synthetic_citation(num_classes: int = 3, nodes_per_class: int = 100, *,
-                       indicative_tokens: int = 2, filler_tokens: int = 3,
-                       indicative_vocab: int = 10, filler_vocab: int = 30,
-                       intra_links: int = 3, inter_link_prob: float = 0.2,
+                       filler_tokens: int = 3, filler_vocab: int = 30,
                        seed: int = 0) -> tuple[Graph, ContentCorpus, Vocabulary]:
     """Community graph whose node texts carry a partial class signal.
 
-    Each node's content holds ``indicative_tokens`` words drawn from its
-    class's private pool plus ``filler_tokens`` words from a pool shared
-    by every class, shuffled together. Each node links to
-    ``intra_links`` random same-class nodes and, with probability
-    ``inter_link_prob``, one node of another class.
+    Each node's content holds ``INDICATIVE_TOKENS`` words drawn from its
+    class's private pool of ``INDICATIVE_VOCAB`` plus ``filler_tokens``
+    words from a pool of ``filler_vocab`` shared by every class, shuffled
+    together. Each node links to ``INTRA_LINKS`` random same-class nodes
+    and, with probability ``INTER_LINK_PROB``, one node of another class.
     """
     rng = np.random.default_rng(seed)
     vocab = Vocabulary()
-    class_pools = [[vocab.add(f"c{k}w{j}") for j in range(indicative_vocab)]
+    class_pools = [[vocab.add(f"c{k}w{j}") for j in range(INDICATIVE_VOCAB)]
                    for k in range(num_classes)]
     filler_pool = [vocab.add(f"fill{j}") for j in range(filler_vocab)]
 
@@ -43,7 +45,7 @@ def synthetic_citation(num_classes: int = 3, nodes_per_class: int = 100, *,
     labels: list[int] = []
     for node in range(n):
         k = node // nodes_per_class
-        tokens = list(rng.choice(class_pools[k], size=indicative_tokens))
+        tokens = list(rng.choice(class_pools[k], size=INDICATIVE_TOKENS))
         tokens += list(rng.choice(filler_pool, size=filler_tokens))
         order = rng.permutation(len(tokens))
         contents.append([int(tokens[i]) for i in order])
@@ -53,11 +55,11 @@ def synthetic_citation(num_classes: int = 3, nodes_per_class: int = 100, *,
     for node in range(n):
         k = node // nodes_per_class
         base = k * nodes_per_class
-        for _ in range(intra_links):
+        for _ in range(INTRA_LINKS):
             other = base + int(rng.integers(0, nodes_per_class))
             if other != node:
                 edges.append((node, other))
-        if num_classes > 1 and rng.random() < inter_link_prob:
+        if num_classes > 1 and rng.random() < INTER_LINK_PROB:
             other = int(rng.integers(0, n - nodes_per_class))
             if other >= base:
                 other += nodes_per_class

@@ -131,19 +131,19 @@ def _run_direction(params: LstmDirectionParams, x: np.ndarray, visits: np.ndarra
 
 
 def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Tensor,
-                  tokens: Sequence[int], starts: Sequence[int] = (0,)) -> Tensor:
+                  tokens: Sequence[int], starts: Sequence[int]) -> Tensor:
     """Encode token sequences with both directions combined, as one taped
     operation over ``table`` and both directions' weights.
 
     Row t of ``table`` embeds token t. ``tokens`` holds one sequence per
-    segment, each from its entry of ``starts`` up to the next (by default
-    one sequence of all tokens). The backward direction runs over each
-    sequence reversed, and the two outputs are summed per position: one
-    row per token, in original order. Sequences are packed longest first
-    (``tensor.packed``): step t advances token t of every sequence longer
-    than t. The table's gradient scatters the sum of both directions'
-    input gradients. With no tape recording, each direction's buffers are
-    freed once its output is taken.
+    segment, each from its entry of ``starts`` up to the next. The
+    backward direction runs over each sequence reversed, and the two
+    outputs are summed per position: one row per token, in original
+    order. Sequences are packed longest first (``tensor.packed``): step t
+    advances token t of every sequence longer than t. The table's
+    gradient scatters the sum of both directions' input gradients. With
+    no tape recording, each direction's buffers are freed once its output
+    is taken.
     """
     if fwd.embed_dim != bwd.embed_dim or fwd.feature_dim != bwd.feature_dim:
         raise ShapeError("forward/backward parameter dimensions disagree")

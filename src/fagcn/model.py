@@ -38,7 +38,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionParams, token_weights
 from .corpus import ContentCorpus, init_embeddings
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .graph import Graph, check_node, normalized_scale
 from .lstm import LstmDirectionParams, bilstm_encode
 from .tensor import Tensor
@@ -210,25 +210,11 @@ class PairOperator:
         product = partial(T._swept_sums, self._swept, idx=rows, sweep=sweep)
         return T._op(product(x.data), (x,), (product,))
 
-    def propagate_constant(self, x: np.ndarray) -> np.ndarray:
-        """``propagate`` for a constant array: ``propagate_nonzeros`` of
-        x's nonzero entries."""
-        if x.shape[0] != self.graph.n:
-            raise ShapeError(f"a graph of {self.graph.n} nodes cannot propagate {x.shape}")
-        # numpy finds the nonzeros of a bool mask several times faster than
-        # those of a float array
-        hits = np.flatnonzero(x != 0)
-        nodes, cols = np.divmod(hits, x.shape[1])
-        return self.propagate_nonzeros(cols, np.bincount(nodes, minlength=self.graph.n),
-                                       x.shape[1], x.ravel()[hits])
-
-    def propagate_nonzeros(self, cols: np.ndarray, counts: np.ndarray, width: int,
-                           values: np.ndarray | None = None) -> np.ndarray:
-        """``propagate`` for the constant n x ``width`` array whose nonzero
-        entries are listed row by row: node m's ``counts[m]`` column ids in
-        ``cols`` with their ``values`` (all 1 when omitted). Each pair p =
-        (c, m) and entry (m, v) add ``data[p] * value`` at (c, v), in pair
-        order. The pairs are taken in blocks of whole centers holding at
+    def propagate_nonzeros(self, cols: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
+        """``propagate`` for the constant 0/1 n x ``width`` array whose ones
+        are listed row by row: node m's ``counts[m]`` column ids in ``cols``.
+        Each pair p = (c, m) and one (m, v) add ``data[p]`` at (c, v), in
+        pair order. The pairs are taken in blocks of whole centers holding at
         most ``GATHER_BLOCK`` such terms (a bigger center is a block of its
         own); one ``np.bincount`` writes each block's output rows, so every
         sum stays inside one block and no array spans all pairs' terms."""
@@ -248,11 +234,9 @@ class PairOperator:
             lo, hi = indptr[c], indptr[j]
             k = terms[lo:hi]
             entry = np.repeat(shift[lo:hi], k) + np.arange(bounds[c], bounds[j])
-            weights = np.repeat(self.data[lo:hi], k)
-            if values is not None:
-                weights *= values[entry]
             out[c:j] = np.bincount(np.repeat((centers[lo:hi] - c) * width, k) + cols[entry],
-                                   weights, minlength=(j - c) * width).reshape(j - c, width)
+                                   np.repeat(self.data[lo:hi], k),
+                                   minlength=(j - c) * width).reshape(j - c, width)
             c = j
         return out
 
@@ -419,18 +403,23 @@ def bag_of_words(corpus: ContentCorpus, vocab_size: int) -> np.ndarray:
 
 def baseline_gcn_forward(norm_adj: PairOperator, bow: Tensor,
                          conv1_weight: Tensor, conv2_weight: Tensor) -> Tensor:
-    """Two-layer GCN on static bag-of-words features.
+    """Two-layer GCN on static 0/1 bag-of-words features.
 
     Z = softmax(norm_adj @ (relu((norm_adj @ bow) @ W) @ W')); both
     layers use the same normalized adjacency. The second multiplies by W'
     before it propagates, as ``layer2`` does. The first propagates first:
     ``bow`` is a constant, so its product norm_adj @ bow is built once,
-    from its nonzero entries (``PairOperator.propagate_constant``), bit for
-    bit as ``BaselineParams.bind`` builds it from the corpus's distinct
-    terms, and carries no gradient.
+    from its ones (``PairOperator.propagate_nonzeros``), bit for bit as
+    ``BaselineParams.bind`` builds it from the corpus's distinct terms,
+    and carries no gradient. An entry other than 0 or 1 is a DataError,
+    and a row count other than the graph's a ShapeError.
     """
-    return _baseline_head(norm_adj, norm_adj.propagate_constant(bow.data),
-                          conv1_weight, conv2_weight)
+    ones = bow.data != 0
+    if not (bow.data[ones] == 1).all():
+        raise DataError("a bag of words holds only zeros and ones")
+    propagated = norm_adj.propagate_nonzeros(np.nonzero(ones)[1], np.count_nonzero(ones, axis=1),
+                                             bow.cols)
+    return _baseline_head(norm_adj, propagated, conv1_weight, conv2_weight)
 
 
 def _baseline_head(norm_adj: PairOperator, propagated: np.ndarray,
@@ -454,6 +443,8 @@ def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,
     finite, raise NumericError instead of warning.
     """
     check_node(graph, center)
+    if len(terms) < corpus.vocab_size:
+        raise ShapeError(f"{len(terms)} terms cannot name a vocabulary of {corpus.vocab_size}")
     try:
         with np.errstate(all="raise", under="ignore"):
             encoded = encode_nodes(params, corpus, training=False)

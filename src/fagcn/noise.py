@@ -112,11 +112,15 @@ def sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus, axis: s
           max_workers: int = 1) -> list[SweepRow]:
     """Train and evaluate every (value, variant, seed) cell of one axis,
     after validating every value and cell. On a noise axis all variants at
-    a (value, seed) see the same corrupted corpus. Cells may run on worker
-    threads, each taping its own passes; rows come back in (value, variant)
-    order, with the mean and population std of their seeds' accuracies."""
+    a (value, seed) see the same corrupted corpus. Cells may run on
+    ``max_workers`` worker threads (an int >= 1), each taping its own
+    passes; rows come back in (value, variant) order, with the mean and
+    population std of their seeds' accuracies."""
     if not isinstance(axis, str) or axis not in AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {sorted(AXES)}")
+    check_type("max_workers", max_workers, "int")
+    if max_workers < 1:
+        raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
     values, variants, seeds = map(_listed, ("values", "variants", "seeds"),
                                   (values, variants, seeds))
     if not (values and variants and seeds):

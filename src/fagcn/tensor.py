@@ -51,7 +51,8 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A 2-D float64 matrix with an optional same-shape gradient slot.
+    """A 2-D float64 matrix with an optional same-shape gradient slot; a
+    scalar or a vector is a ShapeError, not promoted to a matrix.
 
     ``requires_grad=False`` marks constants (per-pair graph coefficients,
     bag-of-words inputs): no gradient is ever accumulated into them and
@@ -62,10 +63,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = True):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.data = arr

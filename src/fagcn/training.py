@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .corpus import ContentCorpus, DatasetSplit, split
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .graph import Graph
 from .model import (BaselineParams, GraphOperators, LabelMatrix, ModelParams,
                     init_for_variant, loss)
@@ -166,12 +166,15 @@ def _quiet_numerics(fn):
 
 def _node_indices(name: str, idx, n: int) -> np.ndarray:
     """``idx`` as an index array, or a ConfigError unless it is non-empty
-    and every entry is an int in [0, n)."""
+    and every entry is a distinct int in [0, n)."""
     idx = np.asarray(list(idx))
     if not idx.size:
         raise ConfigError(f"the {name} set is empty")
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n:
         raise ConfigError(f"{name} indices must be ints in [0, {n})")
+    counts = np.bincount(idx)
+    if counts.max() > 1:
+        raise ConfigError(f"the {name} set repeats node {counts.argmax()}")
     return idx
 
 
@@ -185,7 +188,14 @@ def _accuracy(z: np.ndarray, corpus: ContentCorpus, test_idx: np.ndarray) -> flo
 def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentCorpus, *,
             layer1_normalize: bool = False,
             operators: GraphOperators | None = None) -> np.ndarray:
-    """Class-probability matrix in evaluation mode (dropout forced off)."""
+    """Class-probability matrix in evaluation mode (dropout forced off).
+    Weights for other term or class counts than the corpus's are a
+    ShapeError."""
+    terms = (params.conv1_weight if params.kind == "baseline" else params.embeddings).rows
+    classes = params.conv2_weight.cols
+    if (terms, classes) != (corpus.vocab_size, corpus.num_classes):
+        raise ShapeError(f"weights for {terms} terms and {classes} classes do not fit a "
+                         f"corpus of {corpus.vocab_size} terms and {corpus.num_classes} classes")
     run = params.bind(graph, corpus, operators)
     return run(training=False, layer1_normalize=layer1_normalize).data
 

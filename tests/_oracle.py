@@ -21,6 +21,12 @@ def adjacency_of(graph) -> np.ndarray:
     return adjacency
 
 
+def listed_ones(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """A 0/1 array as ``PairOperator.propagate_nonzeros`` takes it: the
+    column ids of its ones row by row, their count per row, its width."""
+    return np.nonzero(x)[1], np.count_nonzero(x, axis=1), x.shape[1]
+
+
 def normalized_adjacency_of(graph) -> np.ndarray:
     """D^-1/2 (A + I) D^-1/2 with D the degrees of A + I, from the edge set."""
     loops = adjacency_of(graph) + np.eye(graph.n)

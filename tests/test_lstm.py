@@ -156,7 +156,7 @@ class TestBilstmEncode:
     def test_empty_sequence_rejected(self, rng):
         fwd = random_params(3, 4, rng)
         with pytest.raises(ShapeError, match="empty"):
-            bilstm_encode(fwd, fwd, Tensor(rng.standard_normal((2, 3))), [])
+            bilstm_encode(fwd, fwd, Tensor(rng.standard_normal((2, 3))), [], [0])
 
     def test_directional_causality(self, rng):
         # perturbing token k moves forward outputs only at j >= k and
@@ -207,7 +207,8 @@ class TestBilstmEncode:
         fwd = random_params(3, 4, rng)
         table = Tensor(rng.standard_normal((4, 3)))
         with Tape() as tape:
-            bilstm_encode(fwd, random_params(3, 4, rng), table, rng.integers(0, 4, size=length))
+            bilstm_encode(fwd, random_params(3, 4, rng), table,
+                          rng.integers(0, 4, size=length), [0])
         assert len(tape) == 1
 
     def test_forward_and_backward_copy_no_output_gradient(self, rng):

@@ -3,14 +3,16 @@ equivalence with the straight-line re-implementation, and gradient
 checks for every parameter group."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import fagcn.model as model
 import fagcn.tensor as T
 from fagcn.corpus import ContentCorpus, split
 from fagcn.datasets import four_node_fixture, synthetic_citation
-from fagcn.errors import ConfigError, NumericError, ShapeError
+from fagcn.errors import ConfigError, DataError, NumericError, ShapeError
 from fagcn.graph import Graph, neighborhood
 from fagcn.noise import inject_noise
 from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
@@ -21,8 +23,8 @@ from fagcn.tensor import Tape, Tensor
 from fagcn.training import ExperimentConfig, evaluate, predict, train
 
 from conftest import sum_all
-from _oracle import (adjacency_of, arrays_of, normalized_adjacency_of, straightline_baseline,
-                     straightline_forward, straightline_loss)
+from _oracle import (adjacency_of, arrays_of, listed_ones, normalized_adjacency_of,
+                     straightline_baseline, straightline_forward, straightline_loss)
 
 
 def fixture_params(variant: str, seed: int = 0) -> ModelParams:
@@ -311,13 +313,12 @@ class TestPairOperator:
 
     @staticmethod
     def constants(n: int, rng) -> dict[str, np.ndarray]:
-        """Constant arrays for ``propagate_constant``: dense and sparse,
-        binary and real, with all-zero rows and columns."""
-        sparse = rng.standard_normal((n, 7)) * (rng.random((n, 7)) < 0.3)
+        """0/1 constant arrays for ``propagate_nonzeros``, with all-zero
+        rows and columns."""
+        sparse = (rng.random((n, 7)) < 0.3).astype(float)
         sparse[::2] = 0.0
         sparse[:, [1, 4]] = 0.0
         return {"binary": rng.integers(0, 2, size=(n, 5)).astype(float),
-                "real": rng.standard_normal((n, 3)),
                 "zero-rows-and-columns": sparse,
                 "all-zero": np.zeros((n, 4)),
                 "no-columns": np.zeros((n, 0))}
@@ -327,22 +328,23 @@ class TestPairOperator:
         graph = PAIR_GRAPHS[name]
         ops = GraphOperators.build(graph)
         for x in self.constants(graph.n, rng).values():
-            np.testing.assert_allclose(ops.norm_adj.propagate_constant(x),
+            np.testing.assert_allclose(ops.norm_adj.propagate_nonzeros(*listed_ones(x)),
                                        normalized_adjacency_of(graph) @ x, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(ops.support.propagate_constant(x),
+            np.testing.assert_allclose(ops.support.propagate_nonzeros(*listed_ones(x)),
                                        (adjacency_of(graph) + np.eye(graph.n)) @ x,
                                        rtol=0, atol=1e-12)
 
     def test_row_count_must_match_the_graph(self):
         op = GraphOperators.build(Graph(3, [(0, 1)])).norm_adj
+        w1, w2 = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
         for rows in (2, 4):
             with pytest.raises(ShapeError):
                 op.propagate(Tensor(np.ones((rows, 2))))
             with pytest.raises(ShapeError):
-                op.propagate_constant(np.ones((rows, 2)))
-            with pytest.raises(ShapeError):
                 op.propagate_nonzeros(np.zeros(rows, dtype=np.intp),
                                       np.ones(rows, dtype=np.intp), 2)
+            with pytest.raises(ShapeError):
+                baseline_gcn_forward(op, T.constant(np.ones((rows, 2))), w1, w2)
 
     @pytest.mark.parametrize("scale", [np.ones(2), np.ones(4), np.ones((3, 1)), 1.0],
                              ids=["too-few", "too-many", "column", "scalar"])
@@ -485,10 +487,18 @@ def contents_with_repeats(n: int, vocab: int, rng) -> list[list[int]]:
     return [rng.integers(0, vocab, size=k).tolist() for k in rng.integers(1, 9, size=n)]
 
 
+def forward_constant(norm_adj: PairOperator, bow: np.ndarray) -> np.ndarray:
+    """The constant norm_adj @ bow that ``baseline_gcn_forward`` builds
+    from ``bow``'s ones, taken where it enters the baseline's head."""
+    with mock.patch.object(model, "_baseline_head", lambda _, propagated, *__: propagated):
+        return baseline_gcn_forward(norm_adj, T.constant(bow), None, None)
+
+
 class TestConstantProductInBlocks:
     """``PairOperator.propagate_nonzeros`` over each node's distinct terms
     sums in blocks of whole centers, and every block size gives the bits
-    of one sum over all pairs in pair order."""
+    of one sum over all pairs in pair order, as ``baseline_gcn_forward``
+    does from the bag of words' ones."""
 
     @staticmethod
     def product(graph: Graph, contents, vocab: int):
@@ -508,7 +518,7 @@ class TestConstantProductInBlocks:
         np.testing.assert_allclose(product, normalized_adjacency_of(graph) @ bow,
                                    rtol=0, atol=1e-12)
         assert product.tobytes() == summed_in_pair_order(op, bow).tobytes()
-        assert op.propagate_constant(bow).tobytes() == product.tobytes()
+        assert forward_constant(op, bow).tobytes() == product.tobytes()
 
     def test_a_hub_bigger_than_a_block_is_a_block_of_its_own(self, rng):
         graph = SWEEP_GRAPHS["star"]
@@ -880,6 +890,15 @@ class TestBaselineGcn:
                                       params.conv1_weight, params.conv2_weight)
         assert bound.data.tobytes() == direct.data.tobytes()
 
+    @pytest.mark.parametrize("entry", [2.0, -1.0, 0.5, np.nan])
+    def test_a_bag_entry_other_than_zero_or_one_is_a_data_error(self, entry):
+        ops = GraphOperators.build(Graph(3, [(0, 1), (1, 2)]))
+        bow = np.eye(3)
+        bow[1, 2] = entry
+        with pytest.raises(DataError):
+            baseline_gcn_forward(ops.norm_adj, T.constant(bow),
+                                 Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))))
+
     def test_bag_of_words_is_binary_presence(self):
         corpus = ContentCorpus(node_ids=[0, 1], contents=[[0, 0, 2], [1]],
                                labels=[0, 0], label_names=["x"], vocab_size=3)
@@ -950,6 +969,13 @@ def test_every_tape_record_is_made_by_op(monkeypatch, variant):
 
 
 class TestExportAttention:
+    @pytest.mark.parametrize("count", [0, 5])
+    def test_fewer_terms_than_the_vocabulary_is_a_shape_error(self, count):
+        graph, corpus, _ = four_node_fixture()
+        terms = ["ash", "oak", "elm", "fir", "yew", "bay"][:count]
+        with pytest.raises(ShapeError, match=f"{count} terms .* vocabulary of 6"):
+            export_attention(fixture_params("self"), graph, corpus, terms, center=3)
+
     def test_uniform_weights_for_none_variant(self):
         graph, corpus, _ = four_node_fixture()
         params = fixture_params("none", seed=1)

@@ -352,3 +352,20 @@ class TestSweep:
         with pytest.raises(ConfigError, match=match):
             sweep(self.config(), graph, corpus, axis, values, ["self"], [1])
         assert trained == []
+
+    @pytest.mark.parametrize("max_workers", [0, -3, True, 2.5, None, "2", np.int64(2)],
+                             ids=["zero", "negative", "bool", "float", "none", "string",
+                                  "numpy-int"])
+    @pytest.mark.parametrize("axis", ["d_h", "noise-inject"])
+    def test_max_workers_that_is_not_an_int_of_one_or_more_trains_no_cell(
+            self, monkeypatch, axis, max_workers):
+        graph, corpus, _ = two_cluster_fixture()
+        trained = []
+        monkeypatch.setattr("fagcn.noise.run_cell", lambda *args: trained.append(args) or 0.5)
+        with pytest.raises(ConfigError, match="max_workers"):
+            sweep(self.config(), graph, corpus, axis, VALUES[axis], ["self"], [1],
+                  max_workers=max_workers)
+        with pytest.raises(ConfigError, match="max_workers"):
+            noise_sweep(self.config(), graph, corpus, "inject", [0.1], ["self"], [1],
+                        max_workers)
+        assert trained == []

@@ -3,7 +3,7 @@ model's output rows, zero noise changes nothing, checkpoints and datasets
 survive a write and a load unchanged, and arbitrary bytes or JSON fed to
 the loaders fail only with the package's own errors, as does training
 on any corpus that a caller could build. The baseline's
-constant product from nonzero entries and the pair sweep with its
+constant product from a 0/1 array's ones and the pair sweep with its
 transpose equal the dense products, the
 blocked gathered kernels equal their whole-array references, and every
 variant's whole forward pass equals the straight-line oracle, with
@@ -37,8 +37,8 @@ from fagcn.noise import inject_noise
 from fagcn.training import VARIANTS, ExperimentConfig, train
 
 from conftest import sum_all
-from _oracle import (adjacency_of, arrays_of, normalized_adjacency_of, straightline_baseline,
-                     straightline_forward)
+from _oracle import (adjacency_of, arrays_of, listed_ones, normalized_adjacency_of,
+                     straightline_baseline, straightline_forward)
 
 FEW = settings(derandomize=True, max_examples=25, deadline=None)
 VOCAB = 5
@@ -92,13 +92,12 @@ class TestNoNoise:
 
 @st.composite
 def graphs_with_constants(draw):
-    """A graph of 1-12 nodes and an n x 0-6 array of zeros, ones and reals."""
+    """A graph of 1-12 nodes and an n x 0-6 array of zeros and ones."""
     n = draw(st.integers(1, 12))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=30))
     width = draw(st.integers(0, 6))
-    entry = st.just(0.0) | st.just(1.0) | st.floats(-1e3, 1e3)
-    x = draw(st.lists(entry, min_size=n * width, max_size=n * width))
+    x = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * width, max_size=n * width))
     return Graph(n, edges), np.array(x, dtype=float).reshape(n, width)
 
 
@@ -107,7 +106,7 @@ class TestConstantProduct:
     @given(case=graphs_with_constants())
     def test_matches_the_dense_product(self, case):
         graph, x = case
-        product = GraphOperators.build(graph).norm_adj.propagate_constant(x)
+        product = GraphOperators.build(graph).norm_adj.propagate_nonzeros(*listed_ones(x))
         np.testing.assert_allclose(product, normalized_adjacency_of(graph) @ x,
                                    rtol=1e-12, atol=1e-12)
 
@@ -123,7 +122,7 @@ class TestConstantProduct:
         for node, tokens in enumerate(contents):
             bow[node, tokens] = 1.0
         op = GraphOperators.build(graph).norm_adj
-        whole = op.propagate_constant(bow)
+        whole = op.propagate_nonzeros(*listed_ones(bow))
         with mock.patch.object(T, "GATHER_BLOCK", block):
             product = op.propagate_nonzeros(*corpus.distinct_tokens, VOCAB)
         np.testing.assert_allclose(product, normalized_adjacency_of(graph) @ bow,

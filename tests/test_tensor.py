@@ -23,6 +23,16 @@ def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+class TestTensor:
+    @pytest.mark.parametrize("data", [1.5, [1.0, 2.0], np.zeros(0), np.zeros((2, 2, 1))],
+                             ids=["0-D", "1-D", "empty-1-D", "3-D"])
+    def test_data_that_is_not_2d_is_a_shape_error(self, data):
+        with pytest.raises(ShapeError, match="2-D"):
+            Tensor(data)
+        with pytest.raises(ShapeError, match="2-D"):
+            T.constant(data)
+
+
 class TestMatmul:
     def test_identity(self):
         z = T.matmul(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0], [4.0]]))

@@ -10,7 +10,7 @@ import pytest
 
 from fagcn.corpus import DatasetSplit, split
 from fagcn.datasets import two_cluster_fixture
-from fagcn.errors import ConfigError, DataError, NumericError
+from fagcn.errors import ConfigError, DataError, NumericError, ShapeError
 from fagcn.graph import Graph
 from fagcn.model import BaselineParams, ModelParams
 from fagcn.noise import sweep
@@ -200,6 +200,17 @@ class TestTrain:
             train(small_config(), graph, corpus, DatasetSplit(train_idx, test_idx))
 
     @pytest.mark.parametrize("train_idx, test_idx, match", [
+        ((0, 1, 0), (2,), "train set repeats node 0"),
+        ((0, 1), (2, 5, 3, 5), "test set repeats node 5"),
+    ])
+    def test_a_repeated_node_fails_before_any_epoch(self, monkeypatch, train_idx, test_idx,
+                                                    match):
+        graph, corpus, _ = two_cluster_fixture()
+        monkeypatch.setattr("fagcn.training.loss", lambda *args: pytest.fail("ran an epoch"))
+        with pytest.raises(ConfigError, match=match):
+            train(small_config(), graph, corpus, DatasetSplit(train_idx, test_idx))
+
+    @pytest.mark.parametrize("train_idx, test_idx, match", [
         ((), tuple(range(8)), "train set is empty"),  # only the L2 terms would train
         ((0, 1, 2), (), "test set is empty"),         # used to fail after the last epoch
     ])
@@ -284,6 +295,28 @@ class TestEvaluate:
         params = init_params(small_config(), corpus, derive_rng(0, "init"))
         with pytest.raises(ConfigError, match="test indices"):
             evaluate(params, graph, corpus, test_idx)
+
+    def test_a_repeated_test_node_is_a_config_error(self):
+        # node 2 would be scored three times
+        graph, corpus, _ = two_cluster_fixture()
+        params = init_params(small_config(), corpus, derive_rng(0, "init"))
+        with pytest.raises(ConfigError, match="test set repeats node 2"):
+            evaluate(params, graph, corpus, [2, 2, 2, 5])
+
+    @pytest.mark.parametrize("variant", ["none", "baseline_gcn"])
+    @pytest.mark.parametrize("terms, classes", [(5, 3), (4, 2), (6, 2)])
+    def test_weights_for_another_corpus_size_are_a_shape_error(self, variant, terms, classes):
+        # 2-class weights on three label names would score 0.5
+        graph, corpus, _ = two_cluster_fixture()
+        corpus = dataclasses.replace(corpus, vocab_size=terms,
+                                     contents=[[min(t, terms - 1) for t in c]
+                                               for c in corpus.contents],
+                                     label_names=["fruit", "mineral", "other"][:classes])
+        params = init_params(small_config(variant=variant), two_cluster_fixture()[1],
+                             derive_rng(0, "init"))
+        with pytest.raises(ShapeError, match=f"5 terms and 2 classes .* {terms} terms and "
+                                             f"{classes} classes"):
+            evaluate(params, graph, corpus, [0, 5])
 
     def test_numpy_indices_are_accepted(self):
         graph, corpus, _ = two_cluster_fixture()
