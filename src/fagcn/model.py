@@ -148,6 +148,15 @@ class BaselineParams:
         return [self.conv1_weight, self.conv2_weight]
 
 
+def check_fit(params: ModelParams | BaselineParams, corpus: ContentCorpus) -> None:
+    """ShapeError unless ``params`` are weights for the corpus's term and class counts."""
+    terms = (params.conv1_weight if params.kind == "baseline" else params.embeddings).rows
+    classes = params.conv2_weight.cols
+    if (terms, classes) != (corpus.vocab_size, corpus.num_classes):
+        raise ShapeError(f"weights for {terms} terms and {classes} classes do not fit a "
+                         f"corpus of {corpus.vocab_size} terms and {corpus.num_classes} classes")
+
+
 def init_for_variant(variant: str, vocab_size: int, num_classes: int, embed_dim: int,
                      feature_dim: int, hidden_dim: int,
                      rng: np.random.Generator) -> ModelParams | BaselineParams:
@@ -365,7 +374,7 @@ def forward(params: ModelParams, graph: Graph, corpus: ContentCorpus, *,
 def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
          l2_feature: float, l2_node: float) -> Tensor:
     """Cross-entropy over labeled nodes plus the two L2 penalties, as one
-    taped op.
+    taped op; both penalty weights must be finite and >= 0.
 
     The penalties cover exactly the two stacked LSTM gate weights (feature
     term) and the two convolution weights (node term); biases, embeddings and
@@ -374,8 +383,8 @@ def loss(z: Tensor, labels: LabelMatrix, params: ModelParams | BaselineParams,
     z > 1e-12 and 0 elsewhere (Y the masked one-hot labels), and a weight W
     penalized by λ gets 2 g λ W.
     """
-    if l2_feature < 0 or l2_node < 0:
-        raise ConfigError("regularization weights must be non-negative")
+    if not (0 <= l2_feature < np.inf and 0 <= l2_node < np.inf):
+        raise ConfigError(f"L2 weights must be finite and >= 0, got {l2_feature}, {l2_node}")
     masked, z_data = labels.masked, z.data
     if z_data.shape != masked.shape:
         raise ShapeError(f"probabilities {z.shape} do not fit labels {masked.shape}")
@@ -438,10 +447,14 @@ def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,
 
     For every member of the center's closed neighborhood, lists that
     node's (token string, weight) pairs sorted by descending weight;
-    the "none" variant reports the uniform weights it implies. Numpy's
-    floating-point errors, and encoded rows or weights that are not
-    finite, raise NumericError instead of warning.
+    the "none" variant reports the uniform weights it implies. Baseline
+    weights are a ConfigError, and weights that do not fit the corpus a
+    ShapeError. Numpy's floating-point errors, and encoded rows or
+    weights that are not finite, raise NumericError instead of warning.
     """
+    if params.kind == "baseline":
+        raise ConfigError("baseline weights have no attention to export")
+    check_fit(params, corpus)
     check_node(graph, center)
     if len(terms) < corpus.vocab_size:
         raise ShapeError(f"{len(terms)} terms cannot name a vocabulary of {corpus.vocab_size}")

@@ -100,11 +100,12 @@ AXES = {"d_i": "embed_dim", "d_o": "feature_dim", "d_h": "hidden_dim",
 
 
 def _listed(name: str, items) -> list:
-    """``items`` as a list; a string or a scalar is a ConfigError."""
-    try:  # a string is iterable, but not a list of values
-        return list(None if isinstance(items, (str, bytes)) else items)
-    except TypeError:
-        raise ConfigError(f"sweep {name} must be a list, got {items!r}") from None
+    """``items`` (a list, tuple, range or 1-D array) as a list; anything else,
+    a set (in hash-seed order) or a mapping included, is a ConfigError."""
+    if not (isinstance(items, (list, tuple, range))
+            or isinstance(items, np.ndarray) and items.ndim == 1):
+        raise ConfigError(f"sweep {name} must be a list, got {items!r}")
+    return list(items)
 
 
 def sweep(config: ExperimentConfig, graph: Graph, corpus: ContentCorpus, axis: str,

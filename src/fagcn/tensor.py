@@ -35,17 +35,18 @@ k-th entry at once and the few longest segments finish in one ``_sums``.
 Graph propagation runs this way, forward and backward
 (``model.PairOperator``).
 
-Vectors are represented as 1-row matrices throughout.
+Vectors are represented as 1-row matrices throughout. The tests check
+every gradient function against central differences (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 
 Array = np.ndarray
 
@@ -465,63 +466,3 @@ def gather_segment_sum(weights: Tensor, x: Tensor, rows: Sequence[int],
                (lambda g: _dots(x_data, idx, g, seg),
                 lambda g: _scatter_rows(x, idx, g[seg], w_data)))
 
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    params: Iterable[tuple[str, Tensor]],
-    eps: float,
-    rng: np.random.Generator | None = None,
-    samples_per_param: int | None = None,
-) -> float:
-    """Compare taped gradients of ``loss_fn`` against central differences.
-
-    ``loss_fn`` must be deterministic (dropout off, any randomness fixed)
-    and is called once under a tape for the analytic gradients, then
-    twice per probed entry without a tape. Returns the maximum of
-    |analytic - numeric| / max(1, |analytic|) over the probed entries;
-    with ``samples_per_param=None`` every entry of every parameter is
-    probed, otherwise that many entries are sampled per parameter.
-    """
-    if eps <= 0:
-        raise ConfigError(f"grad_check eps must be positive, got {eps}")
-    param_list = list(params)
-    for _, p in param_list:
-        p.zero_grad()
-    with Tape() as tape:
-        out = loss_fn()
-        if not np.isfinite(out.data).all():
-            raise NumericError("loss is not finite at the expansion point")
-        tape.backward(out)
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-                for name, p in param_list}
-
-    worst = 0.0
-    for name, p in param_list:
-        flat = p.data.reshape(-1)
-        n_entries = flat.size
-        if samples_per_param is None or samples_per_param >= n_entries:
-            picks = np.arange(n_entries)
-        else:
-            if rng is None:
-                raise ConfigError("sampling entries requires a random generator")
-            picks = rng.choice(n_entries, size=samples_per_param, replace=False)
-        ana_flat = analytic[name].reshape(-1)
-        for k in picks:
-            original = flat[k]
-            flat[k] = original + eps
-            up = loss_fn().item()
-            flat[k] = original - eps
-            down = loss_fn().item()
-            flat[k] = original
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericError(f"non-finite loss while probing {name}")
-            numeric = (up - down) / (2.0 * eps)
-            err = abs(ana_flat[k] - numeric) / max(1.0, abs(ana_flat[k]))
-            worst = max(worst, err)
-    for _, p in param_list:
-        p.zero_grad()
-    return worst

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .corpus import ContentCorpus, DatasetSplit, split
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError
 from .graph import Graph
-from .model import (BaselineParams, GraphOperators, LabelMatrix, ModelParams,
+from .model import (BaselineParams, GraphOperators, LabelMatrix, ModelParams, check_fit,
                     init_for_variant, loss)
 from .tensor import Tape, Tensor
 from .util import derive_rng
@@ -191,11 +191,7 @@ def predict(params: ModelParams | BaselineParams, graph: Graph, corpus: ContentC
     """Class-probability matrix in evaluation mode (dropout forced off).
     Weights for other term or class counts than the corpus's are a
     ShapeError."""
-    terms = (params.conv1_weight if params.kind == "baseline" else params.embeddings).rows
-    classes = params.conv2_weight.cols
-    if (terms, classes) != (corpus.vocab_size, corpus.num_classes):
-        raise ShapeError(f"weights for {terms} terms and {classes} classes do not fit a "
-                         f"corpus of {corpus.vocab_size} terms and {corpus.num_classes} classes")
+    check_fit(params, corpus)
     run = params.bind(graph, corpus, operators)
     return run(training=False, layer1_normalize=layer1_normalize).data
 

@@ -9,9 +9,9 @@ import fagcn.tensor as T
 from fagcn.attention import AttentionParams, token_weights
 from fagcn.errors import ConfigError, ShapeError
 from fagcn.graph import Graph
-from fagcn.tensor import Tape, Tensor
+from fagcn.tensor import Tensor
 
-from conftest import numeric_gradient, sum_all
+from conftest import grad_check, sum_all
 
 
 def self_params(vector) -> AttentionParams:
@@ -229,14 +229,7 @@ class TestSimplexAndReductions:
             mixed = T.gather_segment_sum(weights, features, rows, segments)
             return sum_all(T.mul(T.constant(probe), mixed))
 
-        for _, p in targets:
-            p.zero_grad()
-        with Tape() as tape:
-            tape.backward(objective())
-        for name, p in targets:
-            expected = numeric_gradient(lambda: objective().item(), p.data, eps=1e-5)
-            denom = np.maximum(np.abs(expected), 1.0)
-            assert np.max(np.abs(p.grad - expected) / denom) < 1e-6, name
+        assert grad_check(objective, targets, eps=1e-5) < 1e-6
 
 
 class TestAttentionParams:

@@ -15,7 +15,7 @@ from fagcn.lstm import LstmDirectionParams, _run_direction, bilstm_encode
 from fagcn.model import ModelParams
 from fagcn.tensor import Tape, Tensor
 
-from conftest import numeric_gradient, sum_all
+from conftest import grad_check, sum_all
 
 
 def sigmoid(x):
@@ -187,19 +187,9 @@ class TestBilstmEncode:
                    + bwd.named_parameters("bwd"))
 
         def run():
-            out = encode(fwd, bwd, seq)
-            return sum_all(T.mul(T.constant(weights), out)).item()
+            return sum_all(T.mul(T.constant(weights), encode(fwd, bwd, seq)))
 
-        for _, p in targets:
-            p.zero_grad()
-        with Tape() as tape:
-            out = encode(fwd, bwd, seq)
-            tape.backward(sum_all(T.mul(T.constant(weights), out)))
-        for name, p in targets:
-            expected = numeric_gradient(run, p.data, eps=1e-5)
-            got = p.grad if p.grad is not None else np.zeros_like(p.data)
-            denom = np.maximum(np.abs(expected), 1.0)
-            assert np.max(np.abs(got - expected) / denom) < 1e-4, name
+        assert grad_check(run, targets, eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize("length", [1, 9])
     def test_one_tape_record(self, rng, length):
@@ -282,17 +272,9 @@ class TestPackedSegments:
 
         def run():
             out = bilstm_encode(fwd, bwd, table, tokens, starts)
-            return sum_all(T.mul(T.constant(weights), out)).item()
+            return sum_all(T.mul(T.constant(weights), out))
 
-        for _, p in targets:
-            p.zero_grad()
-        with Tape() as tape:
-            out = bilstm_encode(fwd, bwd, table, tokens, starts)
-            tape.backward(sum_all(T.mul(T.constant(weights), out)))
-        for name, p in targets:
-            expected = numeric_gradient(run, p.data, eps=1e-5)
-            denom = np.maximum(np.abs(expected), 1.0)
-            assert np.max(np.abs(p.grad - expected) / denom) < 1e-6, name
+        assert grad_check(run, targets, eps=1e-5) < 1e-6
 
     @pytest.mark.parametrize("starts", [[0, 2, 2, 5], [1, 3], [0, 4, 2], [0, 7]],
                              ids=["empty-segment", "not-from-zero", "unordered", "past-end"])

@@ -22,7 +22,7 @@ from fagcn.model import (BaselineParams, GraphOperators, LabelMatrix,
 from fagcn.tensor import Tape, Tensor
 from fagcn.training import ExperimentConfig, evaluate, predict, train
 
-from conftest import sum_all
+from conftest import grad_check, sum_all
 from _oracle import (adjacency_of, arrays_of, listed_ones, normalized_adjacency_of,
                      straightline_baseline, straightline_forward, straightline_loss)
 
@@ -373,7 +373,7 @@ class TestPairOperator:
         def loss_fn():
             return sum_all(T.mul(probe, layer2(norm_adj, hidden, w)))
 
-        assert T.grad_check(loss_fn, [("hidden", hidden), ("w", w)], eps=1e-6) < 1e-7
+        assert grad_check(loss_fn, [("hidden", hidden), ("w", w)], eps=1e-6) < 1e-7
 
     def test_gradients_through_baseline(self, rng):
         norm_adj = GraphOperators.build(PAIR_GRAPHS["irregular"]).norm_adj
@@ -386,7 +386,7 @@ class TestPairOperator:
             z = baseline_gcn_forward(norm_adj, bow, params.conv1_weight, params.conv2_weight)
             return loss(z, labels, params, 0.0, 5e-4)
 
-        assert T.grad_check(loss_fn, params.named_parameters(), eps=1e-6) < 1e-7
+        assert grad_check(loss_fn, params.named_parameters(), eps=1e-6) < 1e-7
 
 
 def hub_on_ring(n: int) -> Graph:
@@ -780,9 +780,11 @@ class TestErrorContract:
         params = fixture_params("none")
         z = Tensor(np.full((4, 2), 0.5))
         labels = LabelMatrix.build([0, 1, 0, 1], 2, train_idx=[0])
-        for l2_feature, l2_node in ((-1e-3, 0.0), (0.0, -1e-3)):
-            with pytest.raises(ConfigError):
-                loss(z, labels, params, l2_feature, l2_node)
+        # a NaN weight used to drop its penalty, and an infinite one gave an infinite loss
+        for bad in (-1e-3, np.nan, np.inf):
+            for l2_feature, l2_node in ((bad, 0.0), (0.0, bad)):
+                with pytest.raises(ConfigError):
+                    loss(z, labels, params, l2_feature, l2_node)
 
     @pytest.mark.parametrize("center", [-1, 4])
     def test_export_out_of_range_node_is_config_error(self, center):
@@ -926,8 +928,8 @@ class TestFullModelGradients:
             z = forward(params, graph, corpus)
             return loss(z, labels, params, 5e-3, 5e-4)
 
-        return T.grad_check(loss_fn, params.named_parameters(), eps=1e-5,
-                            rng=np.random.default_rng(0), samples_per_param=4)
+        return grad_check(loss_fn, params.named_parameters(), eps=1e-5,
+                          rng=np.random.default_rng(0), samples_per_param=4)
 
     @pytest.mark.parametrize("variant", ["none", "self", "context"])
     def test_every_parameter_group_passes(self, variant):

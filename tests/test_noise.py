@@ -217,8 +217,16 @@ class TestNoiseSweep:
         ([0.5], ["self"], 1, "seeds must be a list"),
         ([0.5], ["self"], b"\x01", "seeds must be a list"),
         ([0.5], ["self"], np.array([1, 2]), "seed must be of type int"),
+        # a mapping gave its keys, and a set its hash-seed order
+        ({0.5, 0.25}, ["self"], [1], "values must be a list"),
+        ([0.5], {"self": 1}, [1], "variants must be a list"),
+        ([0.5], dict.fromkeys(["self"]).keys(), [1], "variants must be a list"),
+        ([0.5], ["self"], frozenset([1]), "seeds must be a list"),
+        ([0.5], ["self"], (s for s in [1]), "seeds must be a list"),
+        (np.array([[0.5]]), ["self"], [1], "values must be a list"),
     ], ids=["float", "numpy-float", "0-d-array", "string-values", "string-variants",
-            "int-seeds", "bytes-seeds", "numpy-int-seeds"])
+            "int-seeds", "bytes-seeds", "numpy-int-seeds", "set", "dict", "dict-keys",
+            "frozenset", "generator", "2-d-array"])
     def test_a_scalar_or_a_string_for_a_list_is_a_config_error(self, monkeypatch, ratios,
                                                                 variants, seeds, match):
         graph, corpus, _ = two_cluster_fixture()
@@ -335,10 +343,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis", ["p", "noise-replace"])
     def test_a_float_array_of_values_sweeps_like_the_list(self, axis):
+        # and so do tuples and ranges
         graph, corpus, _ = two_cluster_fixture()
         args = (["none", "self"], [1, 2])
         assert (sweep(self.config(), graph, corpus, axis, np.array(VALUES[axis]), *args)
-                == sweep(self.config(), graph, corpus, axis, VALUES[axis], *args))
+                == sweep(self.config(), graph, corpus, axis, VALUES[axis], *args)
+                == sweep(self.config(), graph, corpus, axis, tuple(VALUES[axis]),
+                         ("none", "self"), range(1, 3)))
 
     @pytest.mark.parametrize("axis, values, match", [
         ("warp", [1], "unknown sweep axis"), (["d_h"], [2], "unknown sweep axis"),

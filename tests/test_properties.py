@@ -36,7 +36,7 @@ from fagcn.model import (GraphOperators, LabelMatrix, ModelParams, PairOperator,
 from fagcn.noise import inject_noise
 from fagcn.training import VARIANTS, ExperimentConfig, train
 
-from conftest import sum_all
+from conftest import grad_check, sum_all
 from _oracle import (adjacency_of, arrays_of, listed_ones, normalized_adjacency_of,
                      straightline_baseline, straightline_forward)
 
@@ -255,7 +255,7 @@ class TestWholeModel:
                 expected = straightline_forward(arrays_of(params), adjacency, contents, variant,
                                                 layer1_normalize)
             np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12)
-            worst = T.grad_check(
+            worst = grad_check(
                 lambda: loss(run(layer1_normalize=layer1_normalize), labels, params, 5e-3, 5e-4),
                 params.named_parameters(), eps=1e-5, rng=rng, samples_per_param=4)
         assert worst < 1e-4

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import fagcn.tensor as T
-from fagcn.errors import ConfigError, NumericError, ShapeError
+from fagcn.errors import ConfigError, ShapeError
 from fagcn.tensor import Tape, Tensor
 
-from conftest import numeric_gradient, sum_all
+from conftest import grad_check, numeric_gradient, sum_all
 
 
 def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,18 +58,8 @@ class TestMatmul:
             a = Tensor(rng.standard_normal((m, k)))
             b = Tensor(rng.standard_normal((k, n)))
 
-            def run():
-                return float(sum_all(T.matmul(a, b)).item())
-
-            a.zero_grad()
-            b.zero_grad()
-            with Tape() as tape:
-                out = sum_all(T.matmul(a, b))
-                tape.backward(out)
-            for t in (a, b):
-                expected = numeric_gradient(run, t.data)
-                denom = np.maximum(np.abs(expected), 1.0)
-                assert np.max(np.abs(t.grad - expected) / denom) < 1e-6
+            assert grad_check(lambda: sum_all(T.matmul(a, b)), [("a", a), ("b", b)],
+                              eps=1e-6) < 1e-6
 
 
 class TestActivations:
@@ -538,41 +528,3 @@ class TestOpContract:
             tape.backward(sum_all(x))
         assert unused.grad is None
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
-
-
-class TestGradCheck:
-    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
-    def test_linear_function(self, eps):
-        params = [("theta", Tensor(0.1 * np.arange(6.0).reshape(2, 3)))]
-
-        def loss_fn():
-            return sum_all(params[0][1])
-
-        err = T.grad_check(loss_fn, params, eps=eps)
-        assert err < 1e-10
-
-    def test_quadratic_function(self, rng):
-        theta = Tensor(rng.standard_normal((3, 3)))
-
-        def loss_fn():
-            return sum_all(T.mul(theta, theta))
-
-        err = T.grad_check(loss_fn, [("theta", theta)], eps=1e-5)
-        assert err < 1e-8
-        # analytic gradient of ||theta||^2 is 2 * theta
-        with Tape() as tape:
-            tape.backward(loss_fn())
-        np.testing.assert_allclose(theta.grad, 2.0 * theta.data, atol=1e-12)
-
-    def test_non_finite_loss_raises(self):
-        bad = Tensor([[np.inf]])
-
-        def loss_fn():
-            return sum_all(bad)
-
-        with pytest.raises(NumericError):
-            T.grad_check(loss_fn, [("bad", bad)], eps=1e-5)
-
-    def test_invalid_eps(self):
-        with pytest.raises(ConfigError):
-            T.grad_check(lambda: Tensor([[0.0]]), [], eps=0.0)

@@ -12,7 +12,7 @@ from fagcn.corpus import DatasetSplit, split
 from fagcn.datasets import two_cluster_fixture
 from fagcn.errors import ConfigError, DataError, NumericError, ShapeError
 from fagcn.graph import Graph
-from fagcn.model import BaselineParams, ModelParams
+from fagcn.model import BaselineParams, ModelParams, export_attention
 from fagcn.noise import sweep
 from fagcn.corpus import ContentCorpus
 from fagcn.tensor import Tensor
@@ -306,17 +306,21 @@ class TestEvaluate:
     @pytest.mark.parametrize("variant", ["none", "baseline_gcn"])
     @pytest.mark.parametrize("terms, classes", [(5, 3), (4, 2), (6, 2)])
     def test_weights_for_another_corpus_size_are_a_shape_error(self, variant, terms, classes):
-        # 2-class weights on three label names would score 0.5
-        graph, corpus, _ = two_cluster_fixture()
+        # 2-class weights on three label names would score 0.5; export_attention shares
+        # the check, and refuses baseline weights, which used to raise AttributeError
+        graph, corpus, vocab = two_cluster_fixture()
         corpus = dataclasses.replace(corpus, vocab_size=terms,
                                      contents=[[min(t, terms - 1) for t in c]
                                                for c in corpus.contents],
                                      label_names=["fruit", "mineral", "other"][:classes])
         params = init_params(small_config(variant=variant), two_cluster_fixture()[1],
                              derive_rng(0, "init"))
-        with pytest.raises(ShapeError, match=f"5 terms and 2 classes .* {terms} terms and "
-                                             f"{classes} classes"):
+        fit = f"5 terms and 2 classes .* {terms} terms and {classes} classes"
+        with pytest.raises(ShapeError, match=fit):
             evaluate(params, graph, corpus, [0, 5])
+        error, match = (ConfigError, "baseline") if variant == "baseline_gcn" else (ShapeError, fit)
+        with pytest.raises(error, match=match):
+            export_attention(params, graph, corpus, vocab.terms, 0)
 
     def test_numpy_indices_are_accepted(self):
         graph, corpus, _ = two_cluster_fixture()
