@@ -4,6 +4,9 @@ token occurrence in a node's content.
 The encoder runs on the segment layout: the tokens of every node are
 stacked in one array, node i's from entry ``starts[i]``, and the
 embedding lookup, both directions and their sum are one taped operation.
+Both paths advance the recurrence by ``_step``. While a tape records,
+``_run_direction`` keeps every token's gates and cell state for the
+reverse sweep; otherwise ``_forward_only`` keeps only the output.
 """
 
 from __future__ import annotations
@@ -56,11 +59,21 @@ class LstmDirectionParams:
         return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    y = np.tanh(0.5 * z)
-    y += 1.0
-    y *= 0.5
-    return y
+LANE_BLOCK = 256  # sequences _forward_only advances through their steps together
+
+
+def _step(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c_t, h_t) from the gate pre-activations ``z`` (f, i, g, o side by
+    side) and the carried cell states ``c``; writes the activations over ``z``."""
+    d = c.shape[1]
+    gate = np.tanh(0.5 * z)  # the sigmoid, (1 + tanh(z / 2)) / 2
+    gate += 1.0
+    gate *= 0.5
+    np.tanh(z[:, 2 * d:3 * d], out=gate[:, 2 * d:3 * d])
+    z[:] = gate
+    f, i, g, o = (z[:, k * d:(k + 1) * d] for k in range(4))
+    c = f * c + i * g
+    return c, o * np.tanh(c)
 
 
 def _run_direction(params: LstmDirectionParams, x: np.ndarray, visits: np.ndarray,
@@ -68,16 +81,17 @@ def _run_direction(params: LstmDirectionParams, x: np.ndarray, visits: np.ndarra
     """The recurrence over the rows of ``x``, advanced in the order
     ``visits``, and the function that maps its output gradient to the
     gradients of ``x``, the weight and the bias. Outputs come back in row
-    order. Per step, gates f, i, o are sigmoids and the cell candidate g a
-    tanh of [x_t, h_{t-1}] times the gate weight plus bias; c_t = f*c_{t-1}
-    + i*g and h_t = o*tanh(c_t), from zero states.
+    order. Per step (``_step``), gates f, i, o are sigmoids and the cell
+    candidate g a tanh of [x_t, h_{t-1}] times the gate weight plus bias;
+    c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t), from zero states.
 
     After Appleyard et al. (arXiv 1604.01946), the input projection of
     every token is one product and the time loop carries only ``h @ W_h``.
     Step t advances the first ``batch[t]`` carried states, one visit each,
     so the loop runs once per position of the longest sequence, without
-    padding. The three gradients come from one reverse sweep over the same
-    visits; the weight gradient is then one product. ``W_x`` and ``W_h``
+    padding. It keeps the (tokens x 4d) gate and (tokens x d) cell buffers
+    for one reverse sweep over the same visits, which gives the three
+    gradients; the weight gradient is then one product. ``W_x`` and ``W_h``
     are row views of the stacked gate weight, not rebuilt copies; the
     weight still holds its forward values when the tape runs.
     """
@@ -92,12 +106,8 @@ def _run_direction(params: LstmDirectionParams, x: np.ndarray, visits: np.ndarra
         active = hi - lo
         z = gates[lo:hi]
         z += h[:active] @ w_h
-        gate = _sigmoid(z)
-        np.tanh(z[:, 2 * d:3 * d], out=gate[:, 2 * d:3 * d])
-        z[:] = gate
-        f, i, g, o = (z[:, k * d:(k + 1) * d] for k in range(4))
-        c = cs[lo:hi] = f * c[:active] + i * g
-        h = out_data[visits[lo:hi]] = o * np.tanh(c)
+        c, h = _step(z, c[:active])
+        cs[lo:hi], out_data[visits[lo:hi]] = c, h
 
     def gradients(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The gradients of x, the weight and the bias. The sweep writes the
@@ -130,6 +140,30 @@ def _run_direction(params: LstmDirectionParams, x: np.ndarray, visits: np.ndarra
     return out_data, gradients
 
 
+def _forward_only(params: LstmDirectionParams, x: np.ndarray, rows: np.ndarray,
+                  visits: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """``_run_direction``'s output for token r embedded as row ``rows[r]`` of
+    ``x``, keeping no other buffer of token size. P = x @ W_x + b is one
+    product; lanes run in blocks of at most ``LANE_BLOCK`` through all their
+    steps, and a step reads its rows of P and adds ``h @ W_h``."""
+    d, e = params.feature_dim, params.embed_dim
+    proj = x @ params.weight.data[:e]
+    proj += params.bias.data
+    w_h, out, offsets = params.weight.data[e:], np.empty((visits.size, d)), np.cumsum(batch) - batch
+    for a in range(0, batch[0], LANE_BLOCK):
+        # BLAS sums a one-row product in another order, and _run_direction
+        # takes one only when lane 0 runs alone: pad every later block a row
+        pad, counts = int(a > 0), np.minimum(batch - a, LANE_BLOCK)
+        h, c = np.zeros((counts[0] + pad, d)), np.zeros((counts[0], d))
+        for lo, active in zip(offsets + a, counts[counts > 0]):
+            at = visits[lo:lo + active]
+            z = proj[rows[at]]
+            z += (h[:active + pad] @ w_h)[:active]
+            c, h[:active] = _step(z, c[:active])
+            out[at] = h[:active]
+    return out
+
+
 def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Tensor,
                   tokens: Sequence[int], starts: Sequence[int]) -> Tensor:
     """Encode token sequences with both directions combined, as one taped
@@ -142,8 +176,8 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
     order. Sequences are packed longest first (``tensor.packed``): step t
     advances token t of every sequence longer than t. The table's
     gradient scatters the sum of both directions' input gradients. With
-    no tape recording, each direction's buffers are freed once its output
-    is taken.
+    no tape recording, both directions run forward-only and read only the
+    table rows that ``tokens`` uses.
     """
     if fwd.embed_dim != bwd.embed_dim or fwd.feature_dim != bwd.feature_dim:
         raise ShapeError("forward/backward parameter dimensions disagree")
@@ -157,12 +191,15 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
     starts, _ = T._segments(starts, n)
     lengths = np.diff(starts, append=n)
     batch, lane, step = T.packed(lengths)
-    x = table.data[idx]
+    directions = ((fwd, starts[lane] + step), (bwd, starts[lane] + lengths[lane] - 1 - step))
     inputs = (table, fwd.weight, fwd.bias, bwd.weight, bwd.bias)
-    ahead, grads_f = _run_direction(fwd, x, starts[lane] + step, batch)
     if not T._recording(inputs):
-        grads_f = None  # frees the forward direction's buffers before the reverse runs
-    behind, grads_b = _run_direction(bwd, x, starts[lane] + lengths[lane] - 1 - step, batch)
+        terms, rows = np.unique(idx, return_inverse=True)
+        ahead, behind = (_forward_only(p, table.data[terms], rows, v, batch) for p, v in directions)
+        ahead += behind
+        return T._op(ahead, inputs, ())
+    x = table.data[idx]
+    (ahead, grads_f), (behind, grads_b) = (_run_direction(p, x, v, batch) for p, v in directions)
     pending, done = [grads_f, grads_b], []
 
     def swept(grad: np.ndarray) -> list[np.ndarray]:

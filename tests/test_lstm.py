@@ -1,9 +1,7 @@
 """Recurrent encoder against a scalar hand-trace and an independent
 step-by-step recurrence oracle."""
 
-import contextlib
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -219,28 +217,22 @@ class TestBilstmEncode:
             tracemalloc.stop()
         assert peak < 4.3 * n * 4 * d * 8
 
-    @pytest.mark.parametrize("recording", [False, True])
-    def test_without_a_tape_each_direction_is_freed_before_the_next_runs(
-            self, rng, monkeypatch, recording):
-        # evaluation holds one direction's gate, cell and output buffers at
-        # a time; a recording tape keeps both for the backward pass
-        fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
-        table = Tensor(rng.standard_normal((6, 3)))
-        tokens, starts = rng.integers(0, 6, size=9), np.array([0, 4, 5])
-        gradient_fns, alive_at_start = [], []
-
-        def spy(*args):
-            alive_at_start.append([ref() is not None for ref in gradient_fns])
-            out, gradients = _run_direction(*args)
-            gradient_fns.append(weakref.ref(gradients))
-            return out, gradients
-
-        monkeypatch.setattr(lstm, "_run_direction", spy)
-        with Tape() if recording else contextlib.nullcontext():
-            out = bilstm_encode(fwd, bwd, table, tokens, starts)
-        assert alive_at_start == [[], [recording]]
-        monkeypatch.undo()
-        np.testing.assert_array_equal(out.data, bilstm_encode(fwd, bwd, table, tokens, starts).data)
+    def test_without_a_tape_keeps_no_buffer_of_token_size(self, rng):
+        # the forward-only path holds both directions' outputs and index
+        # arrays, less than the one (tokens x 4 feature_dim) gate buffer a
+        # taped direction keeps; 2,000 lanes run in several lane blocks
+        n, d = 20000, 16
+        fwd, bwd = random_params(4, d, rng), random_params(4, d, rng)
+        table = Tensor(rng.standard_normal((50, 4)))
+        tokens = rng.integers(0, 50, size=n)
+        tracemalloc.start()
+        try:
+            out = bilstm_encode(fwd, bwd, table, tokens, np.arange(0, n, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, d)
+        assert peak < n * 4 * d * 8
 
 
 RAGGED = [3, 1, 4, 4, 1, 2, 1]  # tied lengths and length-1 segments, unsorted
@@ -282,6 +274,38 @@ class TestPackedSegments:
         fwd = random_params(3, 4, rng)
         with pytest.raises(ShapeError):
             encode(fwd, fwd, Tensor(rng.standard_normal((7, 3))), starts)
+
+
+class TestForwardOnly:
+    @pytest.mark.parametrize("block", [2, lstm.LANE_BLOCK])
+    @pytest.mark.parametrize("embed_dim, feature_dim", [(3, 4), (6, 80)])
+    def test_without_a_tape_gives_the_taped_output(self, rng, monkeypatch, block,
+                                                   embed_dim, feature_dim):
+        # at block 2 the seven lanes run in four blocks, and the later ones
+        # end with one active lane where the taped step runs three
+        monkeypatch.setattr(lstm, "LANE_BLOCK", block)
+        starts = ragged_starts()
+        for _ in range(5):
+            fwd = random_params(embed_dim, feature_dim, rng)
+            bwd = random_params(embed_dim, feature_dim, rng)
+            table = Tensor(rng.standard_normal((6, embed_dim)))
+            tokens = rng.integers(0, 6, size=sum(RAGGED))
+            with Tape():
+                taped = bilstm_encode(fwd, bwd, table, tokens, starts).data
+            np.testing.assert_array_equal(bilstm_encode(fwd, bwd, table, tokens, starts).data,
+                                          taped)
+
+    def test_one_distinct_term_is_within_a_rounding_of_the_taped_output(self, rng, monkeypatch):
+        # its projection is a one-row product, which BLAS sums in another
+        # order than the taped path's product over every token
+        monkeypatch.setattr(lstm, "LANE_BLOCK", 2)
+        fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
+        table = Tensor(rng.standard_normal((6, 3)))
+        tokens, starts = np.full(sum(RAGGED), 4), ragged_starts()
+        with Tape():
+            taped = bilstm_encode(fwd, bwd, table, tokens, starts).data
+        np.testing.assert_allclose(bilstm_encode(fwd, bwd, table, tokens, starts).data, taped,
+                                   rtol=0, atol=1e-15)
 
 
 class TestParamInit:

@@ -2,6 +2,7 @@
 equivalence with the straight-line re-implementation, and gradient
 checks for every parameter group."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -1018,6 +1019,35 @@ class TestExportAttention:
         with pytest.raises(NumericError, match="overflow"):
             export_attention(params, graph, corpus, ["ash", "oak", "elm", "fir", "yew", "bay"],
                              center=0)
+
+    @staticmethod
+    def with_a_spare_term(variant: str) -> tuple[Graph, ContentCorpus, ModelParams]:
+        # a vocabulary of 7, so no node uses term 6; the encoders' input
+        # weights are scaled so that projecting a table row of 1e300 overflows
+        graph, corpus, _ = four_node_fixture()
+        corpus = dataclasses.replace(corpus, vocab_size=7)
+        params = ModelParams.init(7, corpus.num_classes, embed_dim=4, feature_dim=4, hidden_dim=3,
+                                  variant=variant, rng=np.random.default_rng(0))
+        for direction in (params.lstm_fwd, params.lstm_bwd):
+            direction.weight.data[:4] *= 1e9
+        return graph, corpus, params
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_a_term_no_node_uses_is_never_projected(self, variant):
+        graph, corpus, params = self.with_a_spare_term(variant)
+        terms = ["ash", "oak", "elm", "fir", "yew", "bay", "elk"]
+        record, z = export_attention(params, graph, corpus, terms, 0), predict(params, graph, corpus)
+        params.embeddings.data[6] = 1e300
+        assert export_attention(params, graph, corpus, terms, 0) == record
+        np.testing.assert_array_equal(predict(params, graph, corpus), z)
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_a_used_term_of_1e300_is_numeric_error(self, variant):
+        graph, corpus, params = self.with_a_spare_term(variant)
+        params.embeddings.data[0] = 1e300
+        with pytest.raises(NumericError, match="overflow"):
+            export_attention(params, graph, corpus,
+                             ["ash", "oak", "elm", "fir", "yew", "bay", "elk"], center=0)
 
     def test_non_finite_weights_are_numeric_error(self):
         graph, corpus, _ = four_node_fixture()
