@@ -3,9 +3,12 @@ by a softmax per segment of consecutive rows, like a graph-attention
 edge softmax. Variants: "none" (zero scores: a plain mean), "self"
 (token h scored tanh(h)·s with a shared trained vector s) and "context"
 (a neighbor's token h scored h·(c Bᵀ), c the sum of the aggregating
-node's token rows). Every variant weighs one (pair, token) layout:
-segment p holds the tokens of ``members[p]`` as ``centers[p]`` aggregates
-it, so under "none" and "self" every pair of a member repeats its weights.
+node's token rows). Every variant weighs one (pair, token) layout,
+``PairTokens``: segment p holds the tokens of ``members[p]`` as
+``centers[p]`` aggregates it, so under "none" and "self" every pair of a
+member repeats its weights. The layout depends only on the graph and
+the corpus, so a model binding builds it once and every epoch's
+gradients reuse its sweeps.
 """
 
 from __future__ import annotations
@@ -63,32 +66,45 @@ class AttentionParams:
         return []
 
 
-def token_weights(attention: AttentionParams, features: Tensor, starts: np.ndarray,
-                  graph: Graph) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Attention weights of the (pair, token) rows of ``graph.pairs``.
+class PairTokens(T.GatherLayout):
+    """The (pair, token) layout of a graph's pairs over token rows stacked
+    in node order, node i's from row ``starts[i]`` of ``total``.
 
-    ``features`` stacks every node's token rows in node order, node i's
-    from row ``starts[i]``. Returns the weight column, the row of
-    ``features`` each weight belongs to, and the segment starts of the
-    column: segment p holds the tokens of ``members[p]`` as seen by
-    ``centers[p]``, in order. The weights of each segment sum to one.
+    Entry t gathers token row ``rows[t]``. Pair p's entries, from
+    ``pair_starts[p]``, are the token rows of ``members[p]`` in order.
+    Pairs are sorted by center, so each center's entries are one segment
+    of the ``tensor.GatherLayout``, which context attention and layer1
+    sum over."""
+
+    def __init__(self, graph: Graph, starts: np.ndarray, total: int):
+        starts = np.asarray(starts, dtype=np.intp)
+        if starts.size != graph.n:
+            raise ShapeError(f"token rows of {starts.size} nodes for a graph of {graph.n}")
+        _, members, indptr = graph.pairs
+        lengths = np.diff(starts, append=total)[members]
+        pair_starts = np.cumsum(lengths) - lengths
+        super().__init__(np.arange(lengths.sum()) + np.repeat(starts[members] - pair_starts,
+                                                               lengths),
+                         pair_starts[indptr[:-1]])
+        self.pair_starts = pair_starts
+        self.node_starts = starts
+        self.total = total
+
+
+def token_weights(attention: AttentionParams, features: Tensor, layout: PairTokens) -> Tensor:
+    """Attention weights of the (pair, token) entries of ``layout``, one
+    row each: ``features`` stacks the token rows the layout gathers. The
+    weights of each pair's segment sum to one.
     """
-    starts = np.asarray(starts, dtype=np.intp)
-    if starts.size != graph.n:
-        raise ShapeError(f"token rows of {starts.size} nodes for a graph of {graph.n}")
-    _, members, indptr = graph.pairs
-    lengths = np.diff(starts, append=features.rows)[members]
-    pair_starts = np.cumsum(lengths) - lengths
-    rows = np.arange(lengths.sum()) + np.repeat(starts[members] - pair_starts, lengths)
+    if features.rows != layout.total:
+        raise ShapeError(f"{features.rows} token rows for a layout over {layout.total}")
     if attention.variant == "none":
-        scores = T.constant(np.zeros((rows.size, 1)))
+        scores = T.constant(np.zeros((layout.rows.size, 1)))
     elif attention.variant == "self":
         scores = T.take_rows(T.matmul(T.tanh(features), T.transpose(attention.score_vector)),
-                             rows)
+                             layout.rows)
     else:
-        contexts = T.gather_segment_sum(T.constant(np.ones((features.rows, 1))), features,
-                                        np.arange(features.rows), starts)
+        contexts = T.segment_sum(features, layout.node_starts)
         keys = T.matmul(contexts, T.transpose(attention.bilinear))
-        # pairs are sorted by center, so each center's (pair, token) rows are one segment
-        scores = T.gather_dot(features, rows, keys, pair_starts[indptr[:-1]])
-    return T.segment_softmax(scores, pair_starts), rows, pair_starts
+        scores = T.gather_dot(features, layout, keys)
+    return T.segment_softmax(scores, layout.pair_starts)

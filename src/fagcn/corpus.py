@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .tensor import GatherLayout
 from .util import require_ascii_ints, round_half_up, text_lines
 
 
@@ -96,6 +97,13 @@ class ContentCorpus:
     def starts(self) -> np.ndarray:
         """Row of each node's first token in ``tokens``."""
         return np.cumsum([0, *map(len, self.contents)])[:-1]
+
+    @cached_property
+    def token_layout(self) -> GatherLayout:
+        """``tokens`` as the encoder's ``tensor.GatherLayout``: entry t
+        gathers embedding row ``tokens[t]``, one segment per node. Its
+        packing and its row sweep are built on first use and kept."""
+        return GatherLayout(self.tokens, self.starts)
 
     @cached_property
     def distinct_tokens(self) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ reverse sweep; otherwise ``_forward_only`` keeps only the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -165,18 +165,19 @@ def _forward_only(params: LstmDirectionParams, x: np.ndarray, rows: np.ndarray,
 
 
 def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Tensor,
-                  tokens: Sequence[int], starts: Sequence[int]) -> Tensor:
+                  tokens: T.GatherLayout) -> Tensor:
     """Encode token sequences with both directions combined, as one taped
     operation over ``table`` and both directions' weights.
 
-    Row t of ``table`` embeds token t. ``tokens`` holds one sequence per
-    segment, each from its entry of ``starts`` up to the next. The
-    backward direction runs over each sequence reversed, and the two
-    outputs are summed per position: one row per token, in original
-    order. Sequences are packed longest first (``tensor.packed``): step t
-    advances token t of every sequence longer than t. The table's
-    gradient scatters the sum of both directions' input gradients. With
-    no tape recording, both directions run forward-only and read only the
+    Row t of ``table`` embeds token t. Entry k of ``tokens`` gathers the
+    table row of the k-th token, and each of its segments is one
+    sequence. The backward direction runs over each sequence reversed,
+    and the two outputs are summed per position: one row per token, in
+    original order. Sequences are packed longest first (``tokens.packing``):
+    step t advances token t of every sequence longer than t. The table's
+    gradient sums both directions' input gradients over the layout's row
+    sweep (``GatherLayout.scatter``), which a corpus builds once. With no
+    tape recording, both directions run forward-only and read only the
     table rows that ``tokens`` uses.
     """
     if fwd.embed_dim != bwd.embed_dim or fwd.feature_dim != bwd.feature_dim:
@@ -184,13 +185,10 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
     if table.cols != fwd.embed_dim:
         raise ShapeError(
             f"sequence width {table.cols} does not match embedding dim {fwd.embed_dim}")
-    idx = T._row_indices(tokens, table)
-    n = idx.size
-    if n < 1:
-        raise ShapeError("cannot encode an empty token sequence")
-    starts, _ = T._segments(starts, n)
+    T._check_gathers(table, tokens)
+    idx, starts, n = tokens.rows, tokens.starts, tokens.rows.size
     lengths = np.diff(starts, append=n)
-    batch, lane, step = T.packed(lengths)
+    batch, lane, step = tokens.packing
     directions = ((fwd, starts[lane] + step), (bwd, starts[lane] + lengths[lane] - 1 - step))
     inputs = (table, fwd.weight, fwd.bias, bwd.weight, bwd.bias)
     if not T._recording(inputs):
@@ -212,7 +210,7 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
     def table_grad(grad: np.ndarray) -> np.ndarray:
         dx = swept(grad)[0]
         dx += done[3]
-        return T._scatter_rows(table, idx, dx)
+        return tokens.scatter(dx, table.shape)
 
     return T._op(ahead + behind, inputs,
                  (table_grad, *(lambda grad, k=k: swept(grad)[k] for k in (1, 2, 4, 5))))

@@ -5,8 +5,11 @@ two-layer GCN baseline on bag-of-words input.
 
 The token rows of all nodes form one matrix, node i's from row
 ``corpus.starts[i]``, so the Bi-LSTM runs once over the whole corpus.
-Attention weighs them in one (pair, token) layout for every variant, and
-layer1 projects them to hidden width before it sums them per center: Â(XW).
+Attention weighs them in one (pair, token) layout for every variant
+(``attention.PairTokens``), and layer1 projects them to hidden width
+before it sums them per center: Â(XW). ``ModelParams.bind`` builds that
+layout once, so the sweeps that attention's and layer1's gradients run
+over are sorted by the first backward and reused by every later epoch.
 Both convolutions and the baseline propagate over the (center, member)
 pairs of ``graph.pairs``, with one coefficient per pair; no n x n matrix
 is built. Layer2 and the baseline's second layer multiply by their
@@ -36,7 +39,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionParams, token_weights
+from .attention import AttentionParams, PairTokens, token_weights
 from .corpus import ContentCorpus, init_embeddings
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .graph import Graph, check_node, normalized_scale
@@ -76,9 +79,12 @@ class ModelParams:
 
     def bind(self, graph: Graph, corpus: ContentCorpus,
              operators: GraphOperators | None = None) -> Callable[..., Tensor]:
-        """``forward`` over this graph and corpus (see ``GraphOperators.of``)."""
+        """``forward`` over this graph and corpus (see ``GraphOperators.of``),
+        with the (pair, token) layout built once for every call, as the
+        baseline's binding builds its Â·BoW."""
         return partial(forward, self, graph, corpus,
-                       operators=GraphOperators.of(graph, operators))
+                       operators=GraphOperators.of(graph, operators),
+                       layout=PairTokens(graph, corpus.starts, corpus.tokens.size))
 
     @property
     def variant(self) -> str:
@@ -287,50 +293,56 @@ def encode_nodes(params: ModelParams, corpus: ContentCorpus, *,
     start at ``corpus.starts[i]``, with dropout applied in training mode.
     """
     return T.dropout(bilstm_encode(params.lstm_fwd, params.lstm_bwd, params.embeddings,
-                                   corpus.tokens, corpus.starts), dropout_lstm, rng, training)
+                                   corpus.token_layout), dropout_lstm, rng, training)
 
 
 def node_input_features(params: ModelParams, corpus: ContentCorpus, graph: Graph, *,
                         training: bool = False,
                         dropout_lstm: float = 0.0,
                         rng: np.random.Generator | None = None,
-                        encoded: Tensor | None = None
-                        ) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+                        encoded: Tensor | None = None,
+                        layout: PairTokens | None = None
+                        ) -> tuple[Tensor, Tensor, PairTokens]:
     """The encoded token rows with their attention weights, as
-    ``(encoded, weights, rows, starts)``.
+    ``(encoded, weights, layout)``.
 
-    ``weights`` has one row per (pair, token): segment p, from row
-    ``starts[p]``, weighs the token rows ``rows`` of node ``members[p]``
-    as ``centers[p]`` aggregates it (see ``token_weights``).
+    ``weights`` has one row per entry of the (pair, token) ``layout``:
+    segment p, from row ``layout.pair_starts[p]``, weighs the token rows
+    of node ``members[p]`` as ``centers[p]`` aggregates it (see
+    ``token_weights``). A layout that is not given is built for this
+    graph and corpus.
     """
+    if layout is None:
+        layout = PairTokens(graph, corpus.starts, corpus.tokens.size)
     if encoded is None:
         encoded = encode_nodes(params, corpus, training=training,
                                dropout_lstm=dropout_lstm, rng=rng)
-    return (encoded, *token_weights(params.attention, encoded, corpus.starts, graph))
+    return encoded, token_weights(params.attention, encoded, layout), layout
 
 
-def layer1(graph: Graph, features: tuple[Tensor, Tensor, np.ndarray, np.ndarray],
+def layer1(graph: Graph, features: tuple[Tensor, Tensor, PairTokens],
            conv1_weight: Tensor, *,
            normalize: bool = False,
            operators: GraphOperators | None = None) -> Tensor:
     """First convolution: project the token rows to hidden width, then sum
     each node's weighted pair-token rows.
 
-    ``features`` is ``node_input_features``' ``(encoded, weights, rows,
-    starts)``. Each weight is scaled by its pair's coefficient: 1, with no
+    ``features`` is ``node_input_features``' ``(encoded, weights,
+    layout)``. Each weight is scaled by its pair's coefficient: 1, with no
     degree normalization and no nonlinearity, or with ``normalize=True``
-    the normalized-adjacency entry.
+    the normalized-adjacency entry. The sum runs over the layout's center
+    segments (``tensor.gather_segment_sum``).
     """
-    encoded, weights, rows, starts = features
+    encoded, weights, layout = features
     operators = GraphOperators.of(graph, operators)
     mixer = operators.norm_adj if normalize else operators.support
-    _, members, indptr = graph.pairs
-    if starts.size != members.size:
-        raise ShapeError(f"{starts.size} pair segments for a graph of {members.size} pairs")
-    lengths = np.diff(starts, append=weights.rows)
+    pairs = graph.pairs[1].size
+    if layout.pair_starts.size != pairs:
+        raise ShapeError(f"{layout.pair_starts.size} pair segments for a graph of {pairs} pairs")
+    lengths = np.diff(layout.pair_starts, append=layout.rows.size)
     coeffs = T.constant(np.repeat(mixer.data, lengths)[:, None])
     projected = T.matmul(encoded, T.transpose(conv1_weight))
-    return T.gather_segment_sum(T.mul(weights, coeffs), projected, rows, starts[indptr[:-1]])
+    return T.gather_segment_sum(T.mul(weights, coeffs), projected, layout)
 
 
 def layer2(norm_adj: PairOperator, hidden: Tensor, conv2_weight: Tensor, *,
@@ -359,11 +371,13 @@ def forward(params: ModelParams, graph: Graph, corpus: ContentCorpus, *,
             dropout_gcn: float = 0.0,
             layer1_normalize: bool = False,
             rng: np.random.Generator | None = None,
-            operators: GraphOperators | None = None) -> Tensor:
-    """Full forward pass producing the n x num_classes probability matrix."""
+            operators: GraphOperators | None = None,
+            layout: PairTokens | None = None) -> Tensor:
+    """Full forward pass producing the n x num_classes probability matrix;
+    ``layout`` as ``node_input_features`` takes it."""
     operators = GraphOperators.of(graph, operators)
     features = node_input_features(params, corpus, graph, training=training,
-                                   dropout_lstm=dropout_lstm, rng=rng)
+                                   dropout_lstm=dropout_lstm, rng=rng, layout=layout)
     hidden = layer1(graph, features, params.conv1_weight,
                     normalize=layer1_normalize, operators=operators)
     outputs = layer2(operators.norm_adj, hidden, params.conv2_weight,
@@ -461,12 +475,13 @@ def export_attention(params: ModelParams, graph: Graph, corpus: ContentCorpus,
     try:
         with np.errstate(all="raise", under="ignore"):
             encoded = encode_nodes(params, corpus, training=False)
-            weights, _, segments = token_weights(params.attention, encoded, corpus.starts, graph)
+            layout = PairTokens(graph, corpus.starts, corpus.tokens.size)
+            weights = token_weights(params.attention, encoded, layout)
     except FloatingPointError as exc:  # saturating gates hide an overflow from the checks below
         raise NumericError(f"attention export failed: {exc}") from None
     if not (np.isfinite(encoded.data).all() and np.isfinite(weights.data).all()):
         raise NumericError("encoded token rows or attention weights are not finite")
-    per_segment = np.split(weights.data[:, 0], segments[1:])
+    per_segment = np.split(weights.data[:, 0], layout.pair_starts[1:])
     _, members, indptr = graph.pairs
     record = {"center": corpus.node_ids[center], "variant": params.variant, "neighbors": []}
     for p in range(indptr[center], indptr[center + 1]):

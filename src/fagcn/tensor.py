@@ -16,24 +16,26 @@ recorded outside this module, each as one step: ``lstm.bilstm_encode``,
 the embedding lookup and both whole recurrences, and ``model.loss``, the
 cross-entropy with both L2 penalties.
 
-The two gathered segment products are each other's transpose, like the
-SDDMM/SpMM pair of graph message passing: ``_dots`` forms one dot
-product per gathered row and ``_sums`` one weighted sum of gathered rows
-per segment; both gather in blocks of ``GATHER_BLOCK`` entries.
-``gather_dot`` runs ``_dots`` forward and ``_sums`` for both gradients:
-over its segments for the per-segment operand, and over its rows sorted
-by gathered row for the gathered operand. ``gather_segment_sum`` runs
-``_sums`` forward and ``_dots`` for the gradient of its weights; its
-gathered operand, ``take_rows`` and the encoder's embedding table scatter
-with one bincount (``_scatter_rows``), which beats a sort on their narrow
-or small rows.
+A segment sum whose segments are known ahead can run as a ``Sweep``: its
+segments packed longest first (``packed``, the layout the encoder steps
+its ragged sequences in), so step k adds every segment's k-th entry at
+once and the few longest segments finish in one ``_sums``. Graph
+propagation runs this way, forward and backward (``model.PairOperator``).
 
-A segment sum whose segments are known ahead can instead run as a
-``Sweep``: its segments packed longest first (``packed``, the layout the
-encoder steps its ragged sequences in), so step k adds every segment's
-k-th entry at once and the few longest segments finish in one ``_sums``.
-Graph propagation runs this way, forward and backward
-(``model.PairOperator``).
+The two gathered segment products run over a ``GatherLayout``, entries
+that gather rows of an operand in segments, and are each other's
+transpose, like the SDDMM/SpMM pair of graph message passing. Forward,
+``_dots`` forms one dot product per entry and ``_sums`` one weighted sum
+of gathered rows per segment; both gather in blocks of ``GATHER_BLOCK``
+entries and build no sweep, so evaluation sorts nothing. Backward,
+``gather_dot`` and ``gather_segment_sum`` sum over the layout's two
+sweeps, each built by the first backward that needs it and kept with the
+layout: over its segments (``GatherLayout.segment_sums``) and over its
+entries grouped by gathered row (``GatherLayout.row_sums``). The
+gradient of ``gather_segment_sum``'s weights is a ``_dots``. The
+encoder's embedding table sums its gradient over its token layout's row
+sweep too (``GatherLayout.scatter``); ``take_rows`` scatters with one
+bincount, which beats a sweep on self attention's width-1 scores.
 
 Vectors are represented as 1-row matrices throughout. The tests check
 every gradient function against central differences (``tests/conftest.py``).
@@ -42,6 +44,7 @@ every gradient function against central differences (``tests/conftest.py``).
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -274,20 +277,18 @@ def _row_indices(indices: Sequence[int], x: Tensor) -> Array:
     return idx
 
 
-def _scatter_rows(x: Tensor, idx: Array, g: Array, factor: Array | None = None) -> Array:
-    # a new array of x's shape holding row t of g (times factor) summed
-    # into row idx[t], scaling g in place; one bincount over the flattened
-    # entries is several times faster than np.add.at
-    if factor is not None:
-        g *= factor
-    flat = (idx[:, None] * x.cols + np.arange(x.cols)).ravel()
-    return np.bincount(flat, g.ravel(), x.data.size).reshape(x.shape)
-
-
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows by index (repeats allowed); backward scatter-adds."""
+    """Gather rows by index (repeats allowed); backward scatter-adds with
+    one bincount over the flattened entries. On self attention's width-1
+    scores that is several times faster than np.add.at and than a row
+    sweep (``GatherLayout.scatter``)."""
     idx = _row_indices(indices, x)
-    return _op(x.data[idx], (x,), (lambda g: _scatter_rows(x, idx, g),))
+
+    def scatter(g: Array) -> Array:
+        flat = (idx[:, None] * x.cols + np.arange(x.cols)).ravel()
+        return np.bincount(flat, g.ravel(), x.data.size).reshape(x.shape)
+
+    return _op(x.data[idx], (x,), (scatter,))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,13 @@ def segment_softmax(x: Tensor, starts: Sequence[int]) -> Tensor:
     e = np.exp(x.data - np.maximum.reduceat(x.data, starts)[seg])
     y = e / np.add.reduceat(e, starts)[seg]
     return _op(y, (x,), (lambda g: y * (g - np.add.reduceat(g * y, starts)[seg]),))
+
+
+def segment_sum(x: Tensor, starts: Sequence[int]) -> Tensor:
+    """Row k is the sum of the rows of segment k of ``x``, in row order;
+    the gradient repeats row k of the output gradient over those rows."""
+    starts, seg = _segments(starts, x.data.shape[0])
+    return _op(np.add.reduceat(x.data, starts), (x,), (lambda g: g[seg],))
 
 
 GATHER_BLOCK = 8192  # entries (64 KiB of float64) per gathered block in _dots and _sums
@@ -415,7 +423,7 @@ def _swept_sums(w: Array, x: Array, idx: Array, sweep: Sweep) -> Array:
     lo = 0
     for b in sweep.batch:
         rows = out[:b] if lo else sums
-        np.take(x, idx[lo:lo + b], axis=0, out=rows, mode="clip")  # idx is in range
+        x.take(idx[lo:lo + b], axis=0, out=rows, mode="clip")  # idx is in range
         rows *= w[lo:lo + b]
         if lo:
             sums[:b] += rows
@@ -426,43 +434,105 @@ def _swept_sums(w: Array, x: Array, idx: Array, sweep: Sweep) -> Array:
     return out
 
 
-def _sums_by_target(w: Array, x: Array, idx: Array, targets: Array,
-                    shape: tuple[int, int]) -> Array:
-    """An array of ``shape`` whose row r is the sum of w[t] * x[idx[t]] over
-    the t with targets[t] == r: ``_sums`` over the rows stably sorted by
-    target, so each distinct target is one segment, summed in row order."""
-    order = np.argsort(targets, kind="stable")
-    targets = targets[order]
-    firsts = np.flatnonzero(np.diff(targets, prepend=-1))
-    out = np.zeros(shape)
-    out[targets[firsts]] = _sums(w[order], x, idx[order], firsts)
-    return out
 
 
-def gather_dot(x: Tensor, rows: Sequence[int], y: Tensor, starts: Sequence[int]) -> Tensor:
-    """Column whose row t is the dot product of x[rows[t]] and y[k], for
-    the rows t of segment k: ``y`` holds one row per segment."""
-    idx = _row_indices(rows, x)
-    starts, seg = _segments(starts, idx.size)
-    if y.data.shape != (starts.size, x.data.shape[1]):
-        raise ShapeError(f"gather_dot: {starts.size} segments of {x.shape} rows, y {y.shape}")
+class GatherLayout:
+    """Entries t that gather row ``rows[t]`` of an operand, in segments:
+    segment k holds the entries from ``starts[k]`` up to ``starts[k + 1]``
+    (the last up to the end), and none is empty; ``seg[t]`` is entry t's
+    segment. The layout of ``gather_dot`` and ``gather_segment_sum``.
+
+    Its sweeps and its ``packing`` are built on first use, which is a
+    gradient's (or a recurrence's), and kept: ``by_segment`` over the
+    segments, and ``by_row`` over the entries grouped by the row they
+    gather. A layout held across calls, as a model binding holds its
+    (pair, token) layout and a corpus its tokens, sorts once."""
+
+    def __init__(self, rows: Sequence[int], starts: Sequence[int]):
+        idx = _integers(rows, "row indices")
+        if idx.ndim != 1 or idx.size == 0:
+            raise ShapeError(f"a gather layout needs a non-empty row of indices, got {idx.shape}")
+        if idx.min() < 0:
+            raise ShapeError("row indices must be >= 0")
+        self.rows = idx
+        self.starts, self.seg = _segments(starts, idx.size)
+        self.span = int(idx.max()) + 1  # the rows an operand needs
+
+    @cached_property
+    def packing(self) -> tuple[Array, Array, Array]:
+        """``packed`` over the segments: the order a recurrence steps them in."""
+        return packed(np.diff(self.starts, append=self.rows.size))
+
+    @cached_property
+    def by_segment(self) -> tuple[Sweep, Array]:
+        """The sweep over the segments, and the row each swept entry gathers."""
+        sweep = Sweep.of(self.starts, self.rows.size)
+        return sweep, self.rows[sweep.entries]
+
+    @cached_property
+    def by_row(self) -> tuple[Sweep, Array, Array]:
+        """The sweep over the entries grouped by the row they gather, each
+        group in entry order, listing this layout's entries; the segment of
+        each entry it visits; and the row each group lands on."""
+        order = np.argsort(self.rows, kind="stable")
+        rows = self.rows[order]
+        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+        sweep = Sweep.of(firsts, rows.size)
+        sweep = sweep._replace(entries=order[sweep.entries])
+        return sweep, self.seg[sweep.entries], rows[firsts]
+
+    def segment_sums(self, w: Array, x: Array) -> Array:
+        """Row k is the sum of w[t] * x[rows[t]] over the entries t of segment
+        k, as ``_sums`` forms it, over the segment sweep (``_swept_sums``)."""
+        sweep, rows = self.by_segment
+        return _swept_sums(w[sweep.entries], x, rows, sweep)
+
+    def row_sums(self, w: Array, y: Array, shape: tuple[int, int]) -> Array:
+        """An array of ``shape`` whose row r is the sum of w[t] * y[seg[t]]
+        over the entries t that gather row r, in entry order, over the row
+        sweep; a row that no entry gathers is zero."""
+        sweep, seg, land = self.by_row
+        out = np.zeros(shape)
+        out[land] = _swept_sums(w[sweep.entries], y, seg, sweep)
+        return out
+
+    def scatter(self, x: Array, shape: tuple[int, int]) -> Array:
+        """An array of ``shape`` whose row r is the sum of the rows x[t] of
+        the entries t that gather row r, over the row sweep."""
+        sweep, _, land = self.by_row
+        entries = sweep.entries
+        out = np.zeros(shape)
+        out[land] = _swept_sums(np.broadcast_to(1.0, (entries.size, 1)), x, entries, sweep)
+        return out
+
+
+def _check_gathers(x: Tensor, layout: GatherLayout) -> None:
+    if layout.span > x.data.shape[0]:
+        raise ShapeError(f"row indices out of range for {x.shape}")
+
+
+def gather_dot(x: Tensor, layout: GatherLayout, y: Tensor) -> Tensor:
+    """Column whose row t is the dot product of x[layout.rows[t]] and y[k],
+    for the entries t of segment k: ``y`` holds one row per segment."""
+    _check_gathers(x, layout)
+    segments = layout.starts.size
+    if y.data.shape != (segments, x.data.shape[1]):
+        raise ShapeError(f"gather_dot: {segments} segments of {x.shape} rows, y {y.shape}")
     x_data, y_data = x.data, y.data
-    return _op(_dots(x_data, idx, y_data, seg), (x, y),
-               (lambda g: _sums_by_target(g, y_data, seg, idx, x_data.shape),
-                lambda g: _sums(g, x_data, idx, starts)))
+    return _op(_dots(x_data, layout.rows, y_data, layout.seg), (x, y),
+               (lambda g: layout.row_sums(g, y_data, x_data.shape),
+                lambda g: layout.segment_sums(g, x_data)))
 
 
-def gather_segment_sum(weights: Tensor, x: Tensor, rows: Sequence[int],
-                       starts: Sequence[int]) -> Tensor:
-    """Row k is the sum of weights[t] * x[rows[t]] over the rows t of segment k.
-    The gathered rows live only inside the forward and backward kernels,
-    so the tape keeps no (len(rows) x cols) matrix alive."""
-    idx = _row_indices(rows, x)
-    if weights.data.shape != (idx.size, 1):
-        raise ShapeError(f"weights of shape {weights.shape} do not fit {idx.size} gathered rows")
-    starts, seg = _segments(starts, idx.size)
+def gather_segment_sum(weights: Tensor, x: Tensor, layout: GatherLayout) -> Tensor:
+    """Row k is the sum of weights[t] * x[layout.rows[t]] over the entries t
+    of segment k. The gathered rows live only inside the forward and
+    backward kernels, so the tape keeps no (entries x cols) matrix alive."""
+    _check_gathers(x, layout)
+    if weights.data.shape != (layout.rows.size, 1):
+        raise ShapeError(f"weights of shape {weights.shape} do not fit "
+                         f"{layout.rows.size} gathered rows")
     w_data, x_data = weights.data, x.data
-    return _op(_sums(w_data, x_data, idx, starts), (weights, x),
-               (lambda g: _dots(x_data, idx, g, seg),
-                lambda g: _scatter_rows(x, idx, g[seg], w_data)))
-
+    return _op(_sums(w_data, x_data, layout.rows, layout.starts), (weights, x),
+               (lambda g: _dots(x_data, layout.rows, g, layout.seg),
+                lambda g: layout.row_sums(w_data, g, x_data.shape)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fagcn.tensor as T
-from fagcn.attention import AttentionParams, token_weights
+from fagcn.attention import AttentionParams, PairTokens, token_weights
 from fagcn.errors import ConfigError, ShapeError
 from fagcn.graph import Graph
 from fagcn.tensor import Tensor
@@ -28,14 +28,20 @@ def member_weights(attention, center_rows, member_rows) -> np.ndarray:
     variant."""
     h = Tensor(np.vstack([center_rows, member_rows]))
     starts = np.array([0, len(center_rows)])
-    weights, rows, segments = token_weights(attention, h, starts, Graph(2, [(0, 1)]))
-    bounds = np.append(segments, weights.rows)
-    np.testing.assert_array_equal(rows[bounds[1]:bounds[2]], np.arange(starts[1], h.rows))
+    layout = PairTokens(Graph(2, [(0, 1)]), starts, h.rows)
+    weights = token_weights(attention, h, layout)
+    bounds = np.append(layout.pair_starts, weights.rows)
+    np.testing.assert_array_equal(layout.rows[bounds[1]:bounds[2]], np.arange(starts[1], h.rows))
     return weights.data[bounds[1]:bounds[2], 0]
 
 
 def segment_sums(weights: Tensor, segments) -> np.ndarray:
     return np.add.reduceat(weights.data[:, 0], segments)
+
+
+def per_pair(layout: PairTokens) -> T.GatherLayout:
+    """The layout's entries with one segment per pair instead of per center."""
+    return T.GatherLayout(layout.rows, layout.pair_starts)
 
 
 class TestAttentionSelf:
@@ -52,13 +58,13 @@ class TestAttentionSelf:
     def test_hand_computed_two_rows(self):
         # rows 0 and 1 through tanh give scores 0 and tanh(1)=0.76159;
         # softmax of those is [0.31831, 0.68169]
-        weights, rows, segments = token_weights(self_params([[1.0]]), Tensor([[0.0], [1.0]]),
-                                                np.array([0]), Graph(1, []))
+        layout = PairTokens(Graph(1, []), np.array([0]), 2)
+        weights = token_weights(self_params([[1.0]]), Tensor([[0.0], [1.0]]), layout)
         np.testing.assert_allclose(weights.data, [[0.3184], [0.6816]], atol=1e-3)
         expected = np.exp([0.0, np.tanh(1.0)])
         np.testing.assert_allclose(weights.data[:, 0], expected / expected.sum(), atol=1e-12)
-        np.testing.assert_array_equal(rows, [0, 1])
-        np.testing.assert_array_equal(segments, [0])
+        np.testing.assert_array_equal(layout.rows, [0, 1])
+        np.testing.assert_array_equal(layout.pair_starts, [0])
 
 
 class TestContextVector:
@@ -124,9 +130,10 @@ class TestAttentionContext:
         attention = context_params(rng.standard_normal((3, 3)))
         graph = Graph(3, [(0, 2), (1, 2)])
         starts, ends = np.array([0, 2, 3]), np.array([2, 3, 6])
-        weights, rows, segments = token_weights(attention, Tensor(h), starts, graph)
+        layout = PairTokens(graph, starts, 6)
+        weights = token_weights(attention, Tensor(h), layout)
         centers, members, _ = graph.pairs
-        bounds = np.append(segments, weights.rows)
+        bounds = np.append(layout.pair_starts, weights.rows)
         by_pair = {(int(c), int(m)): weights.data[bounds[p]:bounds[p + 1], 0]
                    for p, (c, m) in enumerate(zip(centers, members))}
         assert not np.allclose(by_pair[(0, 2)], by_pair[(1, 2)])
@@ -137,8 +144,10 @@ class TestAttentionContext:
 
     def test_node_count_mismatch(self, rng):
         with pytest.raises(ShapeError):
+            PairTokens(Graph(3, []), np.array([0, 1]), 3)
+        with pytest.raises(ShapeError):
             token_weights(AttentionParams("none"), Tensor(rng.standard_normal((3, 2))),
-                          np.array([0, 1]), Graph(3, []))
+                          PairTokens(Graph(2, []), np.array([0, 1]), 4))
 
 
 class TestAggregate:
@@ -146,14 +155,14 @@ class TestAggregate:
 
     def test_uniform_mean(self):
         h = Tensor([[2.0, 0.0], [0.0, 2.0]])
-        weights, rows, segments = token_weights(AttentionParams("none"), h,
-                                                np.array([0]), Graph(1, []))
-        out = T.gather_segment_sum(weights, h, rows, segments)
+        layout = PairTokens(Graph(1, []), np.array([0]), 2)
+        weights = token_weights(AttentionParams("none"), h, layout)
+        out = T.gather_segment_sum(weights, h, layout)
         np.testing.assert_array_equal(out.data, [[1.0, 1.0]])
 
     def test_degenerate_weight_picks_row(self, rng):
         h = rng.standard_normal((2, 4))
-        out = T.gather_segment_sum(Tensor([[1.0], [0.0]]), Tensor(h), [0, 1], [0])
+        out = T.gather_segment_sum(Tensor([[1.0], [0.0]]), Tensor(h), T.GatherLayout([0, 1], [0]))
         np.testing.assert_allclose(out.data, h[0:1], atol=1e-15)
 
     def test_matches_weighted_sum_oracle(self, rng):
@@ -163,13 +172,14 @@ class TestAggregate:
         expected = np.zeros(6)
         for j in range(4):
             expected += alpha[j] * h[j]
-        out = T.gather_segment_sum(Tensor(alpha.reshape(4, 1)), Tensor(h), range(4), [0])
+        out = T.gather_segment_sum(Tensor(alpha.reshape(4, 1)), Tensor(h),
+                                   T.GatherLayout(range(4), [0]))
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_weight_length_mismatch(self, rng):
         with pytest.raises(ShapeError):
             T.gather_segment_sum(Tensor([[0.5], [0.5]]), Tensor(rng.standard_normal((3, 2))),
-                                 range(3), [0])
+                                 T.GatherLayout(range(3), [0]))
 
 
 def random_instance(rng):
@@ -193,17 +203,17 @@ class TestSimplexAndReductions:
             graph, h, starts, dim = random_instance(rng)
             ends = np.append(starts[1:], h.rows)
             _, members, _ = graph.pairs
-            uniform, layout, pair_starts = token_weights(AttentionParams("none"), h, starts,
-                                                         graph)
-            plain = T.gather_segment_sum(uniform, h, layout, pair_starts).data
+            layout = PairTokens(graph, starts, h.rows)
+            pairs = per_pair(layout)
+            uniform = token_weights(AttentionParams("none"), h, layout)
+            plain = T.gather_segment_sum(uniform, h, pairs).data
             for attention in (self_params(rng.standard_normal((1, dim))),
                               context_params(rng.standard_normal((dim, dim)) / dim)):
-                weights, rows, segments = token_weights(attention, h, starts, graph)
-                np.testing.assert_array_equal(rows, layout)
-                np.testing.assert_array_equal(segments, pair_starts)
-                np.testing.assert_allclose(segment_sums(weights, segments), 1.0, atol=1e-9)
+                weights = token_weights(attention, h, layout)
+                np.testing.assert_allclose(segment_sums(weights, layout.pair_starts), 1.0,
+                                           atol=1e-9)
                 assert np.all(weights.data > 0.0)
-                mixed = T.gather_segment_sum(weights, h, rows, segments).data
+                mixed = T.gather_segment_sum(weights, h, pairs).data
                 for p, m in enumerate(members):
                     block = h.data[starts[m]:ends[m]]
                     assert np.all(mixed[p] >= block.min(axis=0) - 1e-12)
@@ -211,8 +221,7 @@ class TestSimplexAndReductions:
 
             for attention in (self_params(np.zeros((1, dim))),
                               context_params(np.zeros((dim, dim)))):
-                weights, rows, segments = token_weights(attention, h, starts, graph)
-                mixed = T.gather_segment_sum(weights, h, rows, segments).data
+                mixed = T.gather_segment_sum(token_weights(attention, h, layout), h, pairs).data
                 np.testing.assert_allclose(mixed, plain, atol=1e-12)
 
     def test_gradients_through_context_attention(self, rng):
@@ -224,9 +233,11 @@ class TestSimplexAndReductions:
         probe = rng.standard_normal((graph.pairs[0].size, 4))
         targets = [("features", features), ("bilinear", bilinear)]
 
+        layout = PairTokens(graph, starts, features.rows)
+
         def objective():
-            weights, rows, segments = token_weights(attention, features, starts, graph)
-            mixed = T.gather_segment_sum(weights, features, rows, segments)
+            weights = token_weights(attention, features, layout)
+            mixed = T.gather_segment_sum(weights, features, per_pair(layout))
             return sum_all(T.mul(T.constant(probe), mixed))
 
         assert grad_check(objective, targets, eps=1e-5) < 1e-6

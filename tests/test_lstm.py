@@ -64,7 +64,7 @@ def forward_direction(params: LstmDirectionParams, seq: Tensor) -> np.ndarray:
 def encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tensor,
            starts=(0,)) -> Tensor:
     """Both directions over ``seq`` as the embedding table, row t token t."""
-    return bilstm_encode(fwd, bwd, seq, np.arange(seq.rows), starts)
+    return bilstm_encode(fwd, bwd, seq, T.GatherLayout(np.arange(seq.rows), starts))
 
 
 def zero_params(embed_dim: int, feature_dim: int) -> LstmDirectionParams:
@@ -154,7 +154,7 @@ class TestBilstmEncode:
     def test_empty_sequence_rejected(self, rng):
         fwd = random_params(3, 4, rng)
         with pytest.raises(ShapeError, match="empty"):
-            bilstm_encode(fwd, fwd, Tensor(rng.standard_normal((2, 3))), [], [0])
+            bilstm_encode(fwd, fwd, Tensor(rng.standard_normal((2, 3))), T.GatherLayout([], [0]))
 
     def test_directional_causality(self, rng):
         # perturbing token k moves forward outputs only at j >= k and
@@ -196,7 +196,7 @@ class TestBilstmEncode:
         table = Tensor(rng.standard_normal((4, 3)))
         with Tape() as tape:
             bilstm_encode(fwd, random_params(3, 4, rng), table,
-                          rng.integers(0, 4, size=length), [0])
+                          T.GatherLayout(rng.integers(0, 4, size=length), [0]))
         assert len(tape) == 1
 
     def test_forward_and_backward_copy_no_output_gradient(self, rng):
@@ -205,12 +205,12 @@ class TestBilstmEncode:
         n, d = 20000, 16
         fwd, bwd = random_params(4, d, rng), random_params(4, d, rng)
         table = Tensor(rng.standard_normal((50, 4)))
-        tokens = rng.integers(0, 50, size=n)
+        tokens = T.GatherLayout(rng.integers(0, 50, size=n), np.arange(0, n, 10))
         probe = T.constant(rng.standard_normal((n, d)))
         tracemalloc.start()
         try:
             with Tape() as tape:
-                out = bilstm_encode(fwd, bwd, table, tokens, np.arange(0, n, 10))
+                out = bilstm_encode(fwd, bwd, table, tokens)
                 tape.backward(sum_all(T.mul(probe, out)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -224,10 +224,10 @@ class TestBilstmEncode:
         n, d = 20000, 16
         fwd, bwd = random_params(4, d, rng), random_params(4, d, rng)
         table = Tensor(rng.standard_normal((50, 4)))
-        tokens = rng.integers(0, 50, size=n)
+        tokens = T.GatherLayout(rng.integers(0, 50, size=n), np.arange(0, n, 10))
         tracemalloc.start()
         try:
-            out = bilstm_encode(fwd, bwd, table, tokens, np.arange(0, n, 10))
+            out = bilstm_encode(fwd, bwd, table, tokens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,7 +263,7 @@ class TestPackedSegments:
         targets = [("table", table)] + fwd.named_parameters("fwd") + bwd.named_parameters("bwd")
 
         def run():
-            out = bilstm_encode(fwd, bwd, table, tokens, starts)
+            out = bilstm_encode(fwd, bwd, table, T.GatherLayout(tokens, starts))
             return sum_all(T.mul(T.constant(weights), out))
 
         assert grad_check(run, targets, eps=1e-5) < 1e-6
@@ -289,11 +289,10 @@ class TestForwardOnly:
             fwd = random_params(embed_dim, feature_dim, rng)
             bwd = random_params(embed_dim, feature_dim, rng)
             table = Tensor(rng.standard_normal((6, embed_dim)))
-            tokens = rng.integers(0, 6, size=sum(RAGGED))
+            tokens = T.GatherLayout(rng.integers(0, 6, size=sum(RAGGED)), starts)
             with Tape():
-                taped = bilstm_encode(fwd, bwd, table, tokens, starts).data
-            np.testing.assert_array_equal(bilstm_encode(fwd, bwd, table, tokens, starts).data,
-                                          taped)
+                taped = bilstm_encode(fwd, bwd, table, tokens).data
+            np.testing.assert_array_equal(bilstm_encode(fwd, bwd, table, tokens).data, taped)
 
     def test_one_distinct_term_is_within_a_rounding_of_the_taped_output(self, rng, monkeypatch):
         # its projection is a one-row product, which BLAS sums in another
@@ -301,10 +300,10 @@ class TestForwardOnly:
         monkeypatch.setattr(lstm, "LANE_BLOCK", 2)
         fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
         table = Tensor(rng.standard_normal((6, 3)))
-        tokens, starts = np.full(sum(RAGGED), 4), ragged_starts()
+        tokens = T.GatherLayout(np.full(sum(RAGGED), 4), ragged_starts())
         with Tape():
-            taped = bilstm_encode(fwd, bwd, table, tokens, starts).data
-        np.testing.assert_allclose(bilstm_encode(fwd, bwd, table, tokens, starts).data, taped,
+            taped = bilstm_encode(fwd, bwd, table, tokens).data
+        np.testing.assert_allclose(bilstm_encode(fwd, bwd, table, tokens).data, taped,
                                    rtol=0, atol=1e-15)
 
 

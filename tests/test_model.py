@@ -11,6 +11,7 @@ import pytest
 
 import fagcn.model as model
 import fagcn.tensor as T
+from fagcn.attention import PairTokens
 from fagcn.corpus import ContentCorpus, split
 from fagcn.datasets import four_node_fixture, synthetic_citation
 from fagcn.errors import ConfigError, DataError, NumericError, ShapeError
@@ -55,24 +56,26 @@ class TestNodeInputFeatures:
         corpus = ContentCorpus(node_ids=[0], contents=[[2, 2, 2]], labels=[0],
                                label_names=["x"], vocab_size=3)
         params = ModelParams.init(3, 1, 4, 4, 3, "none", rng)
-        encoded, weights, rows, starts = node_input_features(params, corpus, graph)
+        encoded, weights, layout = node_input_features(params, corpus, graph)
         np.testing.assert_array_equal(encoded.data, encode_nodes(params, corpus).data)
         np.testing.assert_array_equal(weights.data, np.full((3, 1), 1 / 3))
-        np.testing.assert_array_equal(rows, [0, 1, 2])
-        np.testing.assert_array_equal(starts, [0])
-        mixed = T.gather_segment_sum(weights, encoded, rows, starts)
+        np.testing.assert_array_equal(layout.rows, [0, 1, 2])
+        np.testing.assert_array_equal(layout.pair_starts, [0])
+        mixed = T.gather_segment_sum(weights, encoded, layout)
         np.testing.assert_allclose(mixed.data[0], encoded.data.mean(axis=0), atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["none", "self", "context"])
     def test_one_pair_token_layout_for_every_variant(self, variant):
         graph, corpus, _ = four_node_fixture()
         params = fixture_params(variant, seed=6)
-        _, weights, rows, starts = node_input_features(params, corpus, graph)
+        _, weights, layout = node_input_features(params, corpus, graph)
         lengths = [len(tokens) for tokens in corpus.contents]
         expected_rows, expected_starts = pair_token_layout(graph, lengths)
-        np.testing.assert_array_equal(rows, expected_rows)
-        np.testing.assert_array_equal(starts, expected_starts)
-        np.testing.assert_allclose(np.add.reduceat(weights.data[:, 0], starts), 1.0,
+        np.testing.assert_array_equal(layout.rows, expected_rows)
+        np.testing.assert_array_equal(layout.pair_starts, expected_starts)
+        # pairs are sorted by center: each center's pairs are one segment
+        np.testing.assert_array_equal(layout.starts, expected_starts[graph.pairs[2][:-1]])
+        np.testing.assert_allclose(np.add.reduceat(weights.data[:, 0], layout.pair_starts), 1.0,
                                    atol=1e-12)
 
     def test_context_with_zero_bilinear_matches_none(self):
@@ -155,14 +158,15 @@ def layer1_input(graph: Graph, lengths, dim: int, rng, uniform: bool = False):
     """Random token rows of the given per-node lengths, laid out with
     per-(pair, token) weights that differ from center to center (or are
     uniform per segment), as ``node_input_features`` hands them over."""
-    rows, segments = pair_token_layout(graph, lengths)
+    total = int(np.sum(lengths))
+    layout = PairTokens(graph, np.cumsum(lengths) - lengths, total)
     if uniform:
-        counts = np.diff(segments, append=rows.size)
+        counts = np.diff(layout.pair_starts, append=layout.rows.size)
         weights = np.repeat(1.0 / counts, counts)
     else:
-        weights = rng.random(rows.size)
-    encoded = rng.standard_normal((int(np.sum(lengths)), dim))
-    return encoded, weights, (Tensor(encoded), Tensor(weights[:, None]), rows, segments)
+        weights = rng.random(layout.rows.size)
+    encoded = rng.standard_normal((total, dim))
+    return encoded, weights, (Tensor(encoded), Tensor(weights[:, None]), layout)
 
 
 class TestLayer1:
@@ -215,8 +219,8 @@ class TestLayer1:
         # weight one on every (pair, token) row and an identity weight:
         # node i sums every token row of its closed neighborhood once
         graph = Graph(3, [(0, 1), (1, 2)])
-        encoded, weights, (tokens, _, rows, starts) = layer1_input(graph, [2, 1, 3], 2, rng)
-        out = layer1(graph, (tokens, Tensor(np.ones((weights.size, 1))), rows, starts),
+        encoded, weights, (tokens, _, layout) = layer1_input(graph, [2, 1, 3], 2, rng)
+        out = layer1(graph, (tokens, Tensor(np.ones((weights.size, 1))), layout),
                      Tensor(np.eye(2)))
         np.testing.assert_allclose(out.data, [encoded[0:3].sum(axis=0),
                                               encoded.sum(axis=0),
@@ -225,12 +229,11 @@ class TestLayer1:
     def test_wrong_row_count_is_shape_error(self, rng):
         graph = Graph(3, [(0, 1), (1, 2)])
         _, _, features = layer1_input(graph, [2, 1, 3], 4, rng)
-        encoded, weights, rows, starts = features
+        encoded, weights, layout = features
         with pytest.raises(ShapeError):  # laid out for another graph
             layer1(Graph(3, [(0, 1)]), features, Tensor(np.eye(4)))
         with pytest.raises(ShapeError):  # one weight short
-            layer1(graph, (encoded, Tensor(weights.data[1:]), rows, starts),
-                   Tensor(np.eye(4)))
+            layer1(graph, (encoded, Tensor(weights.data[1:]), layout), Tensor(np.eye(4)))
         with pytest.raises(ShapeError):  # token rows narrower than the weight
             layer1(graph, features, Tensor(np.eye(5)))
 
@@ -770,9 +773,9 @@ class TestSingleTokenContents:
         np.testing.assert_array_equal(graph.pairs[1], [0, 1, 0, 1])
         for variant in ("none", "self", "context"):
             params = ModelParams.init(2, 2, 4, 4, 3, variant, rng)
-            _, weights, rows, starts = node_input_features(params, corpus, graph)
-            np.testing.assert_array_equal(rows, [0, 1, 0, 1])
-            np.testing.assert_array_equal(starts, [0, 1, 2, 3])
+            _, weights, layout = node_input_features(params, corpus, graph)
+            np.testing.assert_array_equal(layout.rows, [0, 1, 0, 1])
+            np.testing.assert_array_equal(layout.pair_starts, [0, 1, 2, 3])
             np.testing.assert_allclose(weights.data, np.ones((4, 1)), atol=1e-15)
 
 

@@ -5,9 +5,11 @@ the loaders fail only with the package's own errors, as does training
 on any corpus that a caller could build. The baseline's
 constant product from a 0/1 array's ones and the pair sweep with its
 transpose equal the dense products, the
-blocked gathered kernels equal their whole-array references, and every
-variant's whole forward pass equals the straight-line oracle, with
-gradients that match central differences.
+blocked gathered kernels equal their whole-array references, the swept
+gradients of a gather layout equal np.add.at, and every variant's whole
+forward pass equals the straight-line oracle, with gradients that match
+central differences, which a (pair, token) row sweep with one entry
+shifted fails.
 
 Examples are derived from the test source, not drawn at random, so every
 run checks the same cases.
@@ -21,10 +23,12 @@ from contextlib import redirect_stderr
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fagcn.tensor as T
+from fagcn.attention import PairTokens
 from fagcn.checkpoint import DIMS, load_checkpoint, save_checkpoint
 from fagcn.cli import cmd_sweep
 from fagcn.corpus import ContentCorpus, Vocabulary, load_corpus, split
@@ -180,6 +184,31 @@ def gathered_segments(draw, fit: bool):
             rng.standard_normal((len(lengths), cols)), rng.standard_normal((idx.size, 1)))
 
 
+@st.composite
+def ragged_layouts(draw):
+    """A gather block of a few entries, x (rows x cols) whose last two rows
+    no entry gathers, and short segments of gathered row indices around a
+    hub: a segment whose first half gathers row 0 and is longer than the
+    others, than the distinct rows and than two blocks. So the hub repeats
+    a row, and the hub and row 0 each finish in their sweep's tail with
+    more than a block of entries. Also y, one row per segment, and an
+    output gradient column."""
+    block, cols = draw(st.integers(1, 24)), draw(st.integers(1, 4))
+    step = max(1, block // cols)
+    n = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 4), max_size=7))
+    half = len(lengths) + n + 2 * step + 2
+    hub = draw(st.integers(0, len(lengths)))
+    lengths.insert(hub, 2 * half)
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=sum(lengths), max_size=sum(lengths)))
+    at = sum(lengths[:hub])
+    idx[at:at + half] = [0] * half
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    starts = np.cumsum(lengths) - lengths
+    return (block, rng.standard_normal((n + 2, cols)), np.array(idx), starts,
+            rng.standard_normal((len(lengths), cols)), rng.standard_normal((len(idx), 1)))
+
+
 class GatherLog(np.ndarray):
     """An array that logs the row count of every gather taken from it."""
 
@@ -198,7 +227,7 @@ class TestGatheredKernels:
         block, x, idx, starts, y, g = case
         xt = T.Tensor(x)
         with mock.patch.object(T, "GATHER_BLOCK", block), T.Tape() as tape:
-            out = T.gather_dot(xt, idx, T.constant(y), starts)
+            out = T.gather_dot(xt, T.GatherLayout(idx, starts), T.constant(y))
             tape.backward(sum_all(T.mul(T.constant(g), out)))
         seg = np.repeat(np.arange(starts.size), np.diff(starts, append=idx.size))
         expected = np.zeros_like(x)
@@ -206,6 +235,37 @@ class TestGatheredKernels:
         np.testing.assert_allclose(xt.grad, expected, rtol=1e-12, atol=1e-12)
         never = np.setdiff1d(np.arange(x.shape[0]), idx)
         assert not xt.grad[never].any()
+
+    @FEW
+    @given(case=ragged_layouts())
+    def test_swept_gradients_match_add_at(self, case):
+        # one layout's sweeps, shared by both ops and the table scatter,
+        # against np.add.at; the hub segment and row 0 finish in their
+        # sweeps' tails, summed there in more than one block
+        block, x, idx, starts, y, g = case
+        rng = np.random.default_rng(idx.size)
+        w, probe, dx = (rng.standard_normal(shape)
+                        for shape in ((idx.size, 1), y.shape, (idx.size, x.shape[1])))
+        seg = np.repeat(np.arange(starts.size), np.diff(starts, append=idx.size))
+        layout = T.GatherLayout(idx, starts)
+        xt, yt, wt, ut = T.Tensor(x), T.Tensor(y), T.Tensor(w), T.Tensor(x)
+        with mock.patch.object(T, "GATHER_BLOCK", block):
+            with T.Tape() as tape:
+                tape.backward(sum_all(T.mul(T.constant(g), T.gather_dot(xt, layout, yt))))
+            with T.Tape() as tape:
+                tape.backward(sum_all(T.mul(T.constant(probe),
+                                            T.gather_segment_sum(wt, ut, layout))))
+            scattered = layout.scatter(dx, x.shape)
+        assert layout.by_segment[0].tail.size and layout.by_row[0].tail.size
+        for grad, rows, terms in ((xt.grad, idx, g * y[seg]), (yt.grad, seg, g * x[idx]),
+                                  (ut.grad, idx, w * probe[seg]), (scattered, idx, dx)):
+            expected = np.zeros_like(grad)
+            np.add.at(expected, rows, terms)
+            np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(wt.grad[:, 0], np.einsum("ij,ij->i", x[idx], probe[seg]),
+                                   rtol=1e-12, atol=1e-12)
+        for grad in (xt.grad, ut.grad, scattered):
+            assert not grad[-2:].any()  # the rows no entry gathers
 
     @FEW
     @given(case=gathered_segments(fit=True))
@@ -229,6 +289,33 @@ class TestGatheredKernels:
         assert max(logged.gathered) <= max(1, block // x.shape[1])
 
 
+def check_whole_model(graph: Graph, contents, variant: str, layer1_normalize: bool,
+                      block: int, seed: int) -> None:
+    """The bound forward pass equals the straight-line oracle, and every
+    parameter group's gradient matches central differences."""
+    corpus = corpus_of(contents)
+    rng = np.random.default_rng(seed)
+    params = init_for_variant(variant, VOCAB, 3, 3, 3, 4, rng)
+    adjacency = adjacency_of(graph)
+    labels = LabelMatrix.build([i % 3 for i in range(graph.n)], 3, range(graph.n))
+    with mock.patch.object(T, "GATHER_BLOCK", block):
+        run = params.bind(graph, corpus, GraphOperators.build(graph))
+        z = run(layer1_normalize=layer1_normalize).data
+        if variant == "baseline_gcn":
+            bow = np.zeros((graph.n, VOCAB))
+            for i, tokens in enumerate(contents):
+                bow[i, tokens] = 1.0
+            expected = straightline_baseline(arrays_of(params), adjacency, bow)
+        else:
+            expected = straightline_forward(arrays_of(params), adjacency, contents, variant,
+                                            layer1_normalize)
+        np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12)
+        worst = grad_check(
+            lambda: loss(run(layer1_normalize=layer1_normalize), labels, params, 5e-3, 5e-4),
+            params.named_parameters(), eps=1e-5, rng=rng, samples_per_param=4)
+    assert worst < 1e-4
+
+
 class TestWholeModel:
     @FEW
     @given(case=graphs_with_contents(), variant=st.sampled_from(VARIANTS),
@@ -238,27 +325,28 @@ class TestWholeModel:
         # every blocked kernel path, the long-segment split included, inside
         # a whole model; repeated tokens and isolated nodes are likely
         graph, contents, _ = case
-        corpus = corpus_of(contents)
-        rng = np.random.default_rng(seed)
-        params = init_for_variant(variant, VOCAB, 3, 3, 3, 4, rng)
-        adjacency = adjacency_of(graph)
-        labels = LabelMatrix.build([i % 3 for i in range(graph.n)], 3, range(graph.n))
-        with mock.patch.object(T, "GATHER_BLOCK", block):
-            run = params.bind(graph, corpus, GraphOperators.build(graph))
-            z = run(layer1_normalize=layer1_normalize).data
-            if variant == "baseline_gcn":
-                bow = np.zeros((graph.n, VOCAB))
-                for i, tokens in enumerate(contents):
-                    bow[i, tokens] = 1.0
-                expected = straightline_baseline(arrays_of(params), adjacency, bow)
-            else:
-                expected = straightline_forward(arrays_of(params), adjacency, contents, variant,
-                                                layer1_normalize)
-            np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12)
-            worst = grad_check(
-                lambda: loss(run(layer1_normalize=layer1_normalize), labels, params, 5e-3, 5e-4),
-                params.named_parameters(), eps=1e-5, rng=rng, samples_per_param=4)
-        assert worst < 1e-4
+        check_whole_model(graph, contents, variant, layer1_normalize, block, seed)
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_a_row_sweep_with_one_entry_shifted_fails(self, monkeypatch, variant):
+        # the (pair, token) layout's first swept visit reads the next
+        # entry's weight and segment but lands on its own row: the forward
+        # pass, which builds no sweep, still matches, and the gradients fail
+        by_row = PairTokens.by_row
+
+        def shifted(layout):
+            sweep, _, land = by_row.func(layout)
+            entries = sweep.entries.copy()
+            entries[0] = (entries[0] + 1) % entries.size
+            return sweep._replace(entries=entries), layout.seg[entries], land
+
+        monkeypatch.setattr(PairTokens, "by_row", property(shifted))
+        graph = Graph(4, [(0, 1), (1, 2), (1, 3)])
+        contents = [[0, 1, 2], [3], [4, 0], [1, 1, 2, 3]]
+        with pytest.raises(AssertionError):
+            check_whole_model(graph, contents, variant, False, 24, 5)
+        monkeypatch.undo()
+        check_whole_model(graph, contents, variant, False, 24, 5)
 
 
 def load_bytes(loader, raw: bytes) -> None:

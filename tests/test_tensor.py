@@ -204,8 +204,13 @@ def check_gradients(objective, inputs: list[Tensor]) -> None:
         np.testing.assert_allclose(x.grad, expected, atol=1e-7, err_msg=f"input {k}")
 
 
-# ragged segments with length-1 segments among them
+# ragged segments with length-1 segments among them, and the rows they gather
 STARTS = [0, 1, 4, 5, 7]
+ROWS = [0, 2, 2, 1, 3, 3, 3, 0, 1]
+
+
+def layout(rows=ROWS, starts=STARTS) -> T.GatherLayout:
+    return T.GatherLayout(rows, starts)
 
 
 class TestSegmentOps:
@@ -229,14 +234,27 @@ class TestSegmentOps:
         out = T.segment_softmax(Tensor([[1000.0], [1000.0], [-1000.0]]), [0, 2])
         np.testing.assert_allclose(out.data[:, 0], [0.5, 0.5, 1.0], atol=1e-15)
 
+    def test_segment_sum_is_a_unit_gather_segment_sum_bit_for_bit(self, rng):
+        # each row reaches one segment, so repeating the output gradient
+        # over the rows is exact, as is multiplying by a unit weight
+        x, g = Tensor(rng.standard_normal((9, 3))), rng.standard_normal((5, 3))
+        with Tape() as tape:
+            out = T.segment_sum(x, STARTS)
+            tape.backward(sum_all(T.mul(T.constant(g), out)))
+        unit = T.gather_segment_sum(T.constant(np.ones((9, 1))), T.constant(x.data),
+                                    layout(range(9)))
+        assert out.data.tobytes() == unit.data.tobytes()
+        seg = np.repeat(np.arange(5), np.diff(STARTS, append=9))
+        assert x.grad.tobytes() == g[seg].tobytes()
+        check_gradients(lambda: T.segment_sum(x, STARTS), [x])
+
     def test_gather_dot_matches_loop(self, rng):
         x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
-        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
-        out = T.gather_dot(Tensor(x), rows, Tensor(y), STARTS).data
+        out = T.gather_dot(Tensor(x), layout(), Tensor(y)).data
         bounds = STARTS + [9]
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             for t in range(lo, hi):
-                expected = sum(x[rows[t], j] * y[k, j] for j in range(3))
+                expected = sum(x[ROWS[t], j] * y[k, j] for j in range(3))
                 np.testing.assert_allclose(out[t, 0], expected, atol=1e-14)
 
     def test_gather_dot_blocks_match_one_whole_gather(self, rng):
@@ -246,7 +264,7 @@ class TestSegmentOps:
         x, y = rng.standard_normal((50, cols)), rng.standard_normal((9, cols))
         rows, seg = rng.integers(0, 50, n_rows), np.arange(n_rows) * 9 // n_rows
         starts = np.searchsorted(seg, np.arange(9))
-        out = T.gather_dot(Tensor(x), rows, Tensor(y), starts).data
+        out = T.gather_dot(Tensor(x), layout(rows, starts), Tensor(y)).data
         np.testing.assert_array_equal(out[:, 0], np.einsum("ij,ij->i", x[rows], y[seg]))
 
     def test_gather_dot_never_gathers_all_rows_at_once(self, rng):
@@ -256,20 +274,21 @@ class TestSegmentOps:
         rows, starts = rng.integers(0, 300, 5100), np.arange(0, 5100, 51)
         tracemalloc.start()
         try:
-            T.gather_dot(Tensor(x), rows, Tensor(y), starts)
+            T.gather_dot(Tensor(x), layout(rows, starts), Tensor(y))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < x[rows].nbytes / 2
 
     def test_gather_dot_backward_never_gathers_all_rows_at_once(self, rng):
-        # the feature gradient sums over rows sorted by target, in blocks;
-        # a bincount scatter would hold a whole y[seg] gather and its flat index
+        # both gradients sum over sweeps whose steps hold at most one row
+        # per segment, sweeps built by this backward included; a bincount
+        # scatter would hold a whole y[seg] gather and its flat index
         x, y = Tensor(rng.standard_normal((300, 80))), Tensor(rng.standard_normal((100, 80)))
         rows, starts = rng.integers(0, 300, 5100), np.arange(0, 5100, 51)
         with Tape() as tape:
             loss = sum_all(T.mul(T.constant(rng.standard_normal((5100, 1))),
-                                   T.gather_dot(x, rows, y, starts)))
+                                 T.gather_dot(x, layout(rows, starts), y)))
             tracemalloc.start()
             try:
                 tape.backward(loss)
@@ -283,7 +302,7 @@ class TestSegmentOps:
         rows, starts = rng.integers(0, 300, 5100), np.arange(0, 5100, 51)
         tracemalloc.start()
         try:
-            T.gather_segment_sum(Tensor(w), Tensor(x), rows, starts)
+            T.gather_segment_sum(Tensor(w), Tensor(x), layout(rows, starts))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -291,14 +310,15 @@ class TestSegmentOps:
 
     def test_gather_dot_feature_gradient_across_real_blocks(self, rng):
         # 3.5 blocks of entries in segments longer than one block, so both
-        # operands' gradients sum some segments in pieces
+        # operands' gradients sum some segments in their sweep's tail
         cols = 16
         n_rows = 7 * T.GATHER_BLOCK // (2 * cols)
         x, y, g = (rng.standard_normal(shape) for shape in ((50, cols), (3, cols), (n_rows, 1)))
         rows, starts = rng.integers(0, 45, n_rows), [0, n_rows // 3, 2 * n_rows // 3]
         xt, yt = Tensor(x), Tensor(y)
         with Tape() as tape:
-            tape.backward(sum_all(T.mul(T.constant(g), T.gather_dot(xt, rows, yt, starts))))
+            tape.backward(sum_all(T.mul(T.constant(g),
+                                        T.gather_dot(xt, layout(rows, starts), yt))))
         seg = np.repeat(np.arange(3), np.diff(starts, append=n_rows))
         expected = np.zeros_like(x)
         np.add.at(expected, rows, g * y[seg])
@@ -309,62 +329,76 @@ class TestSegmentOps:
 
     def test_gather_segment_sum_matches_loop(self, rng):
         w, x = rng.standard_normal((9, 1)), rng.standard_normal((4, 3))
-        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
-        out = T.gather_segment_sum(Tensor(w), Tensor(x), rows, STARTS).data
+        out = T.gather_segment_sum(Tensor(w), Tensor(x), layout()).data
         bounds = STARTS + [9]
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            expected = sum(w[t, 0] * x[rows[t]] for t in range(lo, hi))
+            expected = sum(w[t, 0] * x[ROWS[t]] for t in range(lo, hi))
             np.testing.assert_allclose(out[k], expected, atol=1e-14)
 
     def test_backward_matches_finite_differences(self, rng):
         scores = Tensor(rng.standard_normal((9, 1)))
         check_gradients(lambda: T.segment_softmax(scores, STARTS), [scores])
         x, y = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((5, 3)))
-        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
-        check_gradients(lambda: T.gather_dot(x, rows, y, STARTS), [x, y])
+        check_gradients(lambda: T.gather_dot(x, layout(), y), [x, y])
         w = Tensor(rng.standard_normal((9, 1)))
-        check_gradients(lambda: T.gather_segment_sum(w, x, rows, STARTS), [w, x])
+        check_gradients(lambda: T.gather_segment_sum(w, x, layout()), [w, x])
 
     def test_gather_dot_key_gradient_is_a_segment_sum(self, rng):
-        # d sum(g * gather_dot(x, rows, y, starts)) / dy = gather_segment_sum(g, x, rows, starts)
+        # d sum(g * gather_dot(x, layout, y)) / dy = gather_segment_sum(g, x, layout),
+        # summed over the segment sweep, whose tail adds in another order
         x, y, g = (rng.standard_normal(shape) for shape in ((4, 3), (5, 3), (9, 1)))
-        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
         key = Tensor(y)
         with Tape() as tape:
-            tape.backward(sum_all(T.mul(T.constant(g), T.gather_dot(T.constant(x), rows,
-                                                                       key, STARTS))))
-        expected = T.gather_segment_sum(T.constant(g), T.constant(x), rows, STARTS).data
-        np.testing.assert_array_equal(key.grad, expected)
+            tape.backward(sum_all(T.mul(T.constant(g),
+                                        T.gather_dot(T.constant(x), layout(), key))))
+        np.testing.assert_array_equal(key.grad, layout().segment_sums(g, x))
+        expected = T.gather_segment_sum(T.constant(g), T.constant(x), layout()).data
+        np.testing.assert_allclose(key.grad, expected, rtol=1e-14, atol=1e-15)
 
     def test_gather_segment_sum_weight_gradient_is_a_gather_dot(self, rng):
-        # d sum(dY * gather_segment_sum(w, x, rows, starts)) / dw = gather_dot(x, rows, dY, starts)
+        # d sum(dY * gather_segment_sum(w, x, layout)) / dw = gather_dot(x, layout, dY)
         w, x, dy = (rng.standard_normal(shape) for shape in ((9, 1), (4, 3), (5, 3)))
-        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
         weights = Tensor(w)
         with Tape() as tape:
             tape.backward(sum_all(T.mul(T.constant(dy), T.gather_segment_sum(
-                weights, T.constant(x), rows, STARTS))))
-        expected = T.gather_dot(T.constant(x), rows, T.constant(dy), STARTS).data
+                weights, T.constant(x), layout()))))
+        expected = T.gather_dot(T.constant(x), layout(), T.constant(dy)).data
         np.testing.assert_array_equal(weights.grad, expected)
 
     def test_chained_backward_matches_finite_differences(self, rng):
         # the attention pattern: scores -> segment softmax -> weighted sum
         x = Tensor(rng.standard_normal((4, 3)))
         keys = Tensor(rng.standard_normal((5, 3)))
-        rows = [0, 2, 2, 1, 3, 3, 3, 0, 1]
 
         def mixed():
-            scores = T.gather_dot(x, rows, keys, STARTS)
-            return T.gather_segment_sum(T.segment_softmax(scores, STARTS), x, rows, STARTS)
+            scores = T.gather_dot(x, layout(), keys)
+            return T.gather_segment_sum(T.segment_softmax(scores, STARTS), x, layout())
 
         check_gradients(mixed, [x, keys])
 
     def test_constant_weights_get_no_gradient(self, rng):
         w, x = T.constant(np.ones((3, 1))), Tensor(rng.standard_normal((2, 2)))
         with Tape() as tape:
-            tape.backward(sum_all(T.gather_segment_sum(w, x, [1, 1, 0], [0, 2])))
+            tape.backward(sum_all(T.gather_segment_sum(w, x, layout([1, 1, 0], [0, 2]))))
         assert w.grad is None
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0]])
+
+    def test_a_layout_sorts_once_in_its_first_backward(self, rng, monkeypatch):
+        # forward-only calls, as evaluation makes, build no sweep; the first
+        # backward builds both and every later one reuses them
+        built = []
+        of = T.Sweep.of
+        monkeypatch.setattr(T.Sweep, "of", lambda *a: built.append(1) or of(*a))
+        x, y, w = (Tensor(rng.standard_normal(shape)) for shape in ((4, 3), (5, 3), (9, 1)))
+        shared = layout()
+        T.gather_segment_sum(w, x, shared)
+        T.gather_dot(x, shared, y)
+        assert not built
+        for _ in range(3):
+            with Tape() as tape:
+                tape.backward(sum_all(T.gather_segment_sum(T.gather_dot(x, shared, y), x,
+                                                           shared)))
+        assert len(built) == 2
 
     @pytest.mark.parametrize("starts", [[], [1, 3], [0, 2, 2], [0, 3, 2], [0, 9], [[0, 2]]],
                              ids=["none", "not-from-zero", "empty-inner", "falling",
@@ -373,28 +407,26 @@ class TestSegmentOps:
         with pytest.raises(ShapeError):
             T.segment_softmax(Tensor(rng.standard_normal((9, 1))), starts)
         with pytest.raises(ShapeError):
-            T.gather_segment_sum(Tensor(np.ones((9, 1))), Tensor(np.ones((2, 2))),
-                                 [0] * 9, starts)
+            T.segment_sum(Tensor(rng.standard_normal((9, 1))), starts)
+        with pytest.raises(ShapeError):
+            layout([0] * 9, starts)
 
     @pytest.mark.parametrize("indices", [[0.5, 1.9], [True, False], np.array([0.0, 1.0])],
                              ids=["fractional", "bool", "integral-floats"])
     def test_indices_must_be_integers(self, rng, indices):
         # a cast would gather rows 0 and 1 for [0.5, 1.9], and 1 and 0 for
         # [True, False]
-        x, w = Tensor(rng.standard_normal((3, 2))), Tensor(np.ones((2, 1)))
         with pytest.raises(ShapeError, match="integers"):
-            T.take_rows(x, indices)
+            T.take_rows(Tensor(rng.standard_normal((3, 2))), indices)
         with pytest.raises(ShapeError, match="integers"):
-            T.gather_dot(x, indices, Tensor(np.ones((1, 2))), [0])
-        with pytest.raises(ShapeError, match="integers"):
-            T.gather_segment_sum(w, x, indices, [0])
+            layout(indices, [0])
 
     @pytest.mark.parametrize("starts", [[0.0, 1.7], [0.0, 1.0], [False, True]],
                              ids=["fractional", "integral-floats", "bool"])
     def test_segment_starts_must_be_integers(self, rng, starts):
         # a cast would run [0.0, 1.7] as [0, 1]
         with pytest.raises(ShapeError, match="integers"):
-            T.gather_segment_sum(Tensor(np.ones((2, 1))), Tensor(np.ones((3, 2))), [0, 1], starts)
+            layout([0, 1], starts)
         with pytest.raises(ShapeError, match="integers"):
             T.segment_softmax(Tensor(np.ones((2, 1))), starts)
 
@@ -403,23 +435,28 @@ class TestSegmentOps:
         assert T.take_rows(x, []).shape == (0, 2)
         np.testing.assert_array_equal(T.take_rows(x, np.array([2, 0], dtype=np.uint8)).data,
                                       x.data[[2, 0]])
+        unsigned = layout(np.array([2, 0], dtype=np.uint8), [0])
+        np.testing.assert_array_equal(T.gather_dot(x, unsigned, Tensor(np.ones((1, 2)))).data,
+                                      x.data[[2, 0]].sum(axis=1, keepdims=True))
 
     def test_misaligned_operands_are_shape_errors(self, rng):
         x = Tensor(rng.standard_normal((3, 2)))
         with pytest.raises(ShapeError):
-            T.gather_segment_sum(Tensor(np.ones((2, 1))), x, [0, 1, 2], [0])
+            T.gather_segment_sum(Tensor(np.ones((2, 1))), x, layout([0, 1, 2], [0]))
         with pytest.raises(ShapeError):
-            T.gather_segment_sum(Tensor(np.ones((1, 3))), x, [0, 1, 2], [0])
+            T.gather_segment_sum(Tensor(np.ones((1, 3))), x, layout([0, 1, 2], [0]))
         with pytest.raises(ShapeError):
-            T.gather_segment_sum(Tensor(np.ones((2, 1))), x, [0, 3], [0])
+            T.gather_segment_sum(Tensor(np.ones((2, 1))), x, layout([0, 3], [0]))
         with pytest.raises(ShapeError):
-            T.gather_dot(x, [0, 1, 2], x, [0])
+            T.gather_dot(x, layout([0, 1, 2], [0]), x)
         with pytest.raises(ShapeError):
-            T.gather_dot(x, [0], Tensor(np.ones((1, 3))), [0])
+            T.gather_dot(x, layout([0], [0]), Tensor(np.ones((1, 3))))
         with pytest.raises(ShapeError):
-            T.gather_dot(x, [-1], Tensor(np.ones((1, 2))), [0])
+            T.gather_dot(x, layout([0, 1], [0, 1]), Tensor(np.ones((1, 2))))
         with pytest.raises(ShapeError):
-            T.gather_dot(x, [0, 1], Tensor(np.ones((1, 2))), [0, 1])
+            layout([-1], [0])
+        with pytest.raises(ShapeError, match="empty"):
+            layout([], [0])
 
 
 class TestTape:
@@ -479,10 +516,12 @@ OPS = {
     "take_rows": lambda a, b, row: T.take_rows(a, [3, 0, 3]),
     "sum_all": lambda a, b, row: sum_all(a),
     "segment_softmax": lambda a, b, row: T.segment_softmax(a, [0, 1]),
-    "gather_dot": lambda a, b, row: T.gather_dot(a, [0, 2, 2, 1, 3], b, [0, 1, 3, 4]),
-    "gather_dot_self": lambda a, b, row: T.gather_dot(a, [0, 2, 2, 1, 3], a, [0, 1, 3, 4]),
-    "gather_segment_sum": lambda a, b, row: T.gather_segment_sum(
-        T.transpose(row), a, [3, 0, 3], [0, 2]),
+    "segment_sum": lambda a, b, row: T.segment_sum(a, [0, 1, 3]),
+    "gather_dot": lambda a, b, row: T.gather_dot(a, layout([0, 2, 2, 1, 3], [0, 1, 3, 4]), b),
+    "gather_dot_self": lambda a, b, row: T.gather_dot(a, layout([0, 2, 2, 1, 3], [0, 1, 3, 4]),
+                                                      a),
+    "gather_segment_sum": lambda a, b, row: T.gather_segment_sum(T.transpose(row), a,
+                                                                 layout([3, 0, 3], [0, 2])),
 }
 
 

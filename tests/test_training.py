@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import fagcn.tensor as T
 from fagcn.corpus import DatasetSplit, split
 from fagcn.datasets import two_cluster_fixture
 from fagcn.errors import ConfigError, DataError, NumericError, ShapeError
@@ -237,6 +238,30 @@ class TestTrain:
         assert len(binds) == 1
         assert history.test_accuracy == evaluate(params, graph, corpus, fixture_split().test_idx,
                                                  layer1_normalize=layer1_normalize)
+
+    @pytest.mark.parametrize("variant, sweeps", [("none", 3), ("self", 3), ("context", 4)])
+    def test_sorts_in_its_first_epoch_only(self, monkeypatch, variant, sweeps):
+        # the graph's pair sweep, the corpus's token layout and the binding's
+        # (pair, token) layout are built by the first epoch, context's with
+        # its segment sweep too; later epochs and the final scoring reuse them
+        graph, corpus, _ = two_cluster_fixture()
+        steps, calls = [], []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                calls.append((name, len(steps)))
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr("fagcn.training.adam_step",
+                            lambda *args: steps.append(adam_step(*args)))
+        monkeypatch.setattr(T.Sweep, "of", spy("Sweep.of", T.Sweep.of))
+        monkeypatch.setattr(np, "argsort", spy("argsort", np.argsort))
+        train(small_config(variant=variant, epochs=4), graph, corpus, fixture_split())
+        assert len(steps) == 4
+        assert {epoch for _, epoch in calls} == {0}
+        assert [name for name, _ in calls].count("Sweep.of") == sweeps
+        assert "argsort" in {name for name, _ in calls}
 
 
 class TestEvaluate:
