@@ -176,7 +176,7 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
     original order. Sequences are packed longest first (``tokens.packing``):
     step t advances token t of every sequence longer than t. The table's
     gradient sums both directions' input gradients over the layout's row
-    sweep (``GatherLayout.scatter``), which a corpus builds once. With no
+    sweep (``GatherLayout.row_sums``), which a corpus builds once. With no
     tape recording, both directions run forward-only and read only the
     table rows that ``tokens`` uses.
     """
@@ -210,7 +210,7 @@ def bilstm_encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, table: Ten
     def table_grad(grad: np.ndarray) -> np.ndarray:
         dx = swept(grad)[0]
         dx += done[3]
-        return tokens.scatter(dx, table.shape)
+        return tokens.row_sums(None, dx, table.shape)
 
     return T._op(ahead + behind, inputs,
                  (table_grad, *(lambda grad, k=k: swept(grad)[k] for k in (1, 2, 4, 5))))

@@ -34,8 +34,9 @@ layout: over its segments (``GatherLayout.segment_sums``) and over its
 entries grouped by gathered row (``GatherLayout.row_sums``). The
 gradient of ``gather_segment_sum``'s weights is a ``_dots``. The
 encoder's embedding table sums its gradient over its token layout's row
-sweep too (``GatherLayout.scatter``); ``take_rows`` scatters with one
-bincount, which beats a sweep on self attention's width-1 scores.
+sweep too (``GatherLayout.row_sums`` with no weights); ``take_rows``
+scatters with one bincount, which beats a sweep on self attention's
+width-1 scores.
 
 Vectors are represented as 1-row matrices throughout. The tests check
 every gradient function against central differences (``tests/conftest.py``).
@@ -281,7 +282,7 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows by index (repeats allowed); backward scatter-adds with
     one bincount over the flattened entries. On self attention's width-1
     scores that is several times faster than np.add.at and than a row
-    sweep (``GatherLayout.scatter``)."""
+    sweep (``GatherLayout.row_sums``)."""
     idx = _row_indices(indices, x)
 
     def scatter(g: Array) -> Array:
@@ -339,8 +340,9 @@ def _dots(x: Array, idx: Array, y: Array, seg: Array) -> Array:
     return dots
 
 
-def _sums(w: Array, x: Array, idx: Array, starts: Array) -> Array:
-    """Row k is the sum of w[t] * x[idx[t]] over the rows t of segment k.
+def _sums(w: Array | None, x: Array, idx: Array, starts: Array) -> Array:
+    """Row k is the sum of w[t] * x[idx[t]] over the rows t of segment k;
+    with no ``w``, of the rows x[idx[t]].
 
     Gathers blocks of at most ``GATHER_BLOCK`` entries, as ``_dots`` does.
     A block holds whole segments, so each segment that fits in one is
@@ -355,11 +357,13 @@ def _sums(w: Array, x: Array, idx: Array, starts: Array) -> Array:
         j = np.searchsorted(bounds, lo + step, side="right") - 1  # segments k..j-1 fit
         if j > k:
             rows = x[idx[lo:bounds[j]]]
-            rows *= w[lo:bounds[j]]
+            if w is not None:
+                rows *= w[lo:bounds[j]]
             np.add.reduceat(rows, starts[k:j] - lo, out=sums[k:j])
         else:
             j, hi = k + 1, bounds[k + 1]
-            sums[k] = _sums(w[lo:hi], x, idx[lo:hi], np.arange(0, hi - lo, step)).sum(axis=0)
+            sums[k] = _sums(w if w is None else w[lo:hi], x, idx[lo:hi],
+                            np.arange(0, hi - lo, step)).sum(axis=0)
         k = j
     return sums
 
@@ -413,27 +417,27 @@ class Sweep(NamedTuple):
         return cls(lane[:batch[0]].copy(), batch[:stop].copy(), entries, tail)
 
 
-def _swept_sums(w: Array, x: Array, idx: Array, sweep: Sweep) -> Array:
+def _swept_sums(w: Array | None, x: Array, idx: Array, sweep: Sweep) -> Array:
     """Row s is the sum of w[e] * x[idx[e]] over the entries e of segment
-    s, with ``w`` and ``idx`` listed in ``sweep.entries`` order. Entries
-    are added one step at a time, in segment order, before the tail's.
-    Each step gathers into one reused buffer, which then holds the result."""
+    s, with ``w`` and ``idx`` listed in ``sweep.entries`` order; with no
+    ``w``, of the rows x[idx[e]]. Entries are added one step at a time, in
+    segment order, before the tail's. Each step gathers into one reused
+    buffer, which then holds the result."""
     shape = (sweep.order.size, x.shape[1])
     sums, out = np.empty(shape), np.empty(shape)
     lo = 0
     for b in sweep.batch:
         rows = out[:b] if lo else sums
-        x.take(idx[lo:lo + b], axis=0, out=rows, mode="clip")  # idx is in range
-        rows *= w[lo:lo + b]
+        np.take(x, idx[lo:lo + b], axis=0, out=rows, mode="clip")  # idx is in range
+        if w is not None:
+            rows *= w[lo:lo + b]
         if lo:
             sums[:b] += rows
         lo += b
     if sweep.tail.size:
-        sums[:sweep.tail.size] += _sums(w[lo:], x, idx[lo:], sweep.tail)
+        sums[:sweep.tail.size] += _sums(w if w is None else w[lo:], x, idx[lo:], sweep.tail)
     out[sweep.order] = sums
     return out
-
-
 
 
 class GatherLayout:
@@ -487,22 +491,17 @@ class GatherLayout:
         sweep, rows = self.by_segment
         return _swept_sums(w[sweep.entries], x, rows, sweep)
 
-    def row_sums(self, w: Array, y: Array, shape: tuple[int, int]) -> Array:
+    def row_sums(self, w: Array | None, y: Array, shape: tuple[int, int]) -> Array:
         """An array of ``shape`` whose row r is the sum of w[t] * y[seg[t]]
         over the entries t that gather row r, in entry order, over the row
-        sweep; a row that no entry gathers is zero."""
+        sweep; with no ``w``, of the rows y[t], one per entry (a scatter).
+        A row that no entry gathers is zero."""
         sweep, seg, land = self.by_row
         out = np.zeros(shape)
-        out[land] = _swept_sums(w[sweep.entries], y, seg, sweep)
-        return out
-
-    def scatter(self, x: Array, shape: tuple[int, int]) -> Array:
-        """An array of ``shape`` whose row r is the sum of the rows x[t] of
-        the entries t that gather row r, over the row sweep."""
-        sweep, _, land = self.by_row
-        entries = sweep.entries
-        out = np.zeros(shape)
-        out[land] = _swept_sums(np.broadcast_to(1.0, (entries.size, 1)), x, entries, sweep)
+        if w is None:
+            out[land] = _swept_sums(None, y, sweep.entries, sweep)
+        else:
+            out[land] = _swept_sums(w[sweep.entries], y, seg, sweep)
         return out
 
 

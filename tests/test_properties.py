@@ -255,7 +255,7 @@ class TestGatheredKernels:
             with T.Tape() as tape:
                 tape.backward(sum_all(T.mul(T.constant(probe),
                                             T.gather_segment_sum(wt, ut, layout))))
-            scattered = layout.scatter(dx, x.shape)
+            scattered = layout.row_sums(None, dx, x.shape)
         assert layout.by_segment[0].tail.size and layout.by_row[0].tail.size
         for grad, rows, terms in ((xt.grad, idx, g * y[seg]), (yt.grad, seg, g * x[idx]),
                                   (ut.grad, idx, w * probe[seg]), (scattered, idx, dx)):

@@ -1,6 +1,7 @@
 """Numeric kernel: forward values against independent oracles, taped
 gradients against central finite differences."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -344,14 +345,21 @@ class TestSegmentOps:
         check_gradients(lambda: T.gather_segment_sum(w, x, layout()), [w, x])
 
     def test_gather_dot_key_gradient_is_a_segment_sum(self, rng):
-        # d sum(g * gather_dot(x, layout, y)) / dy = gather_segment_sum(g, x, layout),
-        # summed over the segment sweep, whose tail adds in another order
+        # d sum(g * gather_dot(x, layout, y)) / dy = gather_segment_sum(g, x, layout).
+        # The gradient adds each segment's terms left to right, in entry
+        # order: every segment here ends in the sweep's steps or with one
+        # tail entry. The forward's reduceat may add in another order (numpy
+        # 2.4 sums the 3-entry segment as p0 + (p1 + p2)), so the two agree
+        # to a rounding, not bit for bit.
         x, y, g = (rng.standard_normal(shape) for shape in ((4, 3), (5, 3), (9, 1)))
         key = Tensor(y)
         with Tape() as tape:
             tape.backward(sum_all(T.mul(T.constant(g),
                                         T.gather_dot(T.constant(x), layout(), key))))
-        np.testing.assert_array_equal(key.grad, layout().segment_sums(g, x))
+        terms, bounds = g * x[ROWS], STARTS + [9]
+        in_order = np.array([functools.reduce(np.add, terms[lo:hi])
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+        np.testing.assert_array_equal(key.grad, in_order)
         expected = T.gather_segment_sum(T.constant(g), T.constant(x), layout()).data
         np.testing.assert_allclose(key.grad, expected, rtol=1e-14, atol=1e-15)
 
