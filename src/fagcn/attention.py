@@ -71,10 +71,11 @@ class PairTokens(T.GatherLayout):
     in node order, node i's from row ``starts[i]`` of ``total``.
 
     Entry t gathers token row ``rows[t]``. Pair p's entries, from
-    ``pair_starts[p]``, are the token rows of ``members[p]`` in order.
-    Pairs are sorted by center, so each center's entries are one segment
-    of the ``tensor.GatherLayout``, which context attention and layer1
-    sum over."""
+    ``pair_starts[p]``, are the token rows of ``members[p]`` in order;
+    ``pair_of[t]`` is entry t's pair, which the attention softmax and
+    layer1's pair coefficients read. Pairs are sorted by center, so each
+    center's entries are one segment of the ``tensor.GatherLayout``,
+    which context attention and layer1 sum over."""
 
     def __init__(self, graph: Graph, starts: np.ndarray, total: int):
         starts = np.asarray(starts, dtype=np.intp)
@@ -86,7 +87,7 @@ class PairTokens(T.GatherLayout):
         super().__init__(np.arange(lengths.sum()) + np.repeat(starts[members] - pair_starts,
                                                                lengths),
                          pair_starts[indptr[:-1]])
-        self.pair_starts = pair_starts
+        self.pair_starts, self.pair_of = T._segments(pair_starts, self.rows.size)
         self.node_starts = starts
         self.total = total
 
@@ -107,4 +108,4 @@ def token_weights(attention: AttentionParams, features: Tensor, layout: PairToke
         contexts = T.segment_sum(features, layout.node_starts)
         keys = T.matmul(contexts, T.transpose(attention.bilinear))
         scores = T.gather_dot(features, layout, keys)
-    return T.segment_softmax(scores, layout.pair_starts)
+    return T.segment_softmax(scores, layout.pair_starts, layout.pair_of)

@@ -102,7 +102,8 @@ class ContentCorpus:
     def token_layout(self) -> GatherLayout:
         """``tokens`` as the encoder's ``tensor.GatherLayout``: entry t
         gathers embedding row ``tokens[t]``, one segment per node. Its
-        packing and its row sweep are built on first use and kept."""
+        packing, its row sweep and its distinct terms are built on first
+        use and kept."""
         return GatherLayout(self.tokens, self.starts)
 
     @cached_property

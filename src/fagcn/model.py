@@ -222,7 +222,10 @@ class PairOperator:
         if x.rows != self.graph.n:
             raise ShapeError(f"a graph of {self.graph.n} nodes cannot propagate {x.shape}")
         sweep, rows = self.graph.pair_sweep
-        product = partial(T._swept_sums, self._swept, idx=rows, sweep=sweep)
+
+        def product(y: np.ndarray) -> np.ndarray:
+            return sweep.unswept(T._swept_sums(self._swept, y, rows, sweep))
+
         return T._op(product(x.data), (x,), (product,))
 
     def propagate_nonzeros(self, cols: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
@@ -339,8 +342,7 @@ def layer1(graph: Graph, features: tuple[Tensor, Tensor, PairTokens],
     pairs = graph.pairs[1].size
     if layout.pair_starts.size != pairs:
         raise ShapeError(f"{layout.pair_starts.size} pair segments for a graph of {pairs} pairs")
-    lengths = np.diff(layout.pair_starts, append=layout.rows.size)
-    coeffs = T.constant(np.repeat(mixer.data, lengths)[:, None])
+    coeffs = T.constant(mixer.data[layout.pair_of][:, None])
     projected = T.matmul(encoded, T.transpose(conv1_weight))
     return T.gather_segment_sum(T.mul(weights, coeffs), projected, layout)
 

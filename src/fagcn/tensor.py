@@ -27,16 +27,20 @@ that gather rows of an operand in segments, and are each other's
 transpose, like the SDDMM/SpMM pair of graph message passing. Forward,
 ``_dots`` forms one dot product per entry and ``_sums`` one weighted sum
 of gathered rows per segment; both gather in blocks of ``GATHER_BLOCK``
-entries and build no sweep, so evaluation sorts nothing. Backward,
+entries and build no sweep, so their forward passes sort nothing. Backward,
 ``gather_dot`` and ``gather_segment_sum`` sum over the layout's two
 sweeps, each built by the first backward that needs it and kept with the
 layout: over its segments (``GatherLayout.segment_sums``) and over its
 entries grouped by gathered row (``GatherLayout.row_sums``). The
 gradient of ``gather_segment_sum``'s weights is a ``_dots``. The
-encoder's embedding table sums its gradient over its token layout's row
-sweep too (``GatherLayout.row_sums`` with no weights); ``take_rows``
+encoder projects each distinct row its token layout gathers once
+(``GatherLayout.distinct``, in the row sweep's order, which its first
+call builds, taped or not), and sums its gate gradients per term over
+that sweep (``GatherLayout.distinct_sums``); ``take_rows``
 scatters with one bincount, which beats a sweep on self attention's
-width-1 scores.
+width-1 scores. ``_swept_sums`` gives its rows in the sweep's order,
+which the row sums land in place and ``Sweep.unswept`` puts in segment
+order.
 
 Vectors are represented as 1-row matrices throughout. The tests check
 every gradient function against central differences (``tests/conftest.py``).
@@ -306,9 +310,12 @@ def _segments(starts: Sequence[int], total: int) -> tuple[Array, Array]:
     return starts, np.repeat(np.arange(starts.size), lengths)
 
 
-def segment_softmax(x: Tensor, starts: Sequence[int]) -> Tensor:
-    """Softmax over the rows of each segment, column by column, max-shifted."""
-    starts, seg = _segments(starts, x.data.shape[0])
+def segment_softmax(x: Tensor, starts: Sequence[int], seg: Array | None = None) -> Tensor:
+    """Softmax over the rows of each segment, column by column, max-shifted.
+    A caller that holds ``_segments``' checked starts and row segments
+    passes both, and they are not rebuilt."""
+    if seg is None:
+        starts, seg = _segments(starts, x.data.shape[0])
     e = np.exp(x.data - np.maximum.reduceat(x.data, starts)[seg])
     y = e / np.add.reduceat(e, starts)[seg]
     return _op(y, (x,), (lambda g: y * (g - np.add.reduceat(g * y, starts)[seg]),))
@@ -416,18 +423,25 @@ class Sweep(NamedTuple):
                                   + np.arange(rest.sum())))
         return cls(lane[:batch[0]].copy(), batch[:stop].copy(), entries, tail)
 
+    def unswept(self, sums: Array) -> Array:
+        """``_swept_sums``' rows, one per segment in sweep order, put in
+        segment order."""
+        out = np.empty_like(sums)
+        out[self.order] = sums
+        return out
+
 
 def _swept_sums(w: Array | None, x: Array, idx: Array, sweep: Sweep) -> Array:
     """Row s is the sum of w[e] * x[idx[e]] over the entries e of segment
-    s, with ``w`` and ``idx`` listed in ``sweep.entries`` order; with no
-    ``w``, of the rows x[idx[e]]. Entries are added one step at a time, in
-    segment order, before the tail's. Each step gathers into one reused
-    buffer, which then holds the result."""
-    shape = (sweep.order.size, x.shape[1])
-    sums, out = np.empty(shape), np.empty(shape)
+    ``sweep.order[s]``, with ``w`` and ``idx`` listed in ``sweep.entries``
+    order; with no ``w``, of the rows x[idx[e]]. Entries are added one step
+    at a time, in segment order, before the tail's. The first step gathers
+    into the result, each later one into one reused buffer."""
+    sums = np.empty((sweep.order.size, x.shape[1]))
+    buffer = np.empty((sweep.batch[1:2].sum(), x.shape[1]))  # a second step's rows
     lo = 0
     for b in sweep.batch:
-        rows = out[:b] if lo else sums
+        rows = buffer[:b] if lo else sums
         np.take(x, idx[lo:lo + b], axis=0, out=rows, mode="clip")  # idx is in range
         if w is not None:
             rows *= w[lo:lo + b]
@@ -436,8 +450,7 @@ def _swept_sums(w: Array | None, x: Array, idx: Array, sweep: Sweep) -> Array:
         lo += b
     if sweep.tail.size:
         sums[:sweep.tail.size] += _sums(w if w is None else w[lo:], x, idx[lo:], sweep.tail)
-    out[sweep.order] = sums
-    return out
+    return sums
 
 
 class GatherLayout:
@@ -446,11 +459,12 @@ class GatherLayout:
     (the last up to the end), and none is empty; ``seg[t]`` is entry t's
     segment. The layout of ``gather_dot`` and ``gather_segment_sum``.
 
-    Its sweeps and its ``packing`` are built on first use, which is a
-    gradient's (or a recurrence's), and kept: ``by_segment`` over the
-    segments, and ``by_row`` over the entries grouped by the row they
-    gather. A layout held across calls, as a model binding holds its
-    (pair, token) layout and a corpus its tokens, sorts once."""
+    Its sweeps, its ``packing`` and its ``distinct`` rows are built on
+    first use, which is a gradient's (or a recurrence's), and kept:
+    ``by_segment`` over the segments, and ``by_row`` over the entries
+    grouped by the row they gather. A layout held across calls, as a model
+    binding holds its (pair, token) layout and a corpus its tokens, sorts
+    once."""
 
     def __init__(self, rows: Sequence[int], starts: Sequence[int]):
         idx = _integers(rows, "row indices")
@@ -477,32 +491,45 @@ class GatherLayout:
     def by_row(self) -> tuple[Sweep, Array, Array]:
         """The sweep over the entries grouped by the row they gather, each
         group in entry order, listing this layout's entries; the segment of
-        each entry it visits; and the row each group lands on."""
+        each entry it visits; and the row of each group, in the sweep's
+        order, which is the order of ``_swept_sums``' rows."""
         order = np.argsort(self.rows, kind="stable")
         rows = self.rows[order]
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))
         sweep = Sweep.of(firsts, rows.size)
         sweep = sweep._replace(entries=order[sweep.entries])
-        return sweep, self.seg[sweep.entries], rows[firsts]
+        return sweep, self.seg[sweep.entries], rows[firsts][sweep.order]
+
+    @cached_property
+    def distinct(self) -> tuple[Array, Array]:
+        """The distinct rows the entries gather, in the row sweep's order
+        (``by_row``), and the position of each entry's row among them."""
+        land = self.by_row[2]
+        at = np.empty(self.span, dtype=np.intp)
+        at[land] = np.arange(land.size)
+        return land, at[self.rows]
 
     def segment_sums(self, w: Array, x: Array) -> Array:
         """Row k is the sum of w[t] * x[rows[t]] over the entries t of segment
         k, as ``_sums`` forms it, over the segment sweep (``_swept_sums``)."""
         sweep, rows = self.by_segment
-        return _swept_sums(w[sweep.entries], x, rows, sweep)
+        return sweep.unswept(_swept_sums(w[sweep.entries], x, rows, sweep))
 
-    def row_sums(self, w: Array | None, y: Array, shape: tuple[int, int]) -> Array:
+    def row_sums(self, w: Array, y: Array, shape: tuple[int, int]) -> Array:
         """An array of ``shape`` whose row r is the sum of w[t] * y[seg[t]]
         over the entries t that gather row r, in entry order, over the row
-        sweep; with no ``w``, of the rows y[t], one per entry (a scatter).
-        A row that no entry gathers is zero."""
+        sweep. A row that no entry gathers is zero."""
         sweep, seg, land = self.by_row
         out = np.zeros(shape)
-        if w is None:
-            out[land] = _swept_sums(None, y, sweep.entries, sweep)
-        else:
-            out[land] = _swept_sums(w[sweep.entries], y, seg, sweep)
+        out[land] = _swept_sums(w[sweep.entries], y, seg, sweep)
         return out
+
+    def distinct_sums(self, y: Array, at: Array) -> Array:
+        """Row j is the sum of the rows y[at[t]] over the entries t that
+        gather the j-th distinct row (``distinct``), in entry order, over
+        the row sweep."""
+        sweep = self.by_row[0]
+        return _swept_sums(None, y, at[sweep.entries], sweep)
 
 
 def _check_gathers(x: Tensor, layout: GatherLayout) -> None:

@@ -9,7 +9,7 @@ import fagcn.tensor as T
 from fagcn.attention import AttentionParams, PairTokens, token_weights
 from fagcn.errors import ConfigError, ShapeError
 from fagcn.graph import Graph
-from fagcn.tensor import Tensor
+from fagcn.tensor import Tape, Tensor
 
 from conftest import grad_check, sum_all
 
@@ -141,6 +141,26 @@ class TestAttentionContext:
             context = h[starts[c]:ends[c]].sum(axis=0)
             scores = h[starts[m]:ends[m]] @ attention.bilinear.data @ context
             np.testing.assert_allclose(w, np.exp(scores) / np.exp(scores).sum(), atol=1e-12)
+
+    def test_the_pair_index_softmaxes_as_the_pair_starts_do(self, rng):
+        # the layout's per-entry pair index is what segment_softmax builds
+        # from the pair starts, and reading it changes no bit, forward or
+        # backward
+        graph = Graph(4, [(0, 2), (1, 2), (2, 3)])
+        starts = np.array([0, 2, 3, 7])
+        layout = PairTokens(graph, starts, 9)
+        lengths = np.diff(layout.pair_starts, append=layout.rows.size)
+        np.testing.assert_array_equal(layout.pair_of,
+                                      np.repeat(np.arange(lengths.size), lengths))
+        scores, probe = rng.standard_normal((2, layout.rows.size, 1))
+        runs = []
+        for seg in (layout.pair_of, None):
+            x = Tensor(scores)
+            with Tape() as tape:
+                out = T.segment_softmax(x, layout.pair_starts, seg)
+                tape.backward(sum_all(T.mul(T.constant(probe), out)))
+            runs.append((out.data.tobytes(), x.grad.tobytes()))
+        assert runs[0] == runs[1]
 
     def test_node_count_mismatch(self, rng):
         with pytest.raises(ShapeError):

@@ -1,6 +1,7 @@
 """Recurrent encoder against a scalar hand-trace and an independent
 step-by-step recurrence oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,15 @@ import pytest
 
 import fagcn.lstm as lstm
 import fagcn.tensor as T
+import fagcn.training as training
+from fagcn.corpus import split
+from fagcn.datasets import two_cluster_fixture
 from fagcn.errors import ShapeError
 from fagcn.lstm import LstmDirectionParams, _run_direction, bilstm_encode
 from fagcn.model import ModelParams
 from fagcn.tensor import Tape, Tensor
+from fagcn.training import ExperimentConfig, init_params, train
+from fagcn.util import derive_rng
 
 from conftest import grad_check, sum_all
 
@@ -58,7 +64,7 @@ def params_arrays(params: LstmDirectionParams) -> dict[str, np.ndarray]:
 def forward_direction(params: LstmDirectionParams, seq: Tensor) -> np.ndarray:
     """One forward direction over all rows of ``seq`` as one sequence."""
     n = seq.rows
-    return _run_direction(params, seq.data, np.arange(n), np.ones(n, dtype=np.intp))[0]
+    return _run_direction(params, seq.data, T.GatherLayout(np.arange(n), [0]), np.arange(n))[0]
 
 
 def encode(fwd: LstmDirectionParams, bwd: LstmDirectionParams, seq: Tensor,
@@ -108,18 +114,21 @@ class TestLstmForward:
         assert np.all(np.abs(outputs) < 1.0)
 
     def test_one_direction_holds_one_gate_buffer(self, rng):
-        # the input projection is written into the gate buffer and the
+        # the input projection is gathered into the gate buffer and the
         # reverse sweep writes its gradients over it, so forward plus
-        # backward peaks well below three (tokens x 4 feature_dim) buffers
+        # backward peaks below three (tokens x 4 feature_dim) buffers even
+        # here, where every token is a term of its own and the sums of the
+        # gate gradients per term take one buffer more
         n, d = 20000, 16
         params = random_params(4, d, rng)
         x = rng.standard_normal((n, 4))
         probe = rng.standard_normal((n, d))
         # sequences of 10 rows: step t visits row t of each
-        visits, batch = np.arange(n).reshape(-1, 10).T.ravel(), np.full(10, n // 10)
+        tokens = T.GatherLayout(np.arange(n), np.arange(0, n, 10))
+        visits = np.arange(n).reshape(-1, 10).T.ravel()
         tracemalloc.start()
         try:
-            _, gradients = _run_direction(params, x, visits, batch)
+            _, gradients = _run_direction(params, x, tokens, visits)
             gradients = gradients(probe)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -294,17 +303,91 @@ class TestForwardOnly:
                 taped = bilstm_encode(fwd, bwd, table, tokens).data
             np.testing.assert_array_equal(bilstm_encode(fwd, bwd, table, tokens).data, taped)
 
-    def test_one_distinct_term_is_within_a_rounding_of_the_taped_output(self, rng, monkeypatch):
-        # its projection is a one-row product, which BLAS sums in another
-        # order than the taped path's product over every token
+    def test_one_distinct_term_gives_the_taped_output(self, rng, monkeypatch):
         monkeypatch.setattr(lstm, "LANE_BLOCK", 2)
         fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
         table = Tensor(rng.standard_normal((6, 3)))
         tokens = T.GatherLayout(np.full(sum(RAGGED), 4), ragged_starts())
         with Tape():
             taped = bilstm_encode(fwd, bwd, table, tokens).data
-        np.testing.assert_allclose(bilstm_encode(fwd, bwd, table, tokens).data, taped,
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(bilstm_encode(fwd, bwd, table, tokens).data, taped)
+
+
+def visit_orders(lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens each direction visits, in order, for sequences stacked
+    in index order: step t takes token t of every sequence longer than t
+    (the backward direction counts from the end), longest first, ties in
+    index order."""
+    starts = np.cumsum([0] + lengths[:-1])
+    lanes = sorted(range(len(lengths)), key=lambda s: -lengths[s])
+    ahead, behind = [], []
+    for t in range(max(lengths)):
+        for s in (s for s in lanes if lengths[s] > t):
+            ahead.append(starts[s] + t)
+            behind.append(starts[s] + lengths[s] - 1 - t)
+    return np.array(ahead), np.array(behind)
+
+
+def assert_sums_close(actual: np.ndarray, expected: np.ndarray, scale: np.ndarray) -> None:
+    """``actual`` is ``expected`` to 1e-13 relative to ``scale``, the sums
+    of their terms' magnitudes: two orders of one sum differ by a rounding
+    of those, however much the terms cancel."""
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= 1e-13 * scale), np.abs(actual - expected).max()
+
+
+class TestTermSpaceBackward:
+    @pytest.mark.parametrize("tokens", [np.array([0, 3, 1, 3, 4, 0, 0, 2, 1, 4, 3, 3, 0, 2, 1, 3]),
+                                        np.full(sum(RAGGED), 2)],
+                             ids=["repeated-terms", "one-term"])
+    def test_gradients_match_sums_over_tokens(self, rng, monkeypatch, tokens):
+        # each direction's gate gradients dz, in visit order, summed over
+        # the tokens instead of per term: x[visits]^T dz for W_x, dz's
+        # column sums for the bias and np.add.at of dz @ W_x^T for the
+        # table, whose row 5 no token uses
+        fwd, bwd = random_params(3, 4, rng), random_params(3, 4, rng)
+        table = Tensor(rng.standard_normal((6, 3)))
+        dz, distinct_sums = [], T.GatherLayout.distinct_sums
+
+        def recorded(layout, y, at):
+            dz.append(y.copy())
+            return distinct_sums(layout, y, at)
+
+        monkeypatch.setattr(T.GatherLayout, "distinct_sums", recorded)
+        with Tape() as tape:
+            out = bilstm_encode(fwd, bwd, table, T.GatherLayout(tokens, ragged_starts()))
+            tape.backward(sum_all(T.mul(T.constant(rng.standard_normal(out.shape)), out)))
+        assert len(dz) == 2
+        expected, scale = np.zeros(table.shape), np.zeros(table.shape)
+        for params, visits, grads in zip((fwd, bwd), visit_orders(RAGGED), dz):
+            w_x, x = params.weight.data[:3], table.data[tokens[visits]]
+            np.add.at(expected, tokens[visits], grads @ w_x.T)
+            np.add.at(scale, tokens[visits], np.abs(grads) @ np.abs(w_x.T))
+            assert_sums_close(params.weight.grad[:3], x.T @ grads, np.abs(x.T) @ np.abs(grads))
+            assert_sums_close(params.bias.grad[0], grads.sum(axis=0), np.abs(grads).sum(axis=0))
+        assert_sums_close(table.grad, expected, scale)
+        assert not table.grad[5].any()
+
+    @pytest.mark.parametrize("variant", ["none", "self", "context"])
+    def test_an_unused_embedding_row_of_1e300_changes_no_loss(self, monkeypatch, variant):
+        # no token uses the spare term, so no product reads its table row
+        graph, corpus, _ = two_cluster_fixture()
+        corpus = dataclasses.replace(corpus, vocab_size=corpus.vocab_size + 1)
+        config = ExperimentConfig(embed_dim=4, feature_dim=4, hidden_dim=3, epochs=3, seed=1,
+                                  variant=variant)
+        dataset_split = split(corpus.n, config.train_fraction, derive_rng(1, "split"))
+        _, history = train(config, graph, corpus, dataset_split)
+
+        def spare_of_1e300(*args):
+            params = init_params(*args)
+            params.embeddings.data[-1] = 1e300
+            return params
+
+        monkeypatch.setattr(training, "init_params", spare_of_1e300)
+        params, spared = train(config, graph, corpus, dataset_split)
+        assert [*map(repr, spared.losses)] == [*map(repr, history.losses)]
+        assert params.embeddings.data[-1, 0] == 1e300
+        np.testing.assert_array_equal(params.embeddings.grad[-1], 0.0)
 
 
 class TestParamInit:

@@ -239,13 +239,14 @@ class TestGatheredKernels:
     @FEW
     @given(case=ragged_layouts())
     def test_swept_gradients_match_add_at(self, case):
-        # one layout's sweeps, shared by both ops and the table scatter,
-        # against np.add.at; the hub segment and row 0 finish in their
+        # one layout's sweeps, shared by both ops and the encoder's sums per
+        # term, against np.add.at; the hub segment and row 0 finish in their
         # sweeps' tails, summed there in more than one block
         block, x, idx, starts, y, g = case
         rng = np.random.default_rng(idx.size)
-        w, probe, dx = (rng.standard_normal(shape)
+        w, probe, dz = (rng.standard_normal(shape)
                         for shape in ((idx.size, 1), y.shape, (idx.size, x.shape[1])))
+        at = rng.permutation(idx.size)  # dz lists the entries in another order
         seg = np.repeat(np.arange(starts.size), np.diff(starts, append=idx.size))
         layout = T.GatherLayout(idx, starts)
         xt, yt, wt, ut = T.Tensor(x), T.Tensor(y), T.Tensor(w), T.Tensor(x)
@@ -255,10 +256,15 @@ class TestGatheredKernels:
             with T.Tape() as tape:
                 tape.backward(sum_all(T.mul(T.constant(probe),
                                             T.gather_segment_sum(wt, ut, layout))))
-            scattered = layout.row_sums(None, dx, x.shape)
+            per_term = layout.distinct_sums(dz, at)
         assert layout.by_segment[0].tail.size and layout.by_row[0].tail.size
+        distinct, term_of = layout.distinct
+        np.testing.assert_array_equal(np.sort(distinct), np.unique(idx))
+        np.testing.assert_array_equal(distinct[term_of], idx)
+        scattered = np.zeros_like(x)
+        scattered[distinct] = per_term
         for grad, rows, terms in ((xt.grad, idx, g * y[seg]), (yt.grad, seg, g * x[idx]),
-                                  (ut.grad, idx, w * probe[seg]), (scattered, idx, dx)):
+                                  (ut.grad, idx, w * probe[seg]), (scattered, idx, dz[at])):
             expected = np.zeros_like(grad)
             np.add.at(expected, rows, terms)
             np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12)
