@@ -442,7 +442,7 @@ def _swept_sums(w: Array | None, x: Array, idx: Array, sweep: Sweep) -> Array:
     lo = 0
     for b in sweep.batch:
         rows = buffer[:b] if lo else sums
-        np.take(x, idx[lo:lo + b], axis=0, out=rows, mode="clip")  # idx is in range
+        x.take(idx[lo:lo + b], axis=0, out=rows, mode="clip")  # idx is in range
         if w is not None:
             rows *= w[lo:lo + b]
         if lo:
